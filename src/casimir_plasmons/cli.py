@@ -44,9 +44,11 @@ from .decomposition import (
 from .errors import (
     CasimirModelError,
     ConvergenceFailure,
+    DomainError,
     ExtrapolationUnstable,
     NonFiniteIntegrand,
     TailBoundViolated,
+    require_positive_finite,
 )
 from .lifshitz import eta_total
 from .modes import (
@@ -285,9 +287,16 @@ def _resolve_spec(args: argparse.Namespace) -> QuadratureSpec:
                 raise _ArgumentError(
                     f"{TOLERANCE_ENV_VAR} must be a number, got {raw!r}"
                 ) from None
-    if not (tolerance > 0.0) or not math.isfinite(tolerance):
-        raise _ArgumentError("tolerance must be positive and finite")
+    tolerance = _positive_finite_argument("tolerance", tolerance)
     return QuadratureSpec(abs_tol=0.1 * tolerance, rel_tol=tolerance)
+
+
+def _positive_finite_argument(name: str, value: float) -> float:
+    """The library's domain gate, reported as an argument error (exit 2)."""
+    try:
+        return require_positive_finite(name, value)
+    except DomainError as exc:
+        raise _ArgumentError(str(exc)) from None
 
 
 def _resolve_omega_p(args: argparse.Namespace) -> float:
@@ -307,21 +316,21 @@ def _resolve_omega_p(args: argparse.Namespace) -> float:
                 "the physical parameterization needs both --lambda-p and "
                 "--separation"
             )
-        if not (args.lambda_p > 0.0) or not (args.separation > 0.0):
-            raise _ArgumentError("--lambda-p and --separation must be positive")
-        return 2.0 * math.pi * (args.separation / args.lambda_p)
-    if args.omega_p_l is not None:
-        if not (args.omega_p_l > 0.0):
-            raise _ArgumentError("Omega_P must be positive")
-        return args.omega_p_l
-    if args.l_over_lambda_p is not None:
-        if not (args.l_over_lambda_p > 0.0):
-            raise _ArgumentError("L/lambda_p must be positive")
-        return 2.0 * math.pi * args.l_over_lambda_p
-    raise _ArgumentError(
-        "one of --omega-p-l, --l-over-lambda-p, or --lambda-p with "
-        "--separation is required"
-    )
+        lambda_p = _positive_finite_argument("--lambda-p", args.lambda_p)
+        separation = _positive_finite_argument("--separation", args.separation)
+        Omega_P = 2.0 * math.pi * (separation / lambda_p)
+    elif args.omega_p_l is not None:
+        Omega_P = args.omega_p_l
+    elif args.l_over_lambda_p is not None:
+        l_over_lambda = _positive_finite_argument("L/lambda_p", args.l_over_lambda_p)
+        Omega_P = 2.0 * math.pi * l_over_lambda
+    else:
+        raise _ArgumentError(
+            "one of --omega-p-l, --l-over-lambda-p, or --lambda-p with "
+            "--separation is required"
+        )
+    # Sole check of --omega-p-l; for the other flags it catches over/underflow.
+    return _positive_finite_argument("Omega_P", Omega_P)
 
 
 def _parse_range(text: str) -> Tuple[float, float]:
@@ -385,9 +394,8 @@ def cmd_eta(args: argparse.Namespace, spec: QuadratureSpec) -> int:
 def cmd_sweep(args: argparse.Namespace, spec: QuadratureSpec) -> int:
     lo, hi = _parse_range(args.range)
     if args.lambda_p is not None:
-        if not (args.lambda_p > 0.0):
-            raise _ArgumentError("--lambda-p must be positive")
-        lo, hi = lo / args.lambda_p, hi / args.lambda_p
+        lambda_p = _positive_finite_argument("--lambda-p", args.lambda_p)
+        lo, hi = lo / lambda_p, hi / lambda_p
     if args.points < 2:
         raise _ArgumentError("--points must be at least 2 for a sweep")
     if args.spacing == "log":

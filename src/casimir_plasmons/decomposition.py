@@ -27,7 +27,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .errors import ConvergenceFailure, DomainError, ExtrapolationUnstable
+from .errors import (
+    ConvergenceFailure,
+    DomainError,
+    ExtrapolationUnstable,
+    require_positive_finite,
+)
 from .lifshitz import _eta_total_detailed, eta_total
 from .modes import (
     CoupledBranch,
@@ -106,8 +111,7 @@ class EtaBreakdown:
     error_estimates: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not (self.Omega_P > 0.0):
-            raise DomainError("Omega_P must be positive")
+        require_positive_finite("Omega_P", self.Omega_P)
         if self.eta_ph != self.eta_total - self.eta_pl:
             raise DomainError(
                 "eta_ph must equal eta_total - eta_pl exactly as stored"
@@ -167,8 +171,7 @@ def _eta_plasmonic_detailed(
     spec: QuadratureSpec,
     branch_sum: Optional[Tuple[float, float]] = None,
 ) -> Tuple[float, float]:
-    if not (Omega_P > 0.0) or not math.isfinite(Omega_P):
-        raise DomainError("Omega_P must be positive and finite")
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     constants = branch_constants(Omega_P)
     y_plus = constants.y_plus
     if branch_sum is None:
@@ -259,10 +262,8 @@ def eta_plasmonic_direct(
     Raises :class:`ExtrapolationUnstable` when the two extrapolation stages
     fail to shrink the residual.
     """
-    if not (Omega_P > 0.0) or not math.isfinite(Omega_P):
-        raise DomainError("Omega_P must be positive and finite")
-    if not (reg_epsilon > 0.0):
-        raise DomainError("reg_epsilon must be positive")
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
+    require_positive_finite("reg_epsilon", reg_epsilon)
     if regulator not in ("exponential", "gaussian"):
         raise DomainError(
             f"unknown regulator {regulator!r}; "
@@ -303,8 +304,7 @@ def _eta_evanescent_detailed(
     spec: QuadratureSpec,
     branch_sum: Optional[Tuple[float, float]] = None,
 ) -> Tuple[float, float]:
-    if not (Omega_P > 0.0) or not math.isfinite(Omega_P):
-        raise DomainError("Omega_P must be positive and finite")
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     constants = branch_constants(Omega_P)
     k_p = constants.k_P
     crossing_frequency = omega0(k_p, Omega_P)

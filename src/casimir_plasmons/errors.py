@@ -6,6 +6,8 @@ distinguishable from contract violations (which indicate a bug in the caller
 or in the model assumptions).
 """
 
+import math
+
 
 class CasimirModelError(Exception):
     """Base class for every error raised by this package."""
@@ -49,3 +51,16 @@ class DegenerateFit(CasimirModelError, ValueError):
 
 class NoSolution(CasimirModelError):
     """A mode equation has no solution for the requested parameters."""
+
+
+def require_positive_finite(name: str, value: object) -> float:
+    """Return ``value`` as a float if it is an int or float in ``(0, inf)``.
+
+    The domain gate for ``Omega_P``, ``omega_p``, ``lambda_p`` and ``L`` at
+    every public entry; anything else (bools, NaN, inf, zero, negatives)
+    raises :class:`DomainError`.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if 0.0 < value < math.inf:
+            return float(value)
+    raise DomainError(f"{name} must be positive and finite, got {value!r}")

@@ -24,14 +24,19 @@ import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
-from .errors import ConvergenceFailure, DomainError, NonFiniteIntegrand
+from .errors import (
+    ConvergenceFailure,
+    DomainError,
+    NonFiniteIntegrand,
+    require_positive_finite,
+)
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
     integrate_finite,
     integrate_finite_with_estimate,
 )
-from .optics import PlasmaMirror, Polarization, reflection_sq_imag_axis
+from .optics import SPEED_OF_LIGHT, PlasmaMirror, Polarization, reflection_sq_imag_axis
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -43,7 +48,6 @@ __all__ = [
     "energy_breakdown",
 ]
 
-SPEED_OF_LIGHT = 299_792_458.0  # m / s (exact)
 REDUCED_PLANCK = 1.054_571_817e-34  # J * s
 
 # Beyond kappa ~ 45 the factor e^{-2 kappa} puts the integrand at ~1e-40,
@@ -69,11 +73,7 @@ class PhysicalSetup:
 
     def __post_init__(self) -> None:
         for name in ("L", "A", "hbar", "c"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise DomainError(f"{name} must be a real number")
-            if not (value > 0.0) or not math.isfinite(value):
-                raise DomainError(f"{name} must be positive and finite")
+            require_positive_finite(name, getattr(self, name))
         if self.A < 100.0 * self.L * self.L:
             warnings.warn(
                 "mirror area A is not large compared to L**2; the "
@@ -137,8 +137,7 @@ def _eta_total_detailed(
     Omega_P: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> Tuple[float, float]:
     """Reduction factor plus a propagated quadrature error estimate."""
-    if not (Omega_P > 0.0) or not math.isfinite(Omega_P):
-        raise DomainError("Omega_P must be positive and finite")
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
 
     inner_spec = QuadratureSpec(
         abs_tol=0.0,

@@ -31,15 +31,14 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import (
-    BracketNotFound,
     ContinuationError,
     ConvergenceFailure,
     DomainError,
-    InvalidBracket,
     NoSolution,
+    require_positive_finite,
 )
 from .numerics import DEFAULT_ROOT, RootSpec, find_root_bracketed
-from .optics import Polarization, Sector, classify
+from .optics import Polarization, Sector, _coerce_polarization, classify
 
 __all__ = [
     "CoupledBranch",
@@ -109,8 +108,8 @@ class BranchId:
 
     def __post_init__(self) -> None:
         if self.kind is BranchKind.PHOTONIC:
-            if self.m is None or int(self.m) != self.m or self.m < 0:
-                raise DomainError("photonic branches need a non-negative integer m")
+            if self.m is None or int(self.m) != self.m or self.m < 1:
+                raise DomainError("photonic branches need a positive integer m")
         else:
             if self.m is not None:
                 raise DomainError("m is only meaningful for photonic branches")
@@ -163,8 +162,7 @@ def omega0(K: float, Omega_P: float) -> float:
     Always ``<= K`` (the mode is evanescent), rising from 0 at ``K = 0``
     towards the asymptote ``Omega_P/sqrt(2)``.
     """
-    if not (Omega_P > 0.0):
-        raise DomainError("Omega_P must be positive")
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     if not (K >= 0.0):
         raise DomainError("K must be non-negative")
     if K == 0.0:
@@ -216,30 +214,20 @@ def _g_squared(branch: CoupledBranch, z: float, Omega_P: float) -> float:
     return Omega_P * Omega_P * root_z / (root_z + root_sum * coupling)
 
 
-def _check_branch_domain(branch: CoupledBranch, z: float, Omega_P: float) -> None:
-    if not (Omega_P > 0.0):
-        raise DomainError("Omega_P must be positive")
+def _g_squared_checked(branch: CoupledBranch, z: float, Omega_P: float) -> float:
+    """``_g_squared`` plus the checks it omits: finite inputs, plus-branch endpoint."""
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     if not math.isfinite(z):
         raise DomainError("z must be finite")
-    if z >= 0.0:
-        return
-    if branch is not CoupledBranch.PLUS:
-        raise DomainError(
-            "z < 0 is outside the domain of the minus/zero branches; only the "
-            "plus branch continues below the light cone"
-        )
-    u = math.sqrt(-z)
-    if u >= min(Omega_P, math.pi):
-        raise ContinuationError(
-            f"continuation parameter u={u:.6g} outside the principal window "
-            f"[0, min(Omega_P, pi)) for Omega_P={Omega_P:.6g}"
-        )
-    z_plus0 = branch_constants(Omega_P).z_plus0
-    if z < -z_plus0 * (1.0 + 1e-12):
-        raise DomainError(
-            f"z={z!r} lies below the plus-branch endpoint -z_plus0="
-            f"{-z_plus0!r} for Omega_P={Omega_P:.6g}"
-        )
+    g_sq = _g_squared(branch, z, Omega_P)
+    if z < 0.0:
+        z_plus0 = branch_constants(Omega_P).z_plus0
+        if z < -z_plus0 * (1.0 + 1e-12):
+            raise DomainError(
+                f"z={z!r} lies below the plus-branch endpoint -z_plus0="
+                f"{-z_plus0!r} for Omega_P={Omega_P:.6g}"
+            )
+    return g_sq
 
 
 def f_branch(kind: Union[CoupledBranch, str], z: float, Omega_P: float) -> float:
@@ -249,16 +237,12 @@ def f_branch(kind: Union[CoupledBranch, str], z: float, Omega_P: float) -> float
     wavevector ``K`` solves ``f(z) = K**2``.  The minus and zero branches are
     defined for ``z >= 0``; the plus branch extends down to ``-z_plus0``.
     """
-    branch = _coerce_branch(kind)
-    _check_branch_domain(branch, z, Omega_P)
-    return z + _g_squared(branch, z, Omega_P)
+    return z + _g_squared_checked(_coerce_branch(kind), z, Omega_P)
 
 
 def g_branch(kind: Union[CoupledBranch, str], z: float, Omega_P: float) -> float:
     """Mode function ``g(z) = sqrt(f(z) - z)``; non-negative on its domain."""
-    branch = _coerce_branch(kind)
-    _check_branch_domain(branch, z, Omega_P)
-    return math.sqrt(_g_squared(branch, z, Omega_P))
+    return math.sqrt(_g_squared_checked(_coerce_branch(kind), z, Omega_P))
 
 
 def g_branch_combination(z: float, Omega_P: float) -> float:
@@ -270,8 +254,7 @@ def g_branch_combination(z: float, Omega_P: float) -> float:
     plateau cancels algebraically and the exp(-sqrt(z)) decay of the
     remainder is computed directly.  Defined for ``z >= 0``.
     """
-    if not (Omega_P > 0.0):
-        raise DomainError("Omega_P must be positive")
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     if z < 0.0:
         raise DomainError("the branch combination is defined for z >= 0")
     if z == 0.0:
@@ -338,31 +321,7 @@ def _branch_constants_cached(Omega_P: float) -> BranchConstants:
 
 def branch_constants(Omega_P: float) -> BranchConstants:
     """Derived branch scalars (light-cone crossing, endpoints) for ``Omega_P``."""
-    if not isinstance(Omega_P, (int, float)) or isinstance(Omega_P, bool):
-        raise DomainError("Omega_P must be a real number")
-    Omega_P = float(Omega_P)
-    if not (Omega_P > 0.0) or not math.isfinite(Omega_P):
-        raise DomainError("Omega_P must be positive and finite")
-    return _branch_constants_cached(Omega_P)
-
-
-def _rescan_bracket(
-    g, lo: float, hi: float, spec: RootSpec, label: str
-) -> float:
-    """Fallback monotonicity scan when the analytic bracket shows no sign change."""
-    grid = np.linspace(lo, hi, 129)
-    values = [g(x) for x in grid]
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
-            return float(grid[i])
-        if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            return find_root_bracketed(g, float(grid[i]), float(grid[i + 1]), spec)
-    if values[-1] == 0.0:
-        return float(grid[-1])
-    raise BracketNotFound(
-        f"monotonicity scan found no sign change for {label} on "
-        f"[{lo:g}, {hi:g}]"
-    )
+    return _branch_constants_cached(require_positive_finite("Omega_P", Omega_P))
 
 
 def invert_branch(
@@ -376,15 +335,14 @@ def invert_branch(
     The root bracket follows from the monotonicity of ``f``: the minus and
     zero branches always have ``z* in [0, K**2]``; the plus branch has
     ``z* in [0, K**2]`` for ``K >= k_P`` and a negative root in
-    ``[-z_plus0, 0]`` below the light-cone crossing.  A failed bracket is
-    rescanned and, if still signless, raises :class:`BracketNotFound` rather
-    than guessing.
+    ``[-z_plus0, 0]`` below the light-cone crossing.  Each bracket holds a
+    sign change by construction: ``f(0) - K**2 <= 0 <= f(K**2) - K**2``, and
+    the sign at ``-z_plus0`` is tested before the solve.
     """
     branch = _coerce_branch(kind)
     if not (K >= 0.0):
         raise DomainError("K must be non-negative")
-    if not (Omega_P > 0.0):
-        raise DomainError("Omega_P must be positive")
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     target = K * K
     if branch is CoupledBranch.PLUS:
         constants = branch_constants(Omega_P)
@@ -402,15 +360,11 @@ def invert_branch(
             return 0.0
         lo, hi = 0.0, target
 
+    # The bracket lies inside the domain of f, so the solve skips its gate.
     def objective(z: float) -> float:
-        return f_branch(branch, z, Omega_P) - target
+        return z + _g_squared(branch, z, Omega_P) - target
 
-    try:
-        z_star = find_root_bracketed(objective, lo, hi, spec)
-    except InvalidBracket:
-        z_star = _rescan_bracket(
-            objective, lo, hi, spec, f"branch {branch.value} at K={K:g}"
-        )
+    z_star = find_root_bracketed(objective, lo, hi, spec)
     remainder = target - z_star
     return math.sqrt(remainder) if remainder > 0.0 else 0.0
 
@@ -431,13 +385,12 @@ def photonic_mode(
     ``Omega_P -> inf``.  Raises :class:`NoSolution` when the branch does not
     exist at this ``(K, m)``.
     """
-    pol = Polarization(pol) if not isinstance(pol, Polarization) else pol
+    pol = _coerce_polarization(pol)
     if int(m) != m or m < 1:
         raise DomainError("mode index m must be an integer >= 1")
     if not (K >= 0.0):
         raise DomainError("K must be non-negative")
-    if not (Omega_P > 0.0):
-        raise DomainError("Omega_P must be positive")
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
 
     def phase_defect(Q: float) -> float:
         if pol is Polarization.TE:

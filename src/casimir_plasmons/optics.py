@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from scipy.constants import c as SPEED_OF_LIGHT
 
-from .errors import DomainError
+from .errors import DomainError, require_positive_finite
 
 __all__ = [
     "Polarization",
@@ -78,10 +78,8 @@ class PlasmaMirror:
     lambda_p: float
 
     def __post_init__(self) -> None:
-        if not (self.omega_p > 0.0) or not math.isfinite(self.omega_p):
-            raise DomainError("omega_p must be positive and finite")
-        if not (self.lambda_p > 0.0) or not math.isfinite(self.lambda_p):
-            raise DomainError("lambda_p must be positive and finite")
+        require_positive_finite("omega_p", self.omega_p)
+        require_positive_finite("lambda_p", self.lambda_p)
         derived = 2.0 * math.pi * SPEED_OF_LIGHT / self.omega_p
         if abs(self.lambda_p - derived) > 4.0 * math.ulp(derived):
             raise DomainError(
@@ -91,16 +89,13 @@ class PlasmaMirror:
 
     @classmethod
     def from_plasma_frequency(cls, omega_p: float) -> "PlasmaMirror":
-        if not (omega_p > 0.0) or not math.isfinite(omega_p):
-            raise DomainError("omega_p must be positive and finite")
+        omega_p = require_positive_finite("omega_p", omega_p)
         return cls(omega_p=omega_p, lambda_p=2.0 * math.pi * SPEED_OF_LIGHT / omega_p)
 
     @classmethod
     def from_plasma_wavelength(cls, lambda_p: float) -> "PlasmaMirror":
-        if not (lambda_p > 0.0) or not math.isfinite(lambda_p):
-            raise DomainError("lambda_p must be positive and finite")
-        omega_p = 2.0 * math.pi * SPEED_OF_LIGHT / lambda_p
-        return cls(omega_p=omega_p, lambda_p=2.0 * math.pi * SPEED_OF_LIGHT / omega_p)
+        lambda_p = require_positive_finite("lambda_p", lambda_p)
+        return cls.from_plasma_frequency(2.0 * math.pi * SPEED_OF_LIGHT / lambda_p)
 
 
 @dataclass(frozen=True)
@@ -116,10 +111,9 @@ class ScaledCavity:
     L: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not (self.Omega_P > 0.0) or not math.isfinite(self.Omega_P):
-            raise DomainError("Omega_P must be positive and finite")
-        if self.L is not None and not (self.L > 0.0):
-            raise DomainError("L must be positive when provided")
+        require_positive_finite("Omega_P", self.Omega_P)
+        if self.L is not None:
+            require_positive_finite("L", self.L)
 
     @classmethod
     def from_dimensionless(cls, Omega_P: float) -> "ScaledCavity":
@@ -127,8 +121,7 @@ class ScaledCavity:
 
     @classmethod
     def from_physical(cls, mirror: PlasmaMirror, L: float) -> "ScaledCavity":
-        if not (L > 0.0) or not math.isfinite(L):
-            raise DomainError("L must be positive and finite")
+        L = require_positive_finite("L", L)
         return cls(Omega_P=2.0 * math.pi * L / mirror.lambda_p, L=L)
 
     @property
@@ -152,8 +145,7 @@ def classify(K: float, Omega: float) -> Sector:
 
 def permittivity(Omega: float, Omega_P: float) -> float:
     """Plasma-model relative permittivity at real scaled frequency ``Omega``."""
-    if not (Omega_P > 0.0):
-        raise DomainError("Omega_P must be positive")
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     if not (Omega > 0.0):
         raise DomainError("permittivity needs Omega > 0")
     ratio = Omega_P / Omega
@@ -165,8 +157,7 @@ def permittivity_imag_axis(Xi: float, Omega_P: float) -> float:
 
     Always real and greater than 1 for ``Xi > 0``.
     """
-    if not (Omega_P > 0.0):
-        raise DomainError("Omega_P must be positive")
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     if not (Xi > 0.0):
         raise DomainError("permittivity_imag_axis needs Xi > 0")
     ratio = Omega_P / Xi
@@ -187,8 +178,9 @@ def reflection_sq_imag_axis(
     arbitrarily small ``Xi``.  The result lies in [0, 1].
     """
     pol = _coerce_polarization(pol)
-    if not (Omega_P > 0.0):
-        raise DomainError("Omega_P must be positive")
+    # Inline rather than require_positive_finite: this runs at every node.
+    if not (0.0 < Omega_P < math.inf):
+        raise DomainError(f"Omega_P must be positive and finite, got {Omega_P!r}")
     if not (K >= 0.0):
         raise DomainError("K must be non-negative")
     if not (Xi > 0.0):

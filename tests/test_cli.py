@@ -109,6 +109,9 @@ class TestArgumentErrors:
             ["constants", "--format", "csv"],
             ["bogus-subcommand"],
             ["eta", "--l-over-lambda-p", "1", "--frobnicate"],
+            ["eta", "--omega-p-l", "inf"],
+            ["eta", "--l-over-lambda-p", "inf"],
+            ["eta", "--lambda-p", "inf", "--separation", "1e-7"],
         ],
     )
     def test_exit_code_two(self, argv, capsys) -> None:

@@ -1,0 +1,67 @@
+"""The domain contract shared by every public entry that takes ``Omega_P``.
+
+Each accepted ``Omega_P`` is a real number in ``(0, inf)``; zero, negative
+values, NaN and infinity must raise :class:`DomainError` rather than return
+NaN, a plausible but wrong value, or an untyped exception.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from casimir_plasmons.decomposition import (
+    EtaBreakdown,
+    compute_eta_breakdown,
+    eta_evanescent,
+    eta_plasmonic,
+)
+from casimir_plasmons.errors import DomainError
+from casimir_plasmons.lifshitz import eta_total
+from casimir_plasmons.modes import (
+    CoupledBranch,
+    branch_constants,
+    f_branch,
+    g_branch,
+    g_branch_combination,
+    invert_branch,
+    omega0,
+    photonic_mode,
+)
+from casimir_plasmons.optics import (
+    Polarization,
+    permittivity,
+    permittivity_imag_axis,
+    reflection_sq_imag_axis,
+)
+
+ENTRIES = {
+    "reflection_sq_imag_axis": lambda w: reflection_sq_imag_axis("TE", 1.0, 1.0, w),
+    "permittivity": lambda w: permittivity(1.0, w),
+    "permittivity_imag_axis": lambda w: permittivity_imag_axis(1.0, w),
+    "omega0": lambda w: omega0(1.0, w),
+    "f_branch": lambda w: f_branch(CoupledBranch.PLUS, 1.0, w),
+    "g_branch": lambda w: g_branch(CoupledBranch.PLUS, 1.0, w),
+    "g_branch_combination": lambda w: g_branch_combination(1.0, w),
+    "branch_constants": branch_constants,
+    "invert_branch_plus": lambda w: invert_branch(CoupledBranch.PLUS, 1.0, w),
+    "invert_branch_minus": lambda w: invert_branch(CoupledBranch.MINUS, 1.0, w),
+    "invert_branch_zero": lambda w: invert_branch(CoupledBranch.ZERO, 1.0, w),
+    "photonic_mode_te": lambda w: photonic_mode(Polarization.TE, 1, 1.0, w),
+    "photonic_mode_tm": lambda w: photonic_mode(Polarization.TM, 1, 1.0, w),
+    "eta_total": eta_total,
+    "eta_plasmonic": eta_plasmonic,
+    "eta_evanescent": eta_evanescent,
+    "compute_eta_breakdown": compute_eta_breakdown,
+    "EtaBreakdown": lambda w: EtaBreakdown(
+        Omega_P=w, eta_total=0.5, eta_pl=0.25, eta_ph=0.25, eta_ev=0.1
+    ),
+}
+
+
+@pytest.mark.parametrize("Omega_P", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_out_of_domain_plasma_parameter_raises_domain_error(entry, Omega_P) -> None:
+    with pytest.raises(DomainError):
+        ENTRIES[entry](Omega_P)

@@ -530,6 +530,12 @@ class TestPhotonicModes:
             photonic_mode(Polarization.TM, 1, -0.5, 1.0)
         with pytest.raises(DomainError):
             photonic_mode(Polarization.TM, 1, 0.5, 0.0)
+        # lower-case names coerce to the enum; unknown names are domain errors
+        assert photonic_mode("te", 1, 1.0, 5.0) == photonic_mode(
+            Polarization.TE, 1, 1.0, 5.0
+        )
+        with pytest.raises(DomainError):
+            photonic_mode("circular", 1, 1.0, 5.0)
 
 
 # ----------------------------------------------------------------------
@@ -609,6 +615,8 @@ class TestIdentifiers:
             BranchId(BranchKind.PHOTONIC, Polarization.TE)
         with pytest.raises(DomainError):
             BranchId(BranchKind.PHOTONIC, Polarization.TE, m=-2)
+        with pytest.raises(DomainError):
+            BranchId(BranchKind.PHOTONIC, Polarization.TE, m=0)
 
     def test_surface_branches_are_tm_only_without_index(self) -> None:
         with pytest.raises(DomainError):
