@@ -9,8 +9,8 @@ Layering, bottom to top:
 
 * :mod:`casimir_plasmons.errors` — exception taxonomy.
 * :mod:`casimir_plasmons.numerics` — quadrature, root finding, scaling fits.
-* :mod:`casimir_plasmons.optics` — plasma permittivity and reflection
-  amplitudes, mirror/cavity descriptions.
+* :mod:`casimir_plasmons.optics` — imaginary-axis reflection amplitudes,
+  light-cone sectors and the physical mirror record.
 * :mod:`casimir_plasmons.lifshitz` — the total reduction factor ``eta_E``
   and physical energies.
 * :mod:`casimir_plasmons.modes` — coupled surface-mode branches, the
@@ -21,7 +21,6 @@ Layering, bottom to top:
 """
 
 from .errors import (
-    BracketNotFound,
     CasimirModelError,
     ContinuationError,
     ConvergenceFailure,
@@ -50,11 +49,8 @@ from .optics import (
     LIGHTCONE_TOLERANCE,
     PlasmaMirror,
     Polarization,
-    ScaledCavity,
     Sector,
     classify,
-    permittivity,
-    permittivity_imag_axis,
     reflection_sq_imag_axis,
 )
 from .lifshitz import (
@@ -91,7 +87,6 @@ from .decomposition import (
     asymptotic_report,
     compute_eta_breakdown,
     eta_evanescent,
-    eta_photonic,
     eta_plasmonic,
     eta_plasmonic_direct,
     fit_beta_ev,
@@ -112,7 +107,6 @@ __all__ = [
     "NonFiniteIntegrand",
     "TailBoundViolated",
     "InvalidBracket",
-    "BracketNotFound",
     "ContinuationError",
     "ExtrapolationUnstable",
     "DegenerateFit",
@@ -133,10 +127,7 @@ __all__ = [
     "Polarization",
     "Sector",
     "PlasmaMirror",
-    "ScaledCavity",
     "classify",
-    "permittivity",
-    "permittivity_imag_axis",
     "reflection_sq_imag_axis",
     "LIGHTCONE_TOLERANCE",
     # lifshitz
@@ -169,7 +160,6 @@ __all__ = [
     "eta_plasmonic",
     "eta_plasmonic_direct",
     "eta_evanescent",
-    "eta_photonic",
     "compute_eta_breakdown",
     "propagative_part_identity",
     "short_distance_alpha",

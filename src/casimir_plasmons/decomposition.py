@@ -33,7 +33,7 @@ from .errors import (
     ExtrapolationUnstable,
     require_positive_finite,
 )
-from .lifshitz import _eta_total_detailed, eta_total
+from .lifshitz import _eta_total_detailed
 from .modes import (
     CoupledBranch,
     branch_constants,
@@ -61,7 +61,6 @@ __all__ = [
     "eta_plasmonic",
     "eta_plasmonic_direct",
     "eta_evanescent",
-    "eta_photonic",
     "compute_eta_breakdown",
     "propagative_part_identity",
     "short_distance_alpha",
@@ -273,7 +272,6 @@ def eta_plasmonic_direct(
         abs_tol=min(spec.abs_tol, 1e-11),
         rel_tol=min(spec.rel_tol, 1e-10),
         max_subdivisions=max(spec.max_subdivisions, 800),
-        tail_threshold=spec.tail_threshold,
     )
     raw = [
         _eta_plasmonic_regulated(
@@ -347,13 +345,6 @@ def eta_evanescent(
     return _eta_evanescent_detailed(Omega_P, spec)[0]
 
 
-def eta_photonic(
-    Omega_P: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """Cavity-resonance reduction factor: ``eta_total - eta_pl`` by definition."""
-    return eta_total(Omega_P, spec) - eta_plasmonic(Omega_P, spec)
-
-
 def compute_eta_breakdown(
     Omega_P: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> EtaBreakdown:
@@ -397,7 +388,6 @@ def propagative_part_identity(
         abs_tol=min(spec.abs_tol, 1e-13),
         rel_tol=min(spec.rel_tol, 1e-12),
         max_subdivisions=max(spec.max_subdivisions, 400),
-        tail_threshold=spec.tail_threshold,
     )
 
     def integrand(K: float) -> float:

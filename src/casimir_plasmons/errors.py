@@ -33,10 +33,6 @@ class InvalidBracket(CasimirModelError, ValueError):
     """A root bracket has the same sign of the function at both ends."""
 
 
-class BracketNotFound(CasimirModelError):
-    """A monotonicity scan failed to bracket a root that should exist."""
-
-
 class ContinuationError(CasimirModelError):
     """The real-arithmetic continuation left its principal window."""
 

@@ -2,7 +2,7 @@
 
 The reference point is the ideal-mirror energy
 
-    E_ideal = -hbar * c * pi**2 * A / (720 * L**3),
+    E_ideal = -ħ * c * pi**2 * A / (720 * L**3),
 
 and every real-mirror result is expressed through the dimensionless reduction
 factor ``eta_E = E / E_ideal`` in ``(0, 1]``.  The reduction factor is
@@ -68,12 +68,10 @@ class PhysicalSetup:
     mirror: PlasmaMirror
     L: float
     A: float
-    hbar: float = REDUCED_PLANCK
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
-        for name in ("L", "A", "hbar", "c"):
-            require_positive_finite(name, getattr(self, name))
+        require_positive_finite("L", self.L)
+        require_positive_finite("A", self.A)
         if self.A < 100.0 * self.L * self.L:
             warnings.warn(
                 "mirror area A is not large compared to L**2; the "
@@ -84,7 +82,7 @@ class PhysicalSetup:
     @property
     def Omega_P(self) -> float:
         """Dimensionless plasma parameter omega_p * L / c of this setup."""
-        return self.mirror.omega_p * self.L / self.c
+        return self.mirror.omega_p * self.L / SPEED_OF_LIGHT
 
 
 @dataclass(frozen=True)
@@ -103,10 +101,10 @@ class EnergyResult:
 
 
 def casimir_ideal_energy(setup: PhysicalSetup) -> float:
-    """Ideal-mirror Casimir energy ``-hbar c pi^2 A / (720 L^3)`` in joules."""
+    """Ideal-mirror Casimir energy ``-ħ c pi^2 A / (720 L^3)`` in joules."""
     return (
-        -setup.hbar
-        * setup.c
+        -REDUCED_PLANCK
+        * SPEED_OF_LIGHT
         * math.pi**2
         * setup.A
         / (720.0 * setup.L**3)
@@ -143,7 +141,6 @@ def _eta_total_detailed(
         abs_tol=0.0,
         rel_tol=max(spec.rel_tol * 0.1, 1e-13),
         max_subdivisions=spec.max_subdivisions,
-        tail_threshold=spec.tail_threshold,
     )
     # For small Omega_P the TM amplitude develops a narrow feature at
     # Xi ~ Omega_P; an explicit breakpoint there keeps the inner adaptive
@@ -166,7 +163,6 @@ def _eta_total_detailed(
         abs_tol=max(spec.abs_tol * 0.1, 1e-14),
         rel_tol=spec.rel_tol,
         max_subdivisions=spec.max_subdivisions,
-        tail_threshold=spec.tail_threshold,
     )
     try:
         value, error = integrate_finite_with_estimate(

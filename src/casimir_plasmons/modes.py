@@ -37,7 +37,7 @@ from .errors import (
     NoSolution,
     require_positive_finite,
 )
-from .numerics import DEFAULT_ROOT, RootSpec, find_root_bracketed
+from .numerics import RootSpec, find_root_bracketed
 from .optics import Polarization, Sector, _coerce_polarization, classify
 
 __all__ = [
@@ -108,7 +108,7 @@ class BranchId:
 
     def __post_init__(self) -> None:
         if self.kind is BranchKind.PHOTONIC:
-            if self.m is None or int(self.m) != self.m or self.m < 1:
+            if self.m is None or not (1 <= self.m < math.inf) or int(self.m) != self.m:
                 raise DomainError("photonic branches need a positive integer m")
         else:
             if self.m is not None:
@@ -163,8 +163,8 @@ def omega0(K: float, Omega_P: float) -> float:
     towards the asymptote ``Omega_P/sqrt(2)``.
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    if not (K >= 0.0):
-        raise DomainError("K must be non-negative")
+    if not (0.0 <= K < math.inf):
+        raise DomainError(f"K must be non-negative and finite, got {K!r}")
     if K == 0.0:
         return 0.0
     wp2 = Omega_P * Omega_P
@@ -255,8 +255,10 @@ def g_branch_combination(z: float, Omega_P: float) -> float:
     remainder is computed directly.  Defined for ``z >= 0``.
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    if z < 0.0:
-        raise DomainError("the branch combination is defined for z >= 0")
+    if not (0.0 <= z < math.inf):
+        raise DomainError(
+            f"the branch combination is defined for finite z >= 0, got {z!r}"
+        )
     if z == 0.0:
         # g_minus and g_zero vanish at z = 0; only the plus branch survives.
         return math.sqrt(_g_squared(CoupledBranch.PLUS, 0.0, Omega_P))
@@ -328,7 +330,6 @@ def invert_branch(
     kind: Union[CoupledBranch, str],
     K: float,
     Omega_P: float,
-    spec: RootSpec = DEFAULT_ROOT,
 ) -> float:
     """Branch frequency ``Omega[K]``: solves ``f(z*) = K**2``, returns ``sqrt(K**2 - z*)``.
 
@@ -340,8 +341,8 @@ def invert_branch(
     the sign at ``-z_plus0`` is tested before the solve.
     """
     branch = _coerce_branch(kind)
-    if not (K >= 0.0):
-        raise DomainError("K must be non-negative")
+    if not (0.0 <= K < math.inf):
+        raise DomainError(f"K must be non-negative and finite, got {K!r}")
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     target = K * K
     if branch is CoupledBranch.PLUS:
@@ -364,7 +365,7 @@ def invert_branch(
     def objective(z: float) -> float:
         return z + _g_squared(branch, z, Omega_P) - target
 
-    z_star = find_root_bracketed(objective, lo, hi, spec)
+    z_star = find_root_bracketed(objective, lo, hi)
     remainder = target - z_star
     return math.sqrt(remainder) if remainder > 0.0 else 0.0
 
@@ -374,7 +375,6 @@ def photonic_mode(
     m: int,
     K: float,
     Omega_P: float,
-    spec: RootSpec = DEFAULT_ROOT,
 ) -> float:
     """Frequency of the ``m``-th propagative cavity resonance at wavevector ``K``.
 
@@ -386,10 +386,11 @@ def photonic_mode(
     exist at this ``(K, m)``.
     """
     pol = _coerce_polarization(pol)
-    if int(m) != m or m < 1:
-        raise DomainError("mode index m must be an integer >= 1")
-    if not (K >= 0.0):
-        raise DomainError("K must be non-negative")
+    # Range first, so that a non-finite m never reaches int().
+    if not (1 <= m < math.inf) or int(m) != m:
+        raise DomainError(f"mode index m must be an integer >= 1, got {m!r}")
+    if not (0.0 <= K < math.inf):
+        raise DomainError(f"K must be non-negative and finite, got {K!r}")
     Omega_P = require_positive_finite("Omega_P", Omega_P)
 
     def phase_defect(Q: float) -> float:
@@ -409,9 +410,7 @@ def photonic_mode(
         if values[i] == 0.0:
             return math.hypot(K, float(grid[i]))
         if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            Q = find_root_bracketed(
-                phase_defect, float(grid[i]), float(grid[i + 1]), spec
-            )
+            Q = find_root_bracketed(phase_defect, float(grid[i]), float(grid[i + 1]))
             return math.hypot(K, Q)
     if values[-1] == 0.0:
         return math.hypot(K, float(grid[-1]))

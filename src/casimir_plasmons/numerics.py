@@ -45,6 +45,9 @@ _EPS = float(np.finfo(float).eps)
 _MIN_EPSREL = 50.0 * _EPS * (1.0 + 1e-7)
 # Brent's method refuses relative x-tolerances below 4 ulp.
 _MIN_BRENT_RTOL = 4.0 * _EPS * (1.0 + 1e-7)
+# Abscissa beyond which the semi-infinite integrator trusts (and checks) the
+# exp(-sqrt(x)) decay envelope of the integrand.
+_TAIL_THRESHOLD = 50.0
 
 
 @dataclass(frozen=True)
@@ -54,15 +57,12 @@ class QuadratureSpec:
     ``abs_tol``/``rel_tol``: the returned value carries an estimated error of
     at most ``max(abs_tol, rel_tol * |result|)``; at least one of the two must
     be strictly positive.  ``max_subdivisions`` bounds the adaptive refinement
-    work.  ``tail_threshold`` is the abscissa beyond which the semi-infinite
-    integrator trusts (and checks) the exp(-sqrt(x)) decay envelope of the
-    integrand.
+    work.
     """
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
     max_subdivisions: int = 500
-    tail_threshold: float = 50.0
 
     def __post_init__(self) -> None:
         if not (self.abs_tol >= 0.0) or not (self.rel_tol >= 0.0):
@@ -71,8 +71,6 @@ class QuadratureSpec:
             raise DomainError("at least one of abs_tol, rel_tol must be positive")
         if self.max_subdivisions < 1:
             raise DomainError("max_subdivisions must be at least 1")
-        if not (self.tail_threshold > 0.0):
-            raise DomainError("tail_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -80,14 +78,11 @@ class RootSpec:
     """Tolerance contract for bracketed root finding."""
 
     x_tol: float = 1e-12
-    f_tol: float = 0.0
     max_iterations: int = 200
 
     def __post_init__(self) -> None:
         if not (self.x_tol > 0.0):
             raise DomainError("x_tol must be positive")
-        if not (self.f_tol >= 0.0):
-            raise DomainError("f_tol must be non-negative")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be at least 1")
 
@@ -218,11 +213,10 @@ def integrate_semi_infinite(
     """Integrate ``f`` over ``[a, inf)`` for integrands with exp(-sqrt(x)) tails.
 
     The integrand must decay at least as fast as ``C * exp(-sqrt(x))`` beyond
-    ``spec.tail_threshold``.  The truncation point is chosen adaptively by
-    probing the integrand against that envelope; the neglected tail is
-    certified below the requested tolerance.  Raises
-    :class:`TailBoundViolated` when probe samples beyond the threshold fail to
-    decrease.
+    ``x = 50``.  The truncation point is chosen adaptively by probing the
+    integrand against that envelope; the neglected tail is certified below
+    the requested tolerance.  Raises :class:`TailBoundViolated` when probe
+    samples beyond the threshold fail to decrease.
     """
     return integrate_semi_infinite_with_estimate(f, a, spec)[0]
 
@@ -238,15 +232,15 @@ def integrate_semi_infinite_with_estimate(
     g = _guarded(f)
 
     # Probe the tail region against the exp(-sqrt(x)) envelope.
-    t0 = max(a, spec.tail_threshold)
+    t0 = max(a, _TAIL_THRESHOLD)
     step = max(1.0, 0.1 * abs(t0))
     probes = [t0 + step * (1.7**j - 1.0) for j in range(6)]
     magnitudes = [abs(g(t)) for t in probes]
     for earlier, later in zip(magnitudes, magnitudes[1:]):
         if later > earlier * (1.0 + 1e-12) + 1e-300:
             raise TailBoundViolated(
-                "integrand magnitude grows beyond tail_threshold="
-                f"{spec.tail_threshold:g} (|f| went {earlier:.3e} -> {later:.3e})"
+                f"integrand magnitude grows beyond x={_TAIL_THRESHOLD:g} "
+                f"(|f| went {earlier:.3e} -> {later:.3e})"
             )
 
     # Envelope constant in log space: |f(x)| <= exp(log_c) * exp(-sqrt(x)).
@@ -298,8 +292,7 @@ def find_root_bracketed(
 
     Requires a sign change across the bracket (:class:`InvalidBracket`
     otherwise).  The result always lies within ``[lo, hi]``; convergence is to
-    a bracket of width ``x_tol`` (up to a few ulp of relative slack), or to
-    ``|g| <= f_tol`` when ``f_tol`` is positive.
+    a bracket of width ``x_tol`` (up to a few ulp of relative slack).
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("bracket endpoints must be finite")
@@ -326,8 +319,6 @@ def find_root_bracketed(
         disp=False,
     )
     if not info.converged:
-        if spec.f_tol > 0.0 and abs(g(root)) <= spec.f_tol:
-            return float(root)
         raise ConvergenceFailure(
             f"root search on [{lo:g}, {hi:g}] did not converge within "
             f"{spec.max_iterations} iterations"

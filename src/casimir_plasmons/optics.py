@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Optional, Union
+from typing import Union
 
 from scipy.constants import c as SPEED_OF_LIGHT
 
@@ -26,10 +26,7 @@ __all__ = [
     "Polarization",
     "Sector",
     "PlasmaMirror",
-    "ScaledCavity",
     "classify",
-    "permittivity",
-    "permittivity_imag_axis",
     "reflection_sq_imag_axis",
     "LIGHTCONE_TOLERANCE",
 ]
@@ -98,38 +95,6 @@ class PlasmaMirror:
         return cls.from_plasma_frequency(2.0 * math.pi * SPEED_OF_LIGHT / lambda_p)
 
 
-@dataclass(frozen=True)
-class ScaledCavity:
-    """Dimensionless description of a two-mirror cavity.
-
-    ``Omega_P = omega_p * L / c = 2*pi*L/lambda_p`` is the only parameter the
-    scaled theory needs; ``L`` is carried along optionally for unit
-    restoration.
-    """
-
-    Omega_P: float
-    L: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        require_positive_finite("Omega_P", self.Omega_P)
-        if self.L is not None:
-            require_positive_finite("L", self.L)
-
-    @classmethod
-    def from_dimensionless(cls, Omega_P: float) -> "ScaledCavity":
-        return cls(Omega_P=Omega_P)
-
-    @classmethod
-    def from_physical(cls, mirror: PlasmaMirror, L: float) -> "ScaledCavity":
-        L = require_positive_finite("L", L)
-        return cls(Omega_P=2.0 * math.pi * L / mirror.lambda_p, L=L)
-
-    @property
-    def l_over_lambda_p(self) -> float:
-        """Mirror separation in units of the plasma wavelength."""
-        return self.Omega_P / (2.0 * math.pi)
-
-
 def classify(K: float, Omega: float) -> Sector:
     """Classify a scaled (wavevector, frequency) point against the light cone.
 
@@ -141,27 +106,6 @@ def classify(K: float, Omega: float) -> Sector:
     if abs(Omega - K) <= LIGHTCONE_TOLERANCE:
         return Sector.LIGHTCONE
     return Sector.PROPAGATIVE if Omega > K else Sector.EVANESCENT
-
-
-def permittivity(Omega: float, Omega_P: float) -> float:
-    """Plasma-model relative permittivity at real scaled frequency ``Omega``."""
-    Omega_P = require_positive_finite("Omega_P", Omega_P)
-    if not (Omega > 0.0):
-        raise DomainError("permittivity needs Omega > 0")
-    ratio = Omega_P / Omega
-    return 1.0 - ratio * ratio
-
-
-def permittivity_imag_axis(Xi: float, Omega_P: float) -> float:
-    """Plasma-model permittivity at imaginary scaled frequency ``i*Xi``.
-
-    Always real and greater than 1 for ``Xi > 0``.
-    """
-    Omega_P = require_positive_finite("Omega_P", Omega_P)
-    if not (Xi > 0.0):
-        raise DomainError("permittivity_imag_axis needs Xi > 0")
-    ratio = Omega_P / Xi
-    return 1.0 + ratio * ratio
 
 
 def reflection_sq_imag_axis(
@@ -181,10 +125,10 @@ def reflection_sq_imag_axis(
     # Inline rather than require_positive_finite: this runs at every node.
     if not (0.0 < Omega_P < math.inf):
         raise DomainError(f"Omega_P must be positive and finite, got {Omega_P!r}")
-    if not (K >= 0.0):
-        raise DomainError("K must be non-negative")
-    if not (Xi > 0.0):
-        raise DomainError("Xi must be positive")
+    if not (0.0 <= K < math.inf):
+        raise DomainError(f"K must be non-negative and finite, got {K!r}")
+    if not (0.0 < Xi < math.inf):
+        raise DomainError(f"Xi must be positive and finite, got {Xi!r}")
     kappa = math.hypot(K, Xi)
     kappa_t = math.hypot(kappa, Omega_P)
     if pol is Polarization.TE:

@@ -28,7 +28,6 @@ from casimir_plasmons.decomposition import (
     asymptotic_report,
     compute_eta_breakdown,
     eta_evanescent,
-    eta_photonic,
     eta_plasmonic,
     eta_plasmonic_direct,
     fit_beta_ev,
@@ -178,7 +177,9 @@ class TestBreakdown:
         assert breakdown.eta_total == pytest.approx(eta_total(omega_p), rel=1e-13)
         assert breakdown.eta_pl == pytest.approx(eta_plasmonic(omega_p), rel=1e-13)
         assert breakdown.eta_ev == pytest.approx(eta_evanescent(omega_p), rel=1e-13)
-        assert breakdown.eta_ph == pytest.approx(eta_photonic(omega_p), rel=1e-12)
+        assert breakdown.eta_ph == pytest.approx(
+            eta_total(omega_p) - eta_plasmonic(omega_p), rel=1e-12
+        )
 
     def test_record_validation(self) -> None:
         with pytest.raises(DomainError):

@@ -2,7 +2,10 @@
 
 Each accepted ``Omega_P`` is a real number in ``(0, inf)``; zero, negative
 values, NaN and infinity must raise :class:`DomainError` rather than return
-NaN, a plausible but wrong value, or an untyped exception.
+NaN, a plausible but wrong value, or an untyped exception.  The same holds
+for NaN and infinite values of the other real arguments: the wavevector
+``K``, the imaginary frequency ``Xi``, the branch variable ``z`` and the
+mode index ``m``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from casimir_plasmons.decomposition import (
 from casimir_plasmons.errors import DomainError
 from casimir_plasmons.lifshitz import eta_total
 from casimir_plasmons.modes import (
+    BranchId,
+    BranchKind,
     CoupledBranch,
     branch_constants,
     f_branch,
@@ -31,15 +36,11 @@ from casimir_plasmons.modes import (
 )
 from casimir_plasmons.optics import (
     Polarization,
-    permittivity,
-    permittivity_imag_axis,
     reflection_sq_imag_axis,
 )
 
 ENTRIES = {
     "reflection_sq_imag_axis": lambda w: reflection_sq_imag_axis("TE", 1.0, 1.0, w),
-    "permittivity": lambda w: permittivity(1.0, w),
-    "permittivity_imag_axis": lambda w: permittivity_imag_axis(1.0, w),
     "omega0": lambda w: omega0(1.0, w),
     "f_branch": lambda w: f_branch(CoupledBranch.PLUS, 1.0, w),
     "g_branch": lambda w: g_branch(CoupledBranch.PLUS, 1.0, w),
@@ -65,3 +66,25 @@ ENTRIES = {
 def test_out_of_domain_plasma_parameter_raises_domain_error(entry, Omega_P) -> None:
     with pytest.raises(DomainError):
         ENTRIES[entry](Omega_P)
+
+
+OTHER_ARGUMENTS = {
+    "omega0_K": lambda x: omega0(x, 1.0),
+    "invert_branch_plus_K": lambda x: invert_branch(CoupledBranch.PLUS, x, 1.0),
+    "invert_branch_minus_K": lambda x: invert_branch(CoupledBranch.MINUS, x, 1.0),
+    "invert_branch_zero_K": lambda x: invert_branch(CoupledBranch.ZERO, x, 1.0),
+    "photonic_mode_te_K": lambda x: photonic_mode(Polarization.TE, 1, x, 5.0),
+    "photonic_mode_tm_K": lambda x: photonic_mode(Polarization.TM, 1, x, 5.0),
+    "reflection_sq_imag_axis_K": lambda x: reflection_sq_imag_axis("TE", x, 1.0, 1.0),
+    "reflection_sq_imag_axis_Xi": lambda x: reflection_sq_imag_axis("TE", 1.0, x, 1.0),
+    "g_branch_combination_z": lambda x: g_branch_combination(x, 1.0),
+    "photonic_mode_m": lambda x: photonic_mode(Polarization.TE, x, 1.0, 5.0),
+    "BranchId_m": lambda x: BranchId(BranchKind.PHOTONIC, Polarization.TE, m=x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(OTHER_ARGUMENTS))
+def test_non_finite_argument_raises_domain_error(entry, value) -> None:
+    with pytest.raises(DomainError):
+        OTHER_ARGUMENTS[entry](value)

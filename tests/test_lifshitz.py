@@ -162,8 +162,6 @@ class TestEnergyBreakdown:
         with pytest.raises(DomainError):
             PhysicalSetup(mirror=mirror, L=1e-6, A=-1.0)
         with pytest.raises(DomainError):
-            PhysicalSetup(mirror=mirror, L=1e-6, A=1e-9, hbar=0.0)
-        with pytest.raises(DomainError):
             PhysicalSetup(mirror=mirror, L=float("nan"), A=1e-9)
 
     def test_result_validation(self) -> None:

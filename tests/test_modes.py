@@ -27,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_plasmons.errors import (
-    BracketNotFound,
     ContinuationError,
     ConvergenceFailure,
     DomainError,

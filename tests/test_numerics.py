@@ -202,8 +202,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=-1e-9)
     with pytest.raises(DomainError):
         QuadratureSpec(max_subdivisions=0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(tail_threshold=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +279,6 @@ def test_root_invalid_bracket_and_bad_bounds():
 def test_root_spec_validation():
     with pytest.raises(DomainError):
         RootSpec(x_tol=0.0)
-    with pytest.raises(DomainError):
-        RootSpec(f_tol=-1.0)
     with pytest.raises(DomainError):
         RootSpec(max_iterations=0)
 

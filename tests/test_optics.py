@@ -17,11 +17,8 @@ from casimir_plasmons.optics import (
     LIGHTCONE_TOLERANCE,
     PlasmaMirror,
     Polarization,
-    ScaledCavity,
     Sector,
     classify,
-    permittivity,
-    permittivity_imag_axis,
     reflection_sq_imag_axis,
 )
 
@@ -119,20 +116,6 @@ def test_reflection_polarization_coercion_and_validation():
         reflection_sq_imag_axis(Polarization.TE, 1.0, 1.0, -2.0)
 
 
-def test_permittivity_closed_forms():
-    assert permittivity(2.0, 2.0) == 0.0
-    assert permittivity(1.0, 2.0) == -3.0
-    assert permittivity(math.inf, 5.0) == 1.0
-    assert permittivity_imag_axis(1.0, 2.0) == 5.0
-    assert permittivity_imag_axis(2.0, 2.0) == 2.0
-    with pytest.raises(DomainError):
-        permittivity(0.0, 1.0)
-    with pytest.raises(DomainError):
-        permittivity_imag_axis(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        permittivity_imag_axis(1.0, 0.0)
-
-
 def test_classify_sectors():
     assert classify(1.0, 2.0) is Sector.PROPAGATIVE
     assert classify(2.0, 1.0) is Sector.EVANESCENT
@@ -162,18 +145,3 @@ def test_plasma_mirror_rejects_inconsistent_pair():
         PlasmaMirror.from_plasma_frequency(-1.0)
     with pytest.raises(DomainError):
         PlasmaMirror.from_plasma_wavelength(0.0)
-
-
-def test_scaled_cavity_parameterizations():
-    mirror = PlasmaMirror.from_plasma_wavelength(100e-9)
-    cavity = ScaledCavity.from_physical(mirror, 50e-9)
-    assert cavity.Omega_P == pytest.approx(math.pi, rel=1e-15)
-    assert cavity.l_over_lambda_p == pytest.approx(0.5, rel=1e-15)
-    assert cavity.L == 50e-9
-    dimensionless = ScaledCavity.from_dimensionless(2.0 * math.pi)
-    assert dimensionless.l_over_lambda_p == pytest.approx(1.0, rel=1e-15)
-    assert dimensionless.L is None
-    with pytest.raises(DomainError):
-        ScaledCavity.from_dimensionless(-1.0)
-    with pytest.raises(DomainError):
-        ScaledCavity.from_physical(mirror, 0.0)
