@@ -13,8 +13,24 @@ wavevector ``K`` and the rotated frequency ``Xi`` (both scaled by ``L/c``):
 
 with ``kappa = sqrt(Xi**2 + K**2)`` and the squared reflection amplitudes of
 :func:`casimir_plasmons.optics.reflection_sq_imag_axis`.  On the imaginary
-axis the integrand is smooth and strictly negative, which makes the quadrature
-routine and its error control straightforward.
+axis the integrand is smooth and strictly negative.
+
+Quadrature.  In the variables ``ln K`` and ``ln Xi`` (weight ``K**2 Xi``) the
+integrand has no narrow feature at any ``Omega_P``: the TM amplitude's step
+at ``Xi ~ Omega_P`` has width of order 1 in ``ln Xi``, and the integrand
+falls off like ``K**2`` and ``Xi`` at the lower edges and like
+``e^(-2 kappa)`` at the upper ones.  One trapezoidal rule in these variables,
+:func:`casimir_plasmons.numerics.integrate_log_box`, therefore covers the
+box ``K in [1e-7, 45]``, ``Xi in [1e-13 min(Omega_P, 1), 45]`` with no
+breakpoint.  It halves both steps until two levels agree, evaluates only the
+new nodes of each level, and feeds the nodes through numpy blocks.
+
+Error estimate.  The reported error covers both axes: the difference of the
+last two levels (an estimate of the coarser level's error; the finer level is
+returned), plus analytic bounds on the four strips outside the box, plus a
+rounding allowance.  Refinement stops when that sum is within ``rel_tol`` of
+the value itself, so a reduction factor of 1e-9 is resolved as finely as one
+of order 1.
 """
 
 from __future__ import annotations
@@ -24,18 +40,15 @@ import warnings
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .errors import (
     ConvergenceFailure,
     DomainError,
     NonFiniteIntegrand,
     require_positive_finite,
 )
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    integrate_finite,
-    integrate_finite_with_estimate,
-)
+from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_log_box
 from .optics import SPEED_OF_LIGHT, PlasmaMirror, Polarization, reflection_sq_imag_axis
 
 __all__ = [
@@ -54,6 +67,10 @@ REDUCED_PLANCK = 1.054_571_817e-34  # J * s
 # far below any achievable double-precision tolerance, so both axes can be
 # truncated there without touching the error budget.
 _AXIS_CUTOFF = 45.0
+# Quadrature box in K: with the weight K**2 of the log variable, the strip
+# below 1e-7 is at most ~1e-13 of the value.
+_K_RANGE = (1e-7, _AXIS_CUTOFF)
+_ZETA_3 = 1.2020569031595942
 
 
 @dataclass(frozen=True)
@@ -111,24 +128,24 @@ def casimir_ideal_energy(setup: PhysicalSetup) -> float:
     )
 
 
-def _log_mode_sum(K: float, Xi: float, Omega_P: float) -> float:
-    """Summed-log integrand ``sum_pol ln(1 - r^2 e^(-2 kappa))`` at one node.
+def _tail_bound(Omega_P: float, Xi_min: float) -> float:
+    """Bound on the integral ``Int K F dK dXi`` outside the quadrature box.
 
-    Strictly negative and finite wherever the mirror is imperfect; a
-    non-negative or non-finite value signals a broken reflection amplitude
-    and aborts the quadrature instead of corrupting it.
+    ``F = -sum_pol ln(1 - r^2 e^(-2 kappa))`` is positive, ``kappa >= K, Xi``,
+    and for every ``K`` both amplitudes obey
+    ``r <= rho(Xi) = Omega_P^2 / (Omega_P^2 + 2 Xi^2) <= 1``.  Hence
+    ``Int F dXi <= min(pi^2/6, sqrt(2) pi Omega_P)`` at any ``K``,
+    ``Int K F dK <= zeta(3)/2`` at any ``Xi``, and beyond the cutoff
+    ``F <= 2 rho(Xi) e^(-K - Xi)``.  Those bound the strips ``K < K_min``,
+    ``Xi < Xi_min``, ``K > 45`` and ``Xi > 45`` in turn.
     """
-    kappa = math.hypot(K, Xi)
-    damping = math.exp(-2.0 * kappa)
-    total = 0.0
-    for pol in (Polarization.TE, Polarization.TM):
-        r_sq = reflection_sq_imag_axis(pol, K, Xi, Omega_P)
-        total += math.log1p(-r_sq * damping)
-    if not math.isfinite(total) or total > 0.0:
-        raise NonFiniteIntegrand(
-            f"mode-sum integrand invalid at K={K:g}, Xi={Xi:g}: {total!r}"
-        )
-    return total
+    K_min, cut = _K_RANGE
+    small_K = 0.5 * K_min**2 * min(math.pi**2 / 6.0, math.sqrt(2.0) * math.pi * Omega_P)
+    small_Xi = 0.5 * _ZETA_3 * Xi_min
+    rho_integral = min(1.0, 0.5 * math.pi * Omega_P / math.sqrt(2.0))
+    rho_cut = Omega_P**2 / (Omega_P**2 + 2.0 * cut**2)
+    beyond = 2.0 * math.exp(-cut) * ((cut + 1.0) * rho_integral + rho_cut)
+    return small_K + small_Xi + beyond
 
 
 def _eta_total_detailed(
@@ -136,37 +153,25 @@ def _eta_total_detailed(
 ) -> Tuple[float, float]:
     """Reduction factor plus a propagated quadrature error estimate."""
     Omega_P = require_positive_finite("Omega_P", Omega_P)
+    # The strip below Xi_min is at most ~1e-12 of the value (see _tail_bound).
+    xi_range = (1e-13 * min(Omega_P, 1.0), _AXIS_CUTOFF)
 
-    inner_spec = QuadratureSpec(
-        abs_tol=0.0,
-        rel_tol=max(spec.rel_tol * 0.1, 1e-13),
-        max_subdivisions=spec.max_subdivisions,
-    )
-    # For small Omega_P the TM amplitude develops a narrow feature at
-    # Xi ~ Omega_P; an explicit breakpoint there keeps the inner adaptive
-    # rule from stepping over it.
-    breakpoints = ()
-    split = 4.0 * Omega_P
-    if 1e-9 < split < 0.5 * _AXIS_CUTOFF:
-        breakpoints = (split,)
+    def integrand(K: np.ndarray, Xi: np.ndarray) -> np.ndarray:
+        # Strictly negative and finite wherever the mirror is imperfect; any
+        # other value signals a broken reflection amplitude.
+        damping = np.exp(-2.0 * np.hypot(K, Xi))
+        total = np.log1p(-reflection_sq_imag_axis(Polarization.TE, K, Xi, Omega_P) * damping)
+        total += np.log1p(-reflection_sq_imag_axis(Polarization.TM, K, Xi, Omega_P) * damping)
+        if not (-math.inf < total.min() and total.max() <= 0.0):
+            raise NonFiniteIntegrand(
+                f"mode-sum integrand invalid in the block K in [{K.min():g}, {K.max():g}], "
+                f"Xi in [{Xi.min():g}, {Xi.max():g}] at Omega_P={Omega_P:g}"
+            )
+        return K * total
 
-    def inner(K: float) -> float:
-        return integrate_finite(
-            lambda Xi: _log_mode_sum(K, Xi, Omega_P),
-            0.0,
-            _AXIS_CUTOFF,
-            inner_spec,
-            breakpoints=breakpoints,
-        )
-
-    outer_spec = QuadratureSpec(
-        abs_tol=max(spec.abs_tol * 0.1, 1e-14),
-        rel_tol=spec.rel_tol,
-        max_subdivisions=spec.max_subdivisions,
-    )
     try:
-        value, error = integrate_finite_with_estimate(
-            lambda K: K * inner(K), 0.0, _AXIS_CUTOFF, outer_spec
+        value, error = integrate_log_box(
+            integrand, _K_RANGE, xi_range, spec, _tail_bound(Omega_P, xi_range[0])
         )
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(

@@ -128,8 +128,11 @@ class DispersionPoint:
     sector: Sector
 
     def __post_init__(self) -> None:
-        if not (self.K >= 0.0) or not (self.Omega >= 0.0):
-            raise DomainError("K and Omega must be non-negative")
+        if not (0.0 <= self.K < math.inf) or not (0.0 <= self.Omega < math.inf):
+            raise DomainError(
+                f"K and Omega must be non-negative and finite, got K={self.K!r}, "
+                f"Omega={self.Omega!r}"
+            )
         if classify(self.K, self.Omega) is not self.sector:
             raise DomainError("sector tag inconsistent with (K, Omega)")
 
@@ -422,6 +425,7 @@ def photonic_mode(
 
 def default_dispersion_grid(Omega_P: float, points: int = 400) -> np.ndarray:
     """Log-spaced wavevector grid covering the interesting branch structure."""
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     if points < 2:
         raise DomainError("need at least two grid points")
     return np.geomspace(1e-3, 10.0 * max(1.0, Omega_P), points)

@@ -2,16 +2,17 @@
 
 All physics modules funnel their numerical work through this layer so that
 tolerance handling, failure modes and determinism live in one place.  The
-integration routines are built on adaptive Gauss-Kronrod subdivision
-(QUADPACK via scipy) and the root finder on Brent's bracketing hybrid; both
-are deterministic for identical inputs.
+one-dimensional integration routines are built on adaptive Gauss-Kronrod
+subdivision (QUADPACK via scipy), the two-dimensional one on a vectorised
+nested trapezoidal rule in logarithmic variables, and the root finder on
+Brent's bracketing hybrid; all are deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Iterable, Tuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -36,6 +37,7 @@ __all__ = [
     "integrate_finite_with_estimate",
     "integrate_semi_infinite",
     "integrate_semi_infinite_with_estimate",
+    "integrate_log_box",
     "find_root_bracketed",
     "fit_scaling_coefficient",
 ]
@@ -48,6 +50,13 @@ _MIN_BRENT_RTOL = 4.0 * _EPS * (1.0 + 1e-7)
 # Abscissa beyond which the semi-infinite integrator trusts (and checks) the
 # exp(-sqrt(x)) decay envelope of the integrand.
 _TAIL_THRESHOLD = 50.0
+# integrate_log_box: first step in log x and log y, number of step halvings,
+# and the most nodes evaluated in one numpy block.
+_LOG_BOX_STEP = 0.3
+_LOG_BOX_LEVELS = 6
+_LOG_BOX_BLOCK = 8192
+# Rounding allowance of integrate_log_box, relative to the value.
+_LOG_BOX_ROUNDING = 64.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,6 @@ def _quad_checked(
     a: float,
     b: float,
     spec: QuadratureSpec,
-    points: Sequence[float] | None = None,
 ) -> Tuple[float, float]:
     """Adaptive quadrature on [a, b] with an enforced error bound.
 
@@ -148,7 +156,6 @@ def _quad_checked(
         epsrel=epsrel,
         limit=spec.max_subdivisions,
         full_output=True,
-        points=points,
     )
     value, abserr = float(out[0]), float(out[1])
     if len(out) > 3:
@@ -169,17 +176,14 @@ def integrate_finite(
     a: float,
     b: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    breakpoints: Iterable[float] | None = None,
 ) -> float:
     """Integrate ``f`` over ``[a, b]`` within the spec's tolerances.
 
     Bounds are signed: when ``a > b`` the result is the negative of the
-    integral over ``[b, a]``.  ``breakpoints`` marks interior abscissae where
-    the integrand changes character (they are forwarded to the subdivision).
-    Integrable square-root endpoint singularities are handled by the adaptive
-    rule's extrapolation.
+    integral over ``[b, a]``.  Integrable square-root endpoint singularities
+    are handled by the adaptive rule's extrapolation.
     """
-    return integrate_finite_with_estimate(f, a, b, spec, breakpoints)[0]
+    return integrate_finite_with_estimate(f, a, b, spec)[0]
 
 
 def integrate_finite_with_estimate(
@@ -187,7 +191,6 @@ def integrate_finite_with_estimate(
     a: float,
     b: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    breakpoints: Iterable[float] | None = None,
 ) -> Tuple[float, float]:
     """Like :func:`integrate_finite` but also returns the error estimate."""
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -195,14 +198,9 @@ def integrate_finite_with_estimate(
     if a == b:
         return 0.0, 0.0
     if a > b:
-        value, err = integrate_finite_with_estimate(f, b, a, spec, breakpoints)
+        value, err = integrate_finite_with_estimate(f, b, a, spec)
         return -value, err
-    pts = None
-    if breakpoints is not None:
-        pts = sorted(p for p in breakpoints if a < p < b)
-        if not pts:
-            pts = None
-    return _quad_checked(_guarded(f), a, b, spec, points=pts)
+    return _quad_checked(_guarded(f), a, b, spec)
 
 
 def integrate_semi_infinite(
@@ -280,6 +278,97 @@ def integrate_semi_infinite_with_estimate(
         recent.append((truncation, abs(g(truncation))))
         target = max(spec.abs_tol, spec.rel_tol * abs(body))
     return body, err + tail_bound(truncation)
+
+
+def _log_axis(lo: float, hi: float, steps: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes ``x`` of a uniform grid in ``log x`` and their trapezoid weights.
+
+    The weights carry the Jacobian ``dx = x d(log x)`` but not the step.
+    """
+    a = np.linspace(math.log(lo), math.log(hi), steps + 1)
+    x = np.exp(a)
+    weights = x.copy()
+    weights[[0, -1]] *= 0.5
+    return x, weights
+
+
+def _tensor_sum(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x: np.ndarray,
+    wx: np.ndarray,
+    y: np.ndarray,
+    wy: np.ndarray,
+) -> float:
+    """``sum_ij wx_i wy_j f(x_i, y_j)``, evaluated in blocks of bounded size."""
+    rows = max(1, _LOG_BOX_BLOCK // y.size)
+    total = 0.0
+    for start in range(0, x.size, rows):
+        block = f(x[start : start + rows, np.newaxis], y[np.newaxis, :])
+        total += float(wx[start : start + rows] @ (block @ wy))
+    return total
+
+
+def integrate_log_box(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x_bounds: Tuple[float, float],
+    y_bounds: Tuple[float, float],
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    tail_error: float = 0.0,
+) -> Tuple[float, float]:
+    """Integrate ``f(x, y)`` over a box in the positive quadrant.
+
+    The rule is the trapezoidal rule in ``log x`` and ``log y`` (weight
+    ``x * y``), which suits integrands that vary on every scale from the
+    lower bounds up and decay at least like a power at both lower edges.
+    ``f`` is vectorised: it receives a column of ``x`` and a row of ``y``
+    (at most about 8192 nodes together) and returns their broadcast block.
+    Each level halves both steps and evaluates only the new nodes.
+
+    Returns ``(value, error_estimate)``.  The estimate is the difference of
+    the last two levels, plus ``tail_error`` (the caller's bound on what lies
+    outside the box), plus a rounding allowance; refinement stops once it is
+    at most ``rel_tol * |value|`` (``abs_tol`` when ``rel_tol`` is 0), which
+    also meets ``max(abs_tol, rel_tol * |value|)``.  The relative test keeps
+    an integral far smaller than ``abs_tol`` from stopping unresolved.
+    Raises :class:`ConvergenceFailure` when the finest level misses it (at
+    once when the tail bound and rounding allowance alone do) and
+    :class:`NonFiniteIntegrand` when a level sums to NaN or infinity.
+    """
+    for lo, hi in (x_bounds, y_bounds):
+        if not (0.0 < lo < hi < math.inf):
+            raise DomainError(f"log-box bounds must satisfy 0 < lo < hi < inf, got {(lo, hi)}")
+    widths = [math.log(hi / lo) for lo, hi in (x_bounds, y_bounds)]
+    steps = [max(1, math.ceil(width / _LOG_BOX_STEP)) for width in widths]
+    weighted_sum, previous = 0.0, None
+    for level in range(_LOG_BOX_LEVELS + 1):
+        x, wx = _log_axis(*x_bounds, steps[0])
+        y, wy = _log_axis(*y_bounds, steps[1])
+        if level == 0:
+            weighted_sum = _tensor_sum(f, x, wx, y, wy)
+        else:
+            # Only the new nodes: odd x with every y, then even x with odd y.
+            weighted_sum += _tensor_sum(f, x[1::2], wx[1::2], y, wy)
+            weighted_sum += _tensor_sum(f, x[::2], wx[::2], y[1::2], wy[1::2])
+        value = weighted_sum * (widths[0] / steps[0]) * (widths[1] / steps[1])
+        if not math.isfinite(value):
+            raise NonFiniteIntegrand(f"log-box integrand summed to {value!r}")
+        floor = tail_error + _LOG_BOX_ROUNDING * abs(value)
+        target = spec.rel_tol * abs(value) if spec.rel_tol > 0.0 else spec.abs_tol
+        if floor > target:
+            raise ConvergenceFailure(
+                f"log-box tail bound and rounding allowance {floor:.3e} exceed "
+                f"the requested bound {target:.3e}"
+            )
+        if previous is not None:
+            error = abs(value - previous) + floor
+            if error <= target:
+                return value, error
+        previous = value
+        steps = [2 * n for n in steps]
+    raise ConvergenceFailure(
+        f"log-box trapezoid rule reached error {error:.3e} after {_LOG_BOX_LEVELS} "
+        f"halvings, above the requested bound {target:.3e}"
+    )
 
 
 def find_root_bracketed(

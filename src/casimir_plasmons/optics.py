@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Union
 
+import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import DomainError, require_positive_finite
@@ -30,6 +31,8 @@ __all__ = [
     "reflection_sq_imag_axis",
     "LIGHTCONE_TOLERANCE",
 ]
+
+ArrayOrFloat = Union[float, np.ndarray]
 
 #: Absolute tolerance on Omega - K below which a point counts as on the cone.
 LIGHTCONE_TOLERANCE = 1e-12
@@ -101,20 +104,24 @@ def classify(K: float, Omega: float) -> Sector:
     Points with ``|Omega - K| <= LIGHTCONE_TOLERANCE`` count as on the cone;
     otherwise ``Omega > K`` is propagative and ``Omega < K`` evanescent.
     """
-    if not (K >= 0.0) or not (Omega >= 0.0):
-        raise DomainError("classify expects K >= 0 and Omega >= 0")
+    if not (0.0 <= K < math.inf) or not (0.0 <= Omega < math.inf):
+        raise DomainError(
+            f"classify expects finite K >= 0 and Omega >= 0, got K={K!r}, Omega={Omega!r}"
+        )
     if abs(Omega - K) <= LIGHTCONE_TOLERANCE:
         return Sector.LIGHTCONE
     return Sector.PROPAGATIVE if Omega > K else Sector.EVANESCENT
 
 
 def reflection_sq_imag_axis(
-    pol: Union[Polarization, str], K: float, Xi: float, Omega_P: float
-) -> float:
+    pol: Union[Polarization, str], K: ArrayOrFloat, Xi: ArrayOrFloat, Omega_P: float
+) -> ArrayOrFloat:
     """Squared single-interface reflection amplitude on the imaginary axis.
 
     ``K`` is the scaled transverse wavevector, ``Xi`` the scaled imaginary
-    frequency.  With ``kappa = sqrt(Xi^2 + K^2)`` the vacuum-side decay
+    frequency; either may be a numpy array (the two broadcast against each
+    other and the result is an array), otherwise the result is a float.
+    With ``kappa = sqrt(Xi^2 + K^2)`` the vacuum-side decay
     constant and ``kappa_t = sqrt(kappa^2 + Omega_P^2)`` the medium-side one,
     the amplitudes are ``(kappa - kappa_t)/(kappa + kappa_t)`` for TE and the
     permittivity-weighted analogue for TM; the TM form is evaluated as
@@ -122,15 +129,20 @@ def reflection_sq_imag_axis(
     arbitrarily small ``Xi``.  The result lies in [0, 1].
     """
     pol = _coerce_polarization(pol)
-    # Inline rather than require_positive_finite: this runs at every node.
+    # Inline rather than require_positive_finite: this runs at every node
+    # (or block of nodes).
     if not (0.0 < Omega_P < math.inf):
         raise DomainError(f"Omega_P must be positive and finite, got {Omega_P!r}")
-    if not (0.0 <= K < math.inf):
+    block = isinstance(K, np.ndarray) or isinstance(Xi, np.ndarray)
+    K_lo, K_hi = (np.min(K), np.max(K)) if block else (K, K)
+    Xi_lo, Xi_hi = (np.min(Xi), np.max(Xi)) if block else (Xi, Xi)
+    if not (0.0 <= K_lo and K_hi < math.inf):
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
-    if not (0.0 < Xi < math.inf):
+    if not (0.0 < Xi_lo and Xi_hi < math.inf):
         raise DomainError(f"Xi must be positive and finite, got {Xi!r}")
-    kappa = math.hypot(K, Xi)
-    kappa_t = math.hypot(kappa, Omega_P)
+    hypot = np.hypot if block else math.hypot
+    kappa = hypot(K, Xi)
+    kappa_t = hypot(kappa, Omega_P)
     if pol is Polarization.TE:
         amplitude = (kappa - kappa_t) / (kappa + kappa_t)
     else:

@@ -86,6 +86,14 @@ class TestEta:
         assert physical == dimensionless
         assert direct == dimensionless
 
+    def test_short_separation_converges(self, capsys) -> None:
+        # Omega_P = 6.3e-5 lies in the band where nested quadrature gave up.
+        code, out, err = run_cli(["eta", "--l-over-lambda-p", "1e-5"], capsys)
+        assert code == 0
+        assert err == ""
+        _, rows = _rows(out)
+        assert 0.0 < float(rows[0][1]) < 1e-4
+
 
 # ----------------------------------------------------------------------
 # argument errors (exit code 2)

@@ -5,7 +5,8 @@ values, NaN and infinity must raise :class:`DomainError` rather than return
 NaN, a plausible but wrong value, or an untyped exception.  The same holds
 for NaN and infinite values of the other real arguments: the wavevector
 ``K``, the imaginary frequency ``Xi``, the branch variable ``z`` and the
-mode index ``m``.
+mode index ``m``, and of the ``(K, Omega)`` point that ``classify`` and
+``DispersionPoint`` place against the light cone.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from casimir_plasmons.modes import (
     BranchId,
     BranchKind,
     CoupledBranch,
+    DispersionPoint,
     branch_constants,
+    default_dispersion_grid,
     f_branch,
     g_branch,
     g_branch_combination,
@@ -36,6 +39,8 @@ from casimir_plasmons.modes import (
 )
 from casimir_plasmons.optics import (
     Polarization,
+    Sector,
+    classify,
     reflection_sq_imag_axis,
 )
 
@@ -51,6 +56,7 @@ ENTRIES = {
     "invert_branch_zero": lambda w: invert_branch(CoupledBranch.ZERO, 1.0, w),
     "photonic_mode_te": lambda w: photonic_mode(Polarization.TE, 1, 1.0, w),
     "photonic_mode_tm": lambda w: photonic_mode(Polarization.TM, 1, 1.0, w),
+    "default_dispersion_grid": lambda w: default_dispersion_grid(w, 5),
     "eta_total": eta_total,
     "eta_plasmonic": eta_plasmonic,
     "eta_evanescent": eta_evanescent,
@@ -80,6 +86,10 @@ OTHER_ARGUMENTS = {
     "g_branch_combination_z": lambda x: g_branch_combination(x, 1.0),
     "photonic_mode_m": lambda x: photonic_mode(Polarization.TE, x, 1.0, 5.0),
     "BranchId_m": lambda x: BranchId(BranchKind.PHOTONIC, Polarization.TE, m=x),
+    "classify_K": lambda x: classify(x, 1.0),
+    "classify_Omega": lambda x: classify(1.0, x),
+    "classify_both": lambda x: classify(x, x),
+    "DispersionPoint": lambda x: DispersionPoint(K=x, Omega=x, sector=Sector.EVANESCENT),
 }
 
 

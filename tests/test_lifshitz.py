@@ -1,10 +1,11 @@
 """Tests for the reduction-factor and physical-energy layer.
 
-The production code evaluates the reduction factor as an iterated Cartesian
-integral over the (wavevector, imaginary-frequency) quarter-plane.  The main
-oracle here re-evaluates it in polar coordinates — a genuinely different
-integration geometry whose only shared ingredient is the reflection
-coefficient — and demands agreement far below the advertised tolerance.
+The production code evaluates the reduction factor with a trapezoidal rule
+in the logarithms of the wavevector and the imaginary frequency.  The main
+oracle here re-evaluates it with nested adaptive quadrature in polar
+coordinates — a genuinely different rule and integration geometry whose only
+shared ingredient is the reflection coefficient — and demands agreement far
+below the advertised tolerance, and within the two reported error estimates.
 """
 
 from __future__ import annotations
@@ -13,31 +14,39 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from casimir_plasmons.errors import DomainError
+from casimir_plasmons.decomposition import short_distance_alpha
+from casimir_plasmons.errors import CasimirModelError, DomainError
 from casimir_plasmons.lifshitz import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
     EnergyResult,
     PhysicalSetup,
+    _eta_total_detailed,
     casimir_ideal_energy,
     energy_breakdown,
     eta_total,
 )
-from casimir_plasmons.numerics import QuadratureSpec, integrate_finite
+from casimir_plasmons.numerics import QuadratureSpec, integrate_finite_with_estimate
 from casimir_plasmons.optics import PlasmaMirror, reflection_sq_imag_axis
 
 
-def _eta_polar_oracle(omega_p: float) -> float:
+def _eta_polar_oracle(omega_p: float) -> tuple:
     """Reduction factor via polar coordinates over the quarter-plane.
 
     With ``K = rho cos(theta)`` and ``Xi = rho sin(theta)`` the Jacobian turns
     the weight ``K dK dXi`` into ``rho^2 cos(theta) drho dtheta`` and the decay
     exponent becomes exactly ``2 rho``.  The radial cutoff matches the decade
     where ``exp(-2 rho)`` underflows any representable log contribution.
+
+    Returns ``(value, error)``: the outer estimate plus the largest inner
+    estimate times the pi/2 width of the outer interval.
     """
     inner_spec = QuadratureSpec(abs_tol=0.0, rel_tol=1e-11)
     outer_spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
+    inner_errors = []
 
     def radial(theta: float) -> float:
         cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -50,10 +59,13 @@ def _eta_polar_oracle(omega_p: float) -> float:
                 total += math.log1p(-r_sq * math.exp(-2.0 * rho))
             return rho * rho * total
 
-        return cos_t * integrate_finite(integrand, 0.0, 45.0, inner_spec)
+        value, error = integrate_finite_with_estimate(integrand, 0.0, 45.0, inner_spec)
+        inner_errors.append(cos_t * error)
+        return cos_t * value
 
-    value = integrate_finite(radial, 0.0, math.pi / 2.0, outer_spec)
-    return -(180.0 / math.pi**4) * value
+    value, error = integrate_finite_with_estimate(radial, 0.0, math.pi / 2.0, outer_spec)
+    scale = 180.0 / math.pi**4
+    return -scale * value, scale * (error + 0.5 * math.pi * max(inner_errors))
 
 
 # ----------------------------------------------------------------------
@@ -95,8 +107,38 @@ class TestReductionFactor:
     def test_matches_polar_coordinate_oracle(self) -> None:
         for omega_p in (0.5, 2.0 * math.pi):
             assert eta_total(omega_p) == pytest.approx(
-                _eta_polar_oracle(omega_p), abs=1e-8
+                _eta_polar_oracle(omega_p)[0], abs=1e-8
             )
+
+    @pytest.mark.parametrize("omega_p", [1e-3, 0.5, 2.0 * math.pi, 1e3])
+    def test_error_estimate_covers_distance_to_polar_oracle(self, omega_p) -> None:
+        value, error = _eta_total_detailed(omega_p)
+        reference, reference_error = _eta_polar_oracle(omega_p)
+        assert 0.0 <= error <= 1e-9 * value
+        assert abs(value - reference) <= error + reference_error
+
+    @given(log_omega=st.floats(-10.0, 12.0))
+    @settings(max_examples=40, deadline=None)
+    def test_value_with_honest_estimate_or_typed_error(self, log_omega) -> None:
+        omega_p = 10.0**log_omega
+        try:
+            value, error = _eta_total_detailed(omega_p)
+        except CasimirModelError:
+            return
+        assert 0.0 < value <= 1.0
+        assert math.isfinite(error) and error >= 0.0
+        assert _eta_total_detailed(omega_p) == (value, error)
+
+    @pytest.mark.parametrize("omega_p", [5e-5, 1e-4, 3e-4])
+    def test_converges_where_nested_quadrature_failed(self, omega_p) -> None:
+        value, error = _eta_total_detailed(omega_p)
+        assert 0.0 < value < 1.0
+        assert error <= 1e-9 * value
+
+    @pytest.mark.parametrize("omega_p", [1e-8, 1e-6, 1e-5])
+    def test_short_distance_slope_reaches_one_and_a_half_alpha(self, omega_p) -> None:
+        slope = eta_total(omega_p) / (omega_p / (2.0 * math.pi))
+        assert slope == pytest.approx(1.5 * short_distance_alpha(), rel=1e-6)
 
     def test_large_mirror_frequency_approaches_ideal(self) -> None:
         value = eta_total(1e4)

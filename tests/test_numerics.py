@@ -27,6 +27,7 @@ from casimir_plasmons.numerics import (
     fit_scaling_coefficient,
     integrate_finite,
     integrate_finite_with_estimate,
+    integrate_log_box,
     integrate_semi_infinite,
     integrate_semi_infinite_with_estimate,
 )
@@ -104,33 +105,6 @@ def test_interval_additivity():
     assert whole == pytest.approx(split, abs=1e-12)
 
 
-def test_breakpoints_resolve_invisible_narrow_feature():
-    # A feature much narrower than the panel spacing is invisible to the
-    # adaptive rule (it converges confidently to 0); breakpoints bracketing
-    # the feature make one panel commensurate with it.
-    sigma = 1e-4
-    center = 0.1
-    spike = lambda x: math.exp(-0.5 * ((x - center) / sigma) ** 2)
-    spec = QuadratureSpec(abs_tol=1e-16, rel_tol=1e-10)
-    blind = integrate_finite(spike, 0.0, 50.0, spec)
-    assert blind == 0.0
-    hinted = integrate_finite(
-        spike,
-        0.0,
-        50.0,
-        spec,
-        breakpoints=(center - 8.0 * sigma, center + 8.0 * sigma),
-    )
-    assert hinted == pytest.approx(sigma * math.sqrt(2.0 * math.pi), rel=1e-10)
-
-
-def test_breakpoints_outside_bounds_are_ignored():
-    value = integrate_finite(
-        lambda x: x, 0.0, 1.0, breakpoints=(-3.0, 0.5, 12.0)
-    )
-    assert value == pytest.approx(0.5, rel=1e-12)
-
-
 def test_error_estimate_bounds_actual_error():
     value, estimate = integrate_finite_with_estimate(lambda x: x * x, 0.0, 1.0)
     assert estimate >= 0.0
@@ -160,6 +134,62 @@ def test_cubic_polynomials_integrate_to_closed_form(a, b, c, d, lo, width):
 def test_quadrature_is_deterministic():
     f = lambda x: math.exp(-x * x)
     assert integrate_finite(f, 0.0, 10.0) == integrate_finite(f, 0.0, 10.0)
+
+
+# ---------------------------------------------------------------------------
+# Two-dimensional log-box rule
+# ---------------------------------------------------------------------------
+
+
+def _gamma_product(x, y):
+    # Int_0^inf Int_0^inf x y e^(-x-y) dx dy = 1; outside [1e-8, 60]^2 lies
+    # about 1e-16 of it.
+    return x * y * np.exp(-x - y)
+
+
+def test_log_box_matches_closed_form_within_its_estimate():
+    value, estimate = integrate_log_box(_gamma_product, (1e-8, 60.0), (1e-8, 60.0))
+    assert 0.0 <= estimate <= 1e-9
+    assert abs(value - 1.0) <= estimate + 1e-16
+
+
+def test_log_box_resolves_an_integral_far_below_abs_tol():
+    # A Gaussian of width 0.1 in log x and log y needs four levels; an
+    # integral of 1e-20 is below abs_tol from the first level on, so only the
+    # relative stopping test keeps the rule from stopping at the second level,
+    # 6e-4 off.
+    sigma = 0.1
+
+    def narrow(x, y):
+        exponent = (np.log(x) ** 2 + np.log(y) ** 2) / (2.0 * sigma**2)
+        return 1e-20 * np.exp(-exponent) / (x * y)
+
+    bounds = (math.exp(-3.0), math.exp(3.0))
+    value, estimate = integrate_log_box(narrow, bounds, bounds)
+    exact = 1e-20 * 2.0 * math.pi * sigma**2
+    assert abs(value - exact) <= estimate <= 1e-9 * exact
+
+
+def test_log_box_adds_the_tail_bound_and_is_deterministic():
+    first = integrate_log_box(_gamma_product, (1e-8, 60.0), (1e-8, 60.0), tail_error=1e-12)
+    second = integrate_log_box(_gamma_product, (1e-8, 60.0), (1e-8, 60.0), tail_error=1e-12)
+    assert first == second
+    assert first[1] >= 1e-12
+
+
+def test_log_box_failure_modes():
+    # A tail bound alone above the tolerance fails at once; an integrand the
+    # finest level cannot resolve fails after the last halving.
+    with pytest.raises(ConvergenceFailure, match="tail bound"):
+        integrate_log_box(_gamma_product, (1.0, math.e), (1.0, math.e), tail_error=1.0)
+    ripple = lambda x, y: (2.0 + np.sin(1e4 * np.log(x))) * y
+    with pytest.raises(ConvergenceFailure, match="halvings"):
+        integrate_log_box(ripple, (1.0, math.e), (1.0, math.e))
+    with pytest.raises(NonFiniteIntegrand):
+        integrate_log_box(lambda x, y: x * y * np.nan, (1.0, 2.0), (1.0, 2.0))
+    for bad in ((0.0, 1.0), (2.0, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            integrate_log_box(_gamma_product, bad, (1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------

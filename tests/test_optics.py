@@ -8,6 +8,7 @@ a rearranged amplitude that avoids overflow at small imaginary frequency.
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -114,6 +115,23 @@ def test_reflection_polarization_coercion_and_validation():
         reflection_sq_imag_axis(Polarization.TE, 1.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         reflection_sq_imag_axis(Polarization.TE, 1.0, 1.0, -2.0)
+
+
+def test_reflection_blocks_match_scalar_calls():
+    # The array form broadcasts a column of K against a row of Xi; np.hypot
+    # and math.hypot may round differently in the last place.
+    K = np.array([[0.0], [1e-7], [0.5], [7.0], [45.0]])
+    Xi = np.array([[1e-21, 1e-8, 1e-3, 0.5, 3.0, 45.0]])
+    for Omega_P in (1e-8, 0.1, 2.0 * math.pi, 1e12):
+        for pol in (Polarization.TE, Polarization.TM):
+            block = reflection_sq_imag_axis(pol, K, Xi, Omega_P)
+            assert block.shape == (5, 6)
+            for i, j in np.ndindex(block.shape):
+                scalar = reflection_sq_imag_axis(pol, float(K[i, 0]), float(Xi[0, j]), Omega_P)
+                assert block[i, j] == pytest.approx(scalar, rel=8 * np.finfo(float).eps)
+    for bad_K, bad_Xi in ((K - 1.0, Xi), (K + np.inf, Xi), (K, Xi * 0.0), (K, Xi + np.nan)):
+        with pytest.raises(DomainError):
+            reflection_sq_imag_axis(Polarization.TM, bad_K, bad_Xi, 1.0)
 
 
 def test_classify_sectors():
