@@ -8,10 +8,11 @@ Subcommands:
 * ``constants`` — the asymptotic constants and the sign-change location.
 * ``verify`` — the built-in invariant battery.
 
-Exit codes: 0 success, 1 verification failure, 2 argument error, 3 numeric
-convergence failure.  Inputs may be physical (``--lambda-p``/``--separation``
-in meters) or dimensionless (``--omega-p-l`` or ``--l-over-lambda-p``);
-internally everything is dimensionless.  Output is CSV (scientific notation,
+Exit codes: 0 success, 1 verification failure, 2 argument error (a bad flag
+or a value outside the library's domain), 3 numeric convergence failure.
+Inputs may be physical (``--lambda-p``/``--separation`` in meters) or
+dimensionless (``--omega-p-l`` or ``--l-over-lambda-p``); internally
+everything is dimensionless.  Output is CSV (scientific notation,
 12 significant digits, LF line endings, mandatory header) or JSON (top-level
 ``schema_version``), written atomically when ``--output`` is given.
 """
@@ -26,6 +27,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -287,16 +289,8 @@ def _resolve_spec(args: argparse.Namespace) -> QuadratureSpec:
                 raise _ArgumentError(
                     f"{TOLERANCE_ENV_VAR} must be a number, got {raw!r}"
                 ) from None
-    tolerance = _positive_finite_argument("tolerance", tolerance)
+    tolerance = require_positive_finite("tolerance", tolerance)
     return QuadratureSpec(abs_tol=0.1 * tolerance, rel_tol=tolerance)
-
-
-def _positive_finite_argument(name: str, value: float) -> float:
-    """The library's domain gate, reported as an argument error (exit 2)."""
-    try:
-        return require_positive_finite(name, value)
-    except DomainError as exc:
-        raise _ArgumentError(str(exc)) from None
 
 
 def _resolve_omega_p(args: argparse.Namespace) -> float:
@@ -316,13 +310,13 @@ def _resolve_omega_p(args: argparse.Namespace) -> float:
                 "the physical parameterization needs both --lambda-p and "
                 "--separation"
             )
-        lambda_p = _positive_finite_argument("--lambda-p", args.lambda_p)
-        separation = _positive_finite_argument("--separation", args.separation)
+        lambda_p = require_positive_finite("--lambda-p", args.lambda_p)
+        separation = require_positive_finite("--separation", args.separation)
         Omega_P = 2.0 * math.pi * (separation / lambda_p)
     elif args.omega_p_l is not None:
         Omega_P = args.omega_p_l
     elif args.l_over_lambda_p is not None:
-        l_over_lambda = _positive_finite_argument("L/lambda_p", args.l_over_lambda_p)
+        l_over_lambda = require_positive_finite("L/lambda_p", args.l_over_lambda_p)
         Omega_P = 2.0 * math.pi * l_over_lambda
     else:
         raise _ArgumentError(
@@ -330,7 +324,7 @@ def _resolve_omega_p(args: argparse.Namespace) -> float:
             "--separation is required"
         )
     # Sole check of --omega-p-l; for the other flags it catches over/underflow.
-    return _positive_finite_argument("Omega_P", Omega_P)
+    return require_positive_finite("Omega_P", Omega_P)
 
 
 def _parse_range(text: str) -> Tuple[float, float]:
@@ -394,7 +388,7 @@ def cmd_eta(args: argparse.Namespace, spec: QuadratureSpec) -> int:
 def cmd_sweep(args: argparse.Namespace, spec: QuadratureSpec) -> int:
     lo, hi = _parse_range(args.range)
     if args.lambda_p is not None:
-        lambda_p = _positive_finite_argument("--lambda-p", args.lambda_p)
+        lambda_p = require_positive_finite("--lambda-p", args.lambda_p)
         lo, hi = lo / lambda_p, hi / lambda_p
     if args.points < 2:
         raise _ArgumentError("--points must be at least 2 for a sweep")
@@ -931,10 +925,15 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process on first use."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:
@@ -943,7 +942,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         spec = _resolve_spec(args)
         return _COMMANDS[args.command](args, spec)
-    except _ArgumentError as exc:
+    except (_ArgumentError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except _CONVERGENCE_ERRORS as exc:

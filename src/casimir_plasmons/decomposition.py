@@ -350,9 +350,10 @@ def compute_eta_breakdown(
 ) -> EtaBreakdown:
     """All four reduction factors at one ``Omega_P``, with error estimates."""
     branch_sum = _branch_sum_integral(Omega_P, spec)
-    total, total_err = _eta_total_detailed(Omega_P, spec)
+    # The surface-mode parts first: they hold the narrower domain.
     plasmonic, plasmonic_err = _eta_plasmonic_detailed(Omega_P, spec, branch_sum)
     evanescent, evanescent_err = _eta_evanescent_detailed(Omega_P, spec, branch_sum)
+    total, total_err = _eta_total_detailed(Omega_P, spec)
     return EtaBreakdown(
         Omega_P=Omega_P,
         eta_total=total,

@@ -143,7 +143,8 @@ def _tail_bound(Omega_P: float, Xi_min: float) -> float:
     small_K = 0.5 * K_min**2 * min(math.pi**2 / 6.0, math.sqrt(2.0) * math.pi * Omega_P)
     small_Xi = 0.5 * _ZETA_3 * Xi_min
     rho_integral = min(1.0, 0.5 * math.pi * Omega_P / math.sqrt(2.0))
-    rho_cut = Omega_P**2 / (Omega_P**2 + 2.0 * cut**2)
+    # rho_cut rounds to 1 long before Omega_P**2 overflows (about 1e154).
+    rho_cut = 1.0 if Omega_P > 1e75 else Omega_P**2 / (Omega_P**2 + 2.0 * cut**2)
     beyond = 2.0 * math.exp(-cut) * ((cut + 1.0) * rho_integral + rho_cut)
     return small_K + small_Xi + beyond
 
@@ -188,7 +189,10 @@ def eta_total(Omega_P: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> floa
     Lies in ``(0, 1]``: finite plasma frequency only weakens the attraction.
     Rises monotonically with ``Omega_P`` from the surface-mode-dominated
     short-distance behaviour (``eta_E ~ 1.7895 * Omega_P / 2 pi``) to the
-    ideal-mirror limit 1.
+    ideal-mirror limit 1.  ``spec.rel_tol`` below about 3e-13 raises
+    :class:`ConvergenceFailure` for ``Omega_P`` above about 0.5: the strip
+    ``Xi < 1e-13 * min(Omega_P, 1)`` outside the quadrature box holds about
+    1e-13 of the value there, and its bound alone exceeds such a target.
     """
     return _eta_total_detailed(Omega_P, spec)[0]
 

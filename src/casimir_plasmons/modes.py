@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,6 +61,15 @@ __all__ = [
 # evaluations through this module attribute so the self-check battery can
 # inject a fault and prove the continuation-consistency check has teeth.
 _tan = math.tan
+
+# Above this size a product of four arguments can overflow; closed forms
+# switch to the ratio of their arguments there (and only there, so results
+# for ordinary arguments keep their bits).
+_RATIO_FORM_ABOVE = 1e75
+
+# Largest plasma parameter whose plus-branch endpoint lies inside the
+# endpoint's root bracket (which stops 1e-15 short of pi).
+_MAX_SURFACE_OMEGA_P = 1e15
 
 
 @unique
@@ -170,6 +179,14 @@ def omega0(K: float, Omega_P: float) -> float:
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
     if K == 0.0:
         return 0.0
+    if max(K, Omega_P) > _RATIO_FORM_ABOVE:
+        # The same closed form in the ratio of the smaller to the larger
+        # argument, whose squares cannot overflow.
+        if K <= Omega_P:
+            t_sq = (K / Omega_P) ** 2
+            return K * math.sqrt(2.0 / (1.0 + 2.0 * t_sq + math.hypot(1.0, 2.0 * t_sq)))
+        r_sq = (Omega_P / K) ** 2
+        return Omega_P * math.sqrt(2.0 / (r_sq + 2.0 + math.hypot(r_sq, 2.0)))
     wp2 = Omega_P * Omega_P
     k2 = K * K
     discriminant = math.hypot(wp2, 2.0 * k2)
@@ -264,16 +281,23 @@ def g_branch_combination(z: float, Omega_P: float) -> float:
         )
     if z == 0.0:
         # g_minus and g_zero vanish at z = 0; only the plus branch survives.
+        if Omega_P > _RATIO_FORM_ABOVE:
+            return Omega_P / math.sqrt(1.0 + 0.5 * Omega_P)
         return math.sqrt(_g_squared(CoupledBranch.PLUS, 0.0, Omega_P))
     root_z = math.sqrt(z)
     root_sum = math.hypot(root_z, Omega_P)
     total = root_z + root_sum
     decay = math.exp(-root_z)
     one_minus_decay = -math.expm1(-root_z)
-    ratio = decay * Omega_P * Omega_P / (total * total)
-    one_minus_ratio = (
-        2.0 * root_z * total + Omega_P * Omega_P * one_minus_decay
-    ) / (total * total)
+    if total <= _RATIO_FORM_ABOVE:
+        ratio = decay * Omega_P * Omega_P / (total * total)
+        one_minus_ratio = (
+            2.0 * root_z * total + Omega_P * Omega_P * one_minus_decay
+        ) / (total * total)
+    else:
+        scaled = Omega_P / total
+        ratio = decay * scaled * scaled
+        one_minus_ratio = 2.0 * root_z / total + scaled * scaled * one_minus_decay
     g_zero = Omega_P * math.sqrt(root_z / total)
     plus_factor = math.sqrt((1.0 + decay) / one_minus_ratio)
     minus_factor = math.sqrt(one_minus_decay / (1.0 + ratio))
@@ -291,6 +315,12 @@ def g_branch_combination(z: float, Omega_P: float) -> float:
 
 @lru_cache(maxsize=512)
 def _branch_constants_cached(Omega_P: float) -> BranchConstants:
+    if Omega_P > _MAX_SURFACE_OMEGA_P:
+        raise DomainError(
+            f"Omega_P={Omega_P:g} exceeds {_MAX_SURFACE_OMEGA_P:g}: the plus-branch "
+            "endpoint, about pi*(1 - 2/Omega_P), lies closer to pi than its "
+            "root bracket resolves"
+        )
     k_p = Omega_P / math.sqrt(1.0 + 0.5 * Omega_P)
     u_max = min(Omega_P, math.pi)
 
@@ -325,7 +355,10 @@ def _branch_constants_cached(Omega_P: float) -> BranchConstants:
 
 
 def branch_constants(Omega_P: float) -> BranchConstants:
-    """Derived branch scalars (light-cone crossing, endpoints) for ``Omega_P``."""
+    """Derived branch scalars (light-cone crossing, endpoints) for ``Omega_P``.
+
+    Defined up to ``Omega_P = 1e15`` (:class:`DomainError` beyond).
+    """
     return _branch_constants_cached(require_positive_finite("Omega_P", Omega_P))
 
 
@@ -373,6 +406,61 @@ def invert_branch(
     return math.sqrt(remainder) if remainder > 0.0 else 0.0
 
 
+# The phase formula is written once and evaluated with one of two function
+# sets: numpy's for the bracket scan over an array of Q, libm's (through
+# math) for Brent's scalar iterates.  numpy's arcsin and arctan2 differ from
+# libm's in the last bit for a few per cent of arguments, and Brent's iterates
+# follow those bits, so the root is refined with the functions it always was.
+_ARRAY_OPS = (np.arcsin, np.arctan2, np.sqrt, np.hypot, np.minimum, np.maximum)
+_SCALAR_OPS = (math.asin, math.atan2, math.sqrt, math.hypot, min, max)
+
+
+def _phase_defect(
+    pol: Polarization, m: int, K: float, Omega_P: float, ops: tuple
+) -> Callable:
+    """Round-trip phase defect ``Q + shift(Q) - pi*m`` as a function of ``Q``.
+
+    ``shift`` is twice the single-mirror reflection phase; ``ops`` is
+    ``_ARRAY_OPS`` or ``_SCALAR_OPS``.
+    """
+    asin, atan2, sqrt, hypot, minimum, maximum = ops
+    pi_m = math.pi * m
+    if pol is Polarization.TE:
+
+        def defect(Q):
+            return Q + 2.0 * asin(minimum(Q / Omega_P, 1.0)) - pi_m
+
+    elif Omega_P <= _RATIO_FORM_ABOVE:
+
+        def defect(Q):
+            transverse_decay = sqrt(maximum((Omega_P - Q) * (Omega_P + Q), 0.0))
+            omega_sq = K * K + Q * Q
+            eps = 1.0 - Omega_P * Omega_P / omega_sq
+            return Q + 2.0 * atan2(transverse_decay, -eps * Q) - pi_m
+
+    else:
+
+        def defect(Q):
+            # The two atan2 arguments above, each divided by the positive
+            # Omega_P**2 / Omega, so that no square overflows.
+            omega = hypot(K, Q)
+            r = omega / Omega_P
+            q = Q / Omega_P
+            transverse_decay = r * sqrt(maximum((1.0 - q) * (1.0 + q), 0.0))
+            minus_eps_q = Q / omega * ((1.0 - r) * (1.0 + r))
+            return Q + 2.0 * atan2(transverse_decay, minus_eps_q) - pi_m
+
+    return defect
+
+
+@lru_cache(maxsize=8)
+def _scan_grid(q_hi: float) -> np.ndarray:
+    """The read-only bracket-scan grid of :func:`photonic_mode` below ``q_hi``."""
+    grid = np.geomspace(q_hi * 1e-8, q_hi, 200)
+    grid.flags.writeable = False
+    return grid
+
+
 def photonic_mode(
     pol: Union[Polarization, str],
     m: int,
@@ -385,7 +473,10 @@ def photonic_mode(
     the longitudinal phase, ``Q`` plus the single-mirror reflection phase must
     equal ``pi * m``.  Solutions live in ``0 < Q < min(pi*m, Omega_P)`` and
     approach the ideal-cavity value ``sqrt(K^2 + (pi*m)^2)`` as
-    ``Omega_P -> inf``.  Raises :class:`NoSolution` when the branch does not
+    ``Omega_P -> inf``.  The first sign change of the phase defect on a
+    200-point geometric grid up to ``q_hi = min(pi*m, Omega_P)*(1 - 1e-12)``
+    brackets the root; when ``pi*m < Omega_P`` the cell ``[q_hi, pi*m]``
+    closes the scan.  Raises :class:`NoSolution` when the branch does not
     exist at this ``(K, m)``.
     """
     pol = _coerce_polarization(pol)
@@ -396,31 +487,31 @@ def photonic_mode(
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
     Omega_P = require_positive_finite("Omega_P", Omega_P)
 
-    def phase_defect(Q: float) -> float:
-        if pol is Polarization.TE:
-            shift = 2.0 * math.asin(min(Q / Omega_P, 1.0))
-        else:
-            transverse_decay = math.sqrt(max((Omega_P - Q) * (Omega_P + Q), 0.0))
-            omega_sq = K * K + Q * Q
-            eps = 1.0 - Omega_P * Omega_P / omega_sq
-            shift = 2.0 * math.atan2(transverse_decay, -eps * Q)
-        return Q + shift - math.pi * m
-
-    q_hi = min(math.pi * m, Omega_P) * (1.0 - 1e-12)
-    grid = np.geomspace(q_hi * 1e-8, q_hi, 200)
-    values = [phase_defect(q) for q in grid]
-    for i in range(len(grid) - 1):
+    pi_m = math.pi * m
+    q_hi = min(pi_m, Omega_P) * (1.0 - 1e-12)
+    grid = _scan_grid(q_hi)
+    values = _phase_defect(pol, m, K, Omega_P, _ARRAY_OPS)(grid)
+    negative = values < 0.0
+    cells = np.flatnonzero((values[:-1] == 0.0) | (negative[:-1] != negative[1:]))
+    if cells.size:
+        i = cells[0]
         if values[i] == 0.0:
             return math.hypot(K, float(grid[i]))
-        if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            Q = find_root_bracketed(phase_defect, float(grid[i]), float(grid[i + 1]))
-            return math.hypot(K, Q)
-    if values[-1] == 0.0:
+        lo, hi = float(grid[i]), float(grid[i + 1])
+    elif values[-1] == 0.0:
         return math.hypot(K, float(grid[-1]))
-    raise NoSolution(
-        f"no propagative cavity mode for pol={pol.value}, m={m}, K={K:g}, "
-        f"Omega_P={Omega_P:g}"
-    )
+    elif pi_m < Omega_P and negative[-1]:
+        # A nearly ideal mirror (Omega_P above about 2e12) puts the root,
+        # about pi*m*(1 - 2/Omega_P), above q_hi; at pi*m the defect is the
+        # mirror phase itself, which is not negative.
+        lo, hi = q_hi, pi_m
+    else:
+        raise NoSolution(
+            f"no propagative cavity mode for pol={pol.value}, m={m}, K={K:g}, "
+            f"Omega_P={Omega_P:g}"
+        )
+    Q = find_root_bracketed(_phase_defect(pol, m, K, Omega_P, _SCALAR_OPS), lo, hi)
+    return math.hypot(K, Q)
 
 
 def default_dispersion_grid(Omega_P: float, points: int = 400) -> np.ndarray:

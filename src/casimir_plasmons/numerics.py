@@ -66,7 +66,11 @@ class QuadratureSpec:
     ``abs_tol``/``rel_tol``: the returned value carries an estimated error of
     at most ``max(abs_tol, rel_tol * |result|)``; at least one of the two must
     be strictly positive.  ``max_subdivisions`` bounds the adaptive refinement
-    work.
+    work.  A tolerance below what a routine can certify raises
+    :class:`ConvergenceFailure`: ``eta_total`` cannot certify ``rel_tol``
+    below about 3e-13 for ``Omega_P`` above about 0.5, because the strip
+    ``Xi < 1e-13 * min(Omega_P, 1)`` left out of its box holds about 1e-13 of
+    the value.
     """
 
     abs_tol: float = 1e-10

@@ -8,6 +8,7 @@ failures.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import re
@@ -120,6 +121,8 @@ class TestArgumentErrors:
             ["eta", "--omega-p-l", "inf"],
             ["eta", "--l-over-lambda-p", "inf"],
             ["eta", "--lambda-p", "inf", "--separation", "1e-7"],
+            ["eta", "--omega-p-l", "2e15"],
+            ["eta", "--omega-p-l", "1e200"],
         ],
     )
     def test_exit_code_two(self, argv, capsys) -> None:
@@ -140,6 +143,28 @@ class TestArgumentErrors:
     def test_no_arguments_is_an_error(self, capsys) -> None:
         code, _, _ = run_cli([], capsys)
         assert code == 2
+
+
+class TestRepeatedCalls:
+    def test_each_repeat_matches_its_first_call(self, capsys) -> None:
+        # main() builds its parser once per process; parsing must not leak
+        # state from one call into the next.
+        argvs = [
+            ["dispersion", "--omega-p-l", "2.5", "--points", "8", "--max-photonic-m", "3"],
+            ["eta", "--l-over-lambda-p", "1"],
+            ["eta", "--omega-p-l", "-1"],
+            ["--help"],
+            ["dispersion", "--omega-p-l", "2.5", "--points", "8", "--format", "json"],
+            ["sweep", "--range", "5:1"],
+        ]
+        first = [run_cli(argv, capsys) for argv in argvs]
+        assert [result[0] for result in first] == [0, 0, 2, 0, 0, 2]
+        for _ in range(2):
+            for argv, expected in zip(argvs, first):
+                assert run_cli(argv, capsys) == expected
+
+    def test_build_parser_returns_a_fresh_parser(self) -> None:
+        assert cli.build_parser() is not cli.build_parser()
 
 
 # ----------------------------------------------------------------------
@@ -289,6 +314,26 @@ class TestDispersion:
         for branch in data["branches"]:
             for point in branch["points"]:
                 assert set(point) == {"K", "Omega", "sector"}
+
+
+    # SHA-256 of the 400-point, m <= 5 table, pinned from the scalar bracket
+    # scan that photonic_mode used before its scan was vectorised.
+    @pytest.mark.parametrize(
+        "omega_p, digest",
+        [
+            ("1e-3", "a85caa4da661f81ca11d0ada4e883d32a935dd63ae6f12da7272fc33751d5f6e"),
+            (
+                "9.42477796076938",
+                "1c090a8e32d3ec5c7ea42c14dc3226f98d2ad6fb944262d03e413050df5cf4cd",
+            ),
+            ("1e4", "9508b38cbe0ce973e27a70a713d5e0809f162b787efb5bda678c6491970199ce"),
+        ],
+    )
+    def test_table_bytes_are_pinned(self, omega_p, digest, capsys) -> None:
+        argv = ["dispersion", "--omega-p-l", omega_p, "--points", "400"]
+        code, out, err = run_cli(argv + ["--max-photonic-m", "5"], capsys)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -27,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_plasmons.errors import (
+    CasimirModelError,
     ContinuationError,
     ConvergenceFailure,
     DomainError,
@@ -47,6 +49,7 @@ from casimir_plasmons.modes import (
     photonic_mode,
     sample_dispersion,
 )
+from casimir_plasmons.numerics import DEFAULT_ROOT, find_root_bracketed
 from casimir_plasmons.optics import Polarization, Sector
 
 
@@ -296,6 +299,11 @@ class TestBranchConstants:
             branch_constants(True)  # type: ignore[arg-type]
         with pytest.raises(DomainError):
             branch_constants(float("nan"))
+        # beyond 1e15 the plus-branch endpoint is closer to pi than its bracket
+        assert branch_constants(1e15).y_plus < math.pi
+        for omega_p in (2e15, 1e200):
+            with pytest.raises(DomainError):
+                branch_constants(omega_p)
 
 
 # ----------------------------------------------------------------------
@@ -535,6 +543,123 @@ class TestPhotonicModes:
         )
         with pytest.raises(DomainError):
             photonic_mode("circular", 1, 1.0, 5.0)
+
+
+def _photonic_mode_reference(pol: Polarization, m: int, big_k: float, omega_p: float):
+    """The scalar 200-point bracket scan that photonic_mode vectorised.
+
+    Returns the frequency, or ``None`` where it raised :class:`NoSolution`.
+    """
+
+    def phase_defect(q: float) -> float:
+        if pol is Polarization.TE:
+            shift = 2.0 * math.asin(min(q / omega_p, 1.0))
+        else:
+            transverse_decay = math.sqrt(max((omega_p - q) * (omega_p + q), 0.0))
+            omega_sq = big_k * big_k + q * q
+            eps = 1.0 - omega_p * omega_p / omega_sq
+            shift = 2.0 * math.atan2(transverse_decay, -eps * q)
+        return q + shift - math.pi * m
+
+    q_hi = min(math.pi * m, omega_p) * (1.0 - 1e-12)
+    grid = np.geomspace(q_hi * 1e-8, q_hi, 200)
+    values = [phase_defect(q) for q in grid]
+    for i in range(len(grid) - 1):
+        if values[i] == 0.0:
+            return math.hypot(big_k, float(grid[i]))
+        if (values[i] < 0.0) != (values[i + 1] < 0.0):
+            q = find_root_bracketed(phase_defect, float(grid[i]), float(grid[i + 1]))
+            return math.hypot(big_k, q)
+    if values[-1] == 0.0:
+        return math.hypot(big_k, float(grid[-1]))
+    return None
+
+
+class TestPhotonicModeScan:
+    def test_bit_identical_to_scalar_scan(self) -> None:
+        # The dense band is where numpy's arcsin/arctan2 in Brent's iterates
+        # would change last bits; 3*pi puts the plasma edge exactly on
+        # pi*(m-1) for TE m=4 and TM m=5.
+        omega_ps = np.concatenate(
+            (np.geomspace(1e-8, 1e12, 41), np.geomspace(0.1, 100.0, 37), [3 * math.pi])
+        ).tolist()
+        mismatches = []
+        for omega_p in omega_ps:
+            for pol in Polarization:
+                for m in range(1, 6):
+                    for big_k in (0.0, 1e-3, 1.0, math.pi * m, 100.0):
+                        try:
+                            value = photonic_mode(pol, m, big_k, omega_p)
+                        except NoSolution:
+                            value = None
+                        reference = _photonic_mode_reference(pol, m, big_k, omega_p)
+                        if value != reference:
+                            mismatches.append((pol, m, big_k, omega_p, value, reference))
+        assert mismatches == []
+
+    def test_ideal_limit_beyond_the_scan_grid(self) -> None:
+        # From Omega_P ~ 3e12 the root lies in the closing cell [q_hi, pi*m];
+        # from ~1e154 the TM phase's Omega_P**2 overflows.
+        for pol in Polarization:
+            for m in (1, 2, 5):
+                for omega_p in (3e12, 1e13, 1e16, 1e100, 1e155, 1e300):
+                    value = photonic_mode(pol, m, 1.0, omega_p)
+                    ideal = math.hypot(1.0, math.pi * m)
+                    assert abs(value / ideal - 1.0) <= 4.0 * m / omega_p
+
+
+class TestHugePlasmaParameter:
+    """Beyond ``Omega_P ~ 1e154`` the square ``Omega_P**2`` overflows."""
+
+    def test_omega0_matches_high_precision_oracle(self) -> None:
+        for big_k, omega_p in ((1.0, 1e200), (1e100, 1e100), (1e300, 1.0), (5.0, 1e80)):
+            with mp.workdps(40):
+                k, w = mp.mpf(big_k), mp.mpf(omega_p)
+                oracle = float(mp.sqrt(2 * k**2 * w**2 / (w**2 + 2 * k**2 + mp.sqrt(w**4 + 4 * k**4))))
+            assert omega0(big_k, omega_p) == pytest.approx(oracle, rel=1e-15)
+
+    def test_branch_combination_matches_high_precision_oracle(self) -> None:
+        for z, omega_p in ((2500.0, 1e200), (1.0, 1e80), (1e160, 3.0)):
+            with mp.workdps(700):
+                zz, w = mp.mpf(z), mp.mpf(omega_p)
+                s = mp.sqrt(zz)
+                terms = [
+                    mp.sqrt(w**2 * s / (s + mp.sqrt(zz + w**2) * coupling))
+                    for coupling in (mp.tanh(s / 2), mp.coth(s / 2), mp.mpf(1))
+                ]
+                oracle = float(terms[0] + terms[1] - 2 * terms[2])
+            assert g_branch_combination(z, omega_p) == pytest.approx(oracle, rel=1e-13)
+
+
+@given(
+    log_omega=st.floats(-10.0, 300.0),
+    m=st.integers(1, 5),
+    big_k=st.floats(0.0, 1e3),
+    z=st.floats(0.0, 1e6),
+)
+@settings(max_examples=150, deadline=None)
+def test_finite_value_or_typed_error_up_to_huge_omega_p(log_omega, m, big_k, z) -> None:
+    omega_p = 10.0**log_omega
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in (
+            lambda: omega0(big_k, omega_p),
+            lambda: g_branch_combination(z, omega_p),
+        ):
+            assert math.isfinite(call())
+        for pol in Polarization:
+            try:
+                value = photonic_mode(pol, m, big_k, omega_p)
+            except CasimirModelError:
+                assert not (omega_p >= 100.0 * math.pi * m and big_k <= 10.0 * m)
+                continue
+            assert math.isfinite(value)
+            if omega_p >= 100.0 * math.pi * m and big_k <= 10.0 * m:
+                # Physical deviation 4m/Omega_P, plus the root finder's x_tol
+                # in Q (Q > pi*m/2 here) and a few roundings.
+                allowance = 2.0 * DEFAULT_ROOT.x_tol / (math.pi * m) + 8.0 * 2.0**-52
+                deviation = abs(value / math.hypot(big_k, math.pi * m) - 1.0)
+                assert deviation <= 4.0 * m / omega_p + allowance
 
 
 # ----------------------------------------------------------------------
