@@ -316,24 +316,61 @@ class TestDispersion:
                 assert set(point) == {"K", "Omega", "sector"}
 
 
-    # SHA-256 of the 400-point, m <= 5 table, pinned from the scalar bracket
-    # scan that photonic_mode used before its scan was vectorised.
-    @pytest.mark.parametrize(
-        "omega_p, digest",
-        [
-            ("1e-3", "a85caa4da661f81ca11d0ada4e883d32a935dd63ae6f12da7272fc33751d5f6e"),
-            (
-                "9.42477796076938",
-                "1c090a8e32d3ec5c7ea42c14dc3226f98d2ad6fb944262d03e413050df5cf4cd",
-            ),
-            ("1e4", "9508b38cbe0ce973e27a70a713d5e0809f162b787efb5bda678c6491970199ce"),
-        ],
-    )
-    def test_table_bytes_are_pinned(self, omega_p, digest, capsys) -> None:
-        argv = ["dispersion", "--omega-p-l", omega_p, "--points", "400"]
-        code, out, err = run_cli(argv + ["--max-photonic-m", "5"], capsys)
-        assert code == 0 and err == ""
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+# SHA-256 of the CLI outputs whose bytes must not change.  The dispersion
+# digests (400 points, m <= 5) were pinned from the scalar bracket scan that
+# photonic_mode used before its scan was vectorised.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["dispersion", "--omega-p-l", "1e-3", "--points", "400", "--max-photonic-m", "5"],
+            "a85caa4da661f81ca11d0ada4e883d32a935dd63ae6f12da7272fc33751d5f6e",
+        ),
+        (
+            [
+                "dispersion", "--omega-p-l", "9.42477796076938",
+                "--points", "400", "--max-photonic-m", "5",
+            ],
+            "1c090a8e32d3ec5c7ea42c14dc3226f98d2ad6fb944262d03e413050df5cf4cd",
+        ),
+        (
+            ["dispersion", "--omega-p-l", "1e4", "--points", "400", "--max-photonic-m", "5"],
+            "9508b38cbe0ce973e27a70a713d5e0809f162b787efb5bda678c6491970199ce",
+        ),
+        (
+            ["eta", "--l-over-lambda-p", "1"],
+            "7295bd0d954602140a5f377b89ce4c1f38f1ded2c0633d9190aafd750eeb01b9",
+        ),
+        (
+            ["eta", "--l-over-lambda-p", "0.25", "--format", "json"],
+            "bd178ba0ecbf02f113eb3330135eb45d4ad9c59c9f94241fd605e0d77505b37e",
+        ),
+        (
+            ["sweep", "--range", "0.01:10", "--points", "20"],
+            "e3842fc0d60b372b48082c34c7344063dce77d0184eaf60124525723ba9ae542",
+        ),
+        (
+            [
+                "sweep", "--range", "1e-8:1e-6", "--lambda-p", "137e-9",
+                "--points", "7", "--format", "json",
+            ],
+            "dc02c108e592d1c1d7c1b4b525f2726b57c09f30275a1ee0a3974613b1ec675c",
+        ),
+    ],
+    ids=[
+        "dispersion-1e-3",
+        "dispersion-3pi",
+        "dispersion-1e4",
+        "eta-csv",
+        "eta-json",
+        "sweep-csv",
+        "sweep-physical-json",
+    ],
+)
+def test_table_bytes_are_pinned(argv, digest, capsys) -> None:
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ----------------------------------------------------------------------
