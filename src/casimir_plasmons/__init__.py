@@ -93,6 +93,7 @@ from .decomposition import (
     fit_gamma,
     locate_sign_change,
     propagative_part_identity,
+    self_check,
     short_distance_alpha,
 )
 
@@ -167,6 +168,7 @@ __all__ = [
     "fit_beta_ev",
     "locate_sign_change",
     "asymptotic_report",
+    "self_check",
     "ASYMPTOTIC_FIT_WINDOW",
     "SIGN_CHANGE_BRACKET",
 ]

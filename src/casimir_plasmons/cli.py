@@ -6,7 +6,7 @@ Subcommands:
 * ``sweep`` — the same factors tabulated over a range of ``L/lambda_p``.
 * ``dispersion`` — mode-branch tables suitable for re-plotting.
 * ``constants`` — the asymptotic constants and the sign-change location.
-* ``verify`` — the built-in invariant battery.
+* ``verify`` — the package self-check (:func:`decomposition.self_check`).
 
 Exit codes: 0 success, 1 verification failure, 2 argument error (a bad flag
 or a value outside the library's domain), 3 numeric convergence failure.
@@ -20,60 +20,27 @@ everything is dimensionless.  Output is CSV (scientific notation,
 from __future__ import annotations
 
 import argparse
-import cmath
+import dataclasses
 import json
 import math
 import os
 import sys
 import tempfile
-import time
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .decomposition import (
-    AsymptoticReport,
-    compute_eta_breakdown,
-    eta_evanescent,
-    eta_plasmonic,
-    fit_beta_ev,
-    fit_gamma,
-    locate_sign_change,
-    propagative_part_identity,
-    short_distance_alpha,
-)
+from .decomposition import asymptotic_report, compute_eta_breakdown, self_check
 from .errors import (
+    CONVERGENCE_ERRORS,
     CasimirModelError,
-    ConvergenceFailure,
     DomainError,
-    ExtrapolationUnstable,
-    NonFiniteIntegrand,
-    TailBoundViolated,
     require_positive_finite,
 )
-from .lifshitz import eta_total
-from .modes import (
-    BranchId,
-    BranchKind,
-    CoupledBranch,
-    branch_constants,
-    default_dispersion_grid,
-    f_branch,
-    g_branch,
-    g_branch_combination,
-    invert_branch,
-    photonic_mode,
-    sample_dispersion,
-)
-from .numerics import (
-    QuadratureSpec,
-    RootSpec,
-    find_root_bracketed,
-    integrate_finite,
-    integrate_semi_infinite,
-)
-from .optics import Polarization, reflection_sq_imag_axis
+from .modes import BranchId, BranchKind, default_dispersion_grid, sample_dispersion
+from .numerics import QuadratureSpec
+from .optics import Polarization
 
 __all__ = ["main", "console_entry", "build_parser"]
 
@@ -88,22 +55,9 @@ ETA_HEADER = (
 DISPERSION_HEADER = "branch,pol,m,K,Omega,sector"
 VERIFY_HEADER = "status,name,detail"
 
-# Numeric-machinery failures: the computation could not be carried out at the
-# requested tolerance (as opposed to producing a wrong value).
-_CONVERGENCE_ERRORS = (
-    ConvergenceFailure,
-    TailBoundViolated,
-    NonFiniteIntegrand,
-    ExtrapolationUnstable,
-)
-
 
 class _ArgumentError(Exception):
     """Invalid command-line input detected after parsing (exit code 2)."""
-
-
-class _CheckFailed(Exception):
-    """A verification check did not hold (collected, reported, exit code 1)."""
 
 
 def _fmt(value: float) -> str:
@@ -347,14 +301,19 @@ def _parse_range(text: str) -> Tuple[float, float]:
 # --------------------------------------------------------------------------
 
 
+def _breakdown_fields(x: float, breakdown) -> Dict[str, float]:
+    """``L/lambda_p`` and the four reduction factors, in output order."""
+    return {
+        "L_over_lambdaP": x,
+        "eta_total": breakdown.eta_total,
+        "eta_pl": breakdown.eta_pl,
+        "eta_ph": breakdown.eta_ph,
+        "eta_ev": breakdown.eta_ev,
+    }
+
+
 def _breakdown_row(x: float, breakdown) -> List[str]:
-    return [
-        _fmt(x),
-        _fmt(breakdown.eta_total),
-        _fmt(breakdown.eta_pl),
-        _fmt(breakdown.eta_ph),
-        _fmt(breakdown.eta_ev),
-    ]
+    return [_fmt(value) for value in _breakdown_fields(x, breakdown).values()]
 
 
 def cmd_eta(args: argparse.Namespace, spec: QuadratureSpec) -> int:
@@ -373,11 +332,7 @@ def cmd_eta(args: argparse.Namespace, spec: QuadratureSpec) -> int:
             {
                 "schema_version": SCHEMA_VERSION,
                 "Omega_P": Omega_P,
-                "L_over_lambdaP": l_over_lambda,
-                "eta_total": breakdown.eta_total,
-                "eta_pl": breakdown.eta_pl,
-                "eta_ph": breakdown.eta_ph,
-                "eta_ev": breakdown.eta_ev,
+                **_breakdown_fields(l_over_lambda, breakdown),
                 "error_estimates": dict(breakdown.error_estimates),
             }
         )
@@ -404,16 +359,7 @@ def cmd_sweep(args: argparse.Namespace, spec: QuadratureSpec) -> int:
         text = _json_text(
             {
                 "schema_version": SCHEMA_VERSION,
-                "rows": [
-                    {
-                        "L_over_lambdaP": x,
-                        "eta_total": b.eta_total,
-                        "eta_pl": b.eta_pl,
-                        "eta_ph": b.eta_ph,
-                        "eta_ev": b.eta_ev,
-                    }
-                    for x, b in results
-                ],
+                "rows": [_breakdown_fields(x, b) for x, b in results],
             }
         )
     else:
@@ -493,395 +439,18 @@ def cmd_dispersion(args: argparse.Namespace, spec: QuadratureSpec) -> int:
 def cmd_constants(args: argparse.Namespace, spec: QuadratureSpec) -> int:
     if args.format == "csv":
         raise _ArgumentError("constants output is a JSON object; use --format json")
-    timings = {}
-
-    start = time.perf_counter()
-    alpha = short_distance_alpha(spec)
-    timings["alpha"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    gamma = fit_gamma(spec)
-    timings["gamma"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    beta = fit_beta_ev(spec)
-    timings["beta_ev"] = time.perf_counter() - start
-
-    start = time.perf_counter()
-    crossing = locate_sign_change(spec)
-    timings["sign_change"] = time.perf_counter() - start
-
-    report = AsymptoticReport(
-        alpha=alpha,
-        gamma=gamma.value,
-        beta_ev=beta.value,
-        sign_change_L_over_lambdaP=crossing,
-        fit_residuals={
-            "gamma": gamma.fit.relative_residual,
-            "beta_ev": beta.fit.relative_residual,
-        },
-    )
+    report = asymptotic_report(spec)
     text = _json_text(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "alpha": report.alpha,
-            "gamma": report.gamma,
-            "beta_ev": report.beta_ev,
-            "sign_change_L_over_lambdaP": report.sign_change_L_over_lambdaP,
-            "fit_residuals": dict(report.fit_residuals),
-            "timings_seconds": timings,
-        }
+        {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(report)}
     )
     _write_output(args.output, text)
     return 0
 
 
-# --------------------------------------------------------------------------
-# Verification battery
-# --------------------------------------------------------------------------
-
-
-def _require(condition: bool, detail: str) -> None:
-    if not condition:
-        raise _CheckFailed(detail)
-
-
-def _check_finite_quadrature(spec: QuadratureSpec) -> None:
-    linear = integrate_finite(lambda x: x, 0.0, 1.0, spec)
-    _require(abs(linear - 0.5) <= 1e-9, f"integral of x on [0,1] = {linear!r}")
-    singular = integrate_finite(
-        lambda x: 0.5 / math.sqrt(x) if x > 0.0 else 0.0, 0.0, 1.0, spec
-    )
-    _require(
-        abs(singular - 1.0) <= 1e-8,
-        f"integral of 1/(2 sqrt(x)) on [0,1] = {singular!r}",
-    )
-
-
-def _check_root_finder() -> None:
-    root_spec = RootSpec()
-    sqrt2 = find_root_bracketed(lambda x: x * x - 2.0, 1.0, 2.0, root_spec)
-    _require(abs(sqrt2 - math.sqrt(2.0)) <= 1e-12, f"sqrt2 root = {sqrt2!r}")
-    quarter_turn = find_root_bracketed(math.cos, 1.0, 2.0, root_spec)
-    _require(
-        abs(quarter_turn - 0.5 * math.pi) <= 1e-12,
-        f"cos root = {quarter_turn!r}",
-    )
-
-
-def _check_reflection_bounds() -> None:
-    for Omega_P in (0.1, 2.0 * math.pi, 100.0):
-        for K in (0.0, 0.3, 1.0, 3.0, 10.0):
-            for Xi in (1e-3, 0.1, 1.0, 10.0):
-                for pol in (Polarization.TE, Polarization.TM):
-                    r_sq = reflection_sq_imag_axis(pol, K, Xi, Omega_P)
-                    _require(
-                        0.0 <= r_sq <= 1.0,
-                        f"r^2={r_sq!r} outside [0,1] at pol={pol.value}, "
-                        f"K={K}, Xi={Xi}, Omega_P={Omega_P}",
-                    )
-
-
-def _check_normal_incidence() -> None:
-    for Omega_P in (0.1, 2.0 * math.pi, 100.0):
-        for Xi in (1e-3, 0.1, 1.0, 10.0):
-            te = reflection_sq_imag_axis(Polarization.TE, 0.0, Xi, Omega_P)
-            tm = reflection_sq_imag_axis(Polarization.TM, 0.0, Xi, Omega_P)
-            _require(
-                abs(te - tm) <= 1e-12,
-                f"TE/TM split {abs(te - tm):.3e} at K=0, Xi={Xi}, "
-                f"Omega_P={Omega_P}",
-            )
-
-
-def _check_reflection_monotonicity() -> None:
-    grid = np.geomspace(0.1, 1e3, 25)
-    for pol in (Polarization.TE, Polarization.TM):
-        values = [reflection_sq_imag_axis(pol, 1.0, 1.0, w) for w in grid]
-        for w, earlier, later in zip(grid, values, values[1:]):
-            _require(
-                later >= earlier - 1e-15,
-                f"r^2 not increasing in Omega_P near {w:g} ({pol.value})",
-            )
-        _require(values[-1] > values[0], f"r^2 flat in Omega_P ({pol.value})")
-
-
-_BRANCH_CHECK_OMEGAS = (0.5, 2.0, 3.0 * math.pi, 50.0)
-
-
-def _check_branch_constants() -> None:
-    for Omega_P in _BRANCH_CHECK_OMEGAS:
-        constants = branch_constants(Omega_P)
-        closed = Omega_P / math.sqrt(1.0 + 0.5 * Omega_P)
-        _require(
-            abs(constants.k_P - closed) <= 1e-12 * (1.0 + closed),
-            f"k_P mismatch at Omega_P={Omega_P:g}",
-        )
-        f_zero = f_branch(CoupledBranch.PLUS, 0.0, Omega_P)
-        _require(
-            abs(f_zero - constants.k_P**2) <= 1e-12 * (1.0 + f_zero),
-            f"f_plus(0) != k_P^2 at Omega_P={Omega_P:g}",
-        )
-        _require(constants.z_plus0 > 0.0, f"z_plus0 <= 0 at Omega_P={Omega_P:g}")
-        _require(
-            constants.z_0P <= 0.0,
-            f"z_0P unexpectedly positive at Omega_P={Omega_P:g}",
-        )
-
-
-def _check_plus_endpoint() -> None:
-    for Omega_P in _BRANCH_CHECK_OMEGAS:
-        constants = branch_constants(Omega_P)
-        residual = f_branch(CoupledBranch.PLUS, -constants.z_plus0, Omega_P)
-        _require(
-            abs(residual) <= 1e-8 * max(1.0, constants.z_plus0),
-            f"f_plus(-z_plus0)={residual:.3e} at Omega_P={Omega_P:g}",
-        )
-
-
-def _check_continuation_consistency() -> None:
-    rng = np.random.default_rng(20240817)
-    worst = 0.0
-    for Omega_P in _BRANCH_CHECK_OMEGAS:
-        constants = branch_constants(Omega_P)
-        for _ in range(25):
-            fraction = 1e-9 + (1.0 - 2e-9) * float(rng.random())
-            z = -constants.z_plus0 * fraction
-            real_part = g_branch(CoupledBranch.PLUS, z, Omega_P) ** 2
-            root = cmath.sqrt(complex(z, 0.0))
-            complex_value = (
-                Omega_P**2
-                * root
-                / (
-                    root
-                    + cmath.sqrt(complex(z + Omega_P**2, 0.0))
-                    * cmath.tanh(root / 2.0)
-                )
-            )
-            scale = max(1.0, abs(complex_value))
-            worst = max(
-                worst,
-                abs(real_part - complex_value.real) / scale,
-                abs(complex_value.imag) / scale,
-            )
-    _require(
-        worst <= 1e-12,
-        f"real/complex continuation deviation {worst:.3e} exceeds 1e-12",
-    )
-
-
-def _check_branch_ordering() -> None:
-    Omega_P = 3.0 * math.pi
-    k_p = branch_constants(Omega_P).k_P
-    for K in np.geomspace(1e-3, 10.0 * Omega_P, 60):
-        K = float(K)
-        low = invert_branch(CoupledBranch.MINUS, K, Omega_P)
-        mid = invert_branch(CoupledBranch.ZERO, K, Omega_P)
-        high = invert_branch(CoupledBranch.PLUS, K, Omega_P)
-        _require(
-            low <= mid + 1e-10 and mid <= high + 1e-10,
-            f"ordering broken at K={K:g}: {low!r}, {mid!r}, {high!r}",
-        )
-        _require(
-            low <= K + 1e-12 and mid <= K + 1e-12,
-            f"evanescence broken at K={K:g}",
-        )
-        if K < 0.999 * k_p:
-            _require(high > K, f"plus branch not propagative at K={K:g} < k_P")
-        elif K > 1.001 * k_p:
-            _require(high < K, f"plus branch not evanescent at K={K:g} > k_P")
-
-
-def _check_large_K_degeneracy() -> None:
-    Omega_P = 3.0 * math.pi
-    K = 50.0 * max(1.0, Omega_P)
-    reference = invert_branch(CoupledBranch.ZERO, K, Omega_P)
-    for kind in (CoupledBranch.PLUS, CoupledBranch.MINUS):
-        split = abs(invert_branch(kind, K, Omega_P) - reference)
-        _require(
-            split < 1e-6,
-            f"branch {kind.value} split {split:.3e} at K=50*max(1,Omega_P)",
-        )
-
-
-def _check_round_trip() -> None:
-    Omega_P = 3.0 * math.pi
-    k_p = branch_constants(Omega_P).k_P
-    for kind in (CoupledBranch.PLUS, CoupledBranch.MINUS, CoupledBranch.ZERO):
-        for K in (0.01, 1.0, 0.5 * k_p, k_p, 10.0, 50.0):
-            if kind is not CoupledBranch.PLUS and K < 1e-6:
-                continue
-            Omega = invert_branch(kind, K, Omega_P)
-            z_star = K * K - Omega * Omega
-            recovered = f_branch(kind, z_star, Omega_P)
-            _require(
-                abs(recovered - K * K) <= 1e-9 * (1.0 + K * K),
-                f"round trip failed for {kind.value} at K={K:g}: "
-                f"f(z*)={recovered!r} vs K^2={K * K!r}",
-            )
-
-
-def _check_lightcone_crossing() -> None:
-    Omega_P = 3.0 * math.pi
-    k_p = branch_constants(Omega_P).k_P
-    crossing = invert_branch(CoupledBranch.PLUS, k_p, Omega_P)
-    _require(
-        abs(crossing - k_p) <= 1e-9 * (1.0 + k_p),
-        f"Omega_plus at k_P is {crossing!r}, expected {k_p!r}",
-    )
-
-
-def _check_photonic_limits() -> None:
-    fundamental = photonic_mode(Polarization.TE, 1, 0.0, 1e6)
-    _require(
-        abs(fundamental - math.pi) <= 1e-4,
-        f"TE m=1 at K=0 gave {fundamental!r}, expected pi",
-    )
-    second = photonic_mode(Polarization.TM, 2, math.pi, 1e6)
-    _require(
-        abs(second - math.pi * math.sqrt(5.0)) <= 1e-4,
-        f"TM m=2 at K=pi gave {second!r}, expected pi*sqrt(5)",
-    )
-
-
-def _check_branch_sum_cancellation() -> None:
-    for Omega_P in (0.01, 1.0, 10.0, 1e4):
-        z = 200.0 * (1.0 + math.log1p(Omega_P))
-        tail = abs(g_branch_combination(z, Omega_P))
-        _require(
-            tail < 1e-8,
-            f"branch-sum tail {tail:.3e} at z={z:g}, Omega_P={Omega_P:g}",
-        )
-
-
-def _check_eta_bounds(spec: QuadratureSpec) -> None:
-    values = [eta_total(w, spec) for w in (0.5, 2.0 * math.pi, 50.0)]
-    for w, value in zip((0.5, 2.0 * math.pi, 50.0), values):
-        _require(
-            0.0 < value <= 1.0, f"eta_E={value!r} outside (0,1] at Omega_P={w:g}"
-        )
-    _require(
-        values[0] < values[1] < values[2],
-        f"eta_E not increasing across the sample grid: {values!r}",
-    )
-
-
-def _check_short_distance_slopes(spec: QuadratureSpec) -> None:
-    x = 1e-3
-    Omega_P = 2.0 * math.pi * x
-    target = 1.5 * short_distance_alpha(spec)
-    slopes = {
-        "eta_E": eta_total(Omega_P, spec) / x,
-        "eta_pl": eta_plasmonic(Omega_P, spec) / x,
-        "eta_ev": eta_evanescent(Omega_P, spec) / x,
-    }
-    for name, slope in slopes.items():
-        _require(
-            abs(slope - target) <= 0.02 * target,
-            f"{name}/(L/lambda_p) = {slope!r} at 1e-3, expected ~{target!r}",
-        )
-
-
-def _check_propagative_identity(spec: QuadratureSpec) -> None:
-    lhs, rhs = propagative_part_identity(5.0, spec)
-    _require(
-        abs(lhs - rhs) < 1e-6,
-        f"propagative-part identity off by {abs(lhs - rhs):.3e} at Omega_P=5",
-    )
-
-
-def _check_closure(spec: QuadratureSpec) -> None:
-    breakdown = compute_eta_breakdown(2.0 * math.pi, spec)
-    _require(
-        breakdown.eta_ph == breakdown.eta_total - breakdown.eta_pl,
-        "eta_ph is not stored as eta_total - eta_pl",
-    )
-    _require(breakdown.eta_ev > 0.0, f"eta_ev={breakdown.eta_ev!r} not positive")
-    residue = abs(breakdown.eta_pl + breakdown.eta_ph - breakdown.eta_total)
-    scale = 1.0 + abs(breakdown.eta_pl) + abs(breakdown.eta_total)
-    _require(
-        residue <= 1e-12 * scale,
-        f"decomposition closure residue {residue:.3e}",
-    )
-
-
-def _check_alpha(spec: QuadratureSpec) -> None:
-    alpha = short_distance_alpha(spec)
-    _require(
-        abs(alpha - 1.193) <= 1e-3, f"alpha={alpha!r}, expected 1.193 +- 1e-3"
-    )
-
-
-def _check_sign_change(spec: QuadratureSpec) -> None:
-    crossing = locate_sign_change(spec)
-    _require(
-        0.065 <= crossing <= 0.095,
-        f"sign change at {crossing!r}, expected within [0.065, 0.095]",
-    )
-
-
-def _verification_checks(
-    spec: QuadratureSpec,
-) -> List[Tuple[str, Callable[[], None]]]:
-    return [
-        ("finite-quadrature-exactness", lambda: _check_finite_quadrature(spec)),
-        ("root-finder-reference", _check_root_finder),
-        ("reflection-bounds", _check_reflection_bounds),
-        ("normal-incidence-degeneracy", _check_normal_incidence),
-        ("reflection-monotonicity", _check_reflection_monotonicity),
-        ("branch-constants-closed-form", _check_branch_constants),
-        ("plus-branch-endpoint", _check_plus_endpoint),
-        ("continuation-consistency", _check_continuation_consistency),
-        ("branch-ordering-and-evanescence", _check_branch_ordering),
-        ("large-wavevector-degeneracy", _check_large_K_degeneracy),
-        ("inversion-round-trip", _check_round_trip),
-        ("lightcone-crossing", _check_lightcone_crossing),
-        ("photonic-perfect-cavity", _check_photonic_limits),
-        ("branch-sum-cancellation", _check_branch_sum_cancellation),
-        ("eta-bounds-and-monotonicity", lambda: _check_eta_bounds(spec)),
-        ("short-distance-slopes", lambda: _check_short_distance_slopes(spec)),
-        ("propagative-identity", lambda: _check_propagative_identity(spec)),
-        ("decomposition-closure", lambda: _check_closure(spec)),
-        ("alpha-reference", lambda: _check_alpha(spec)),
-        ("sign-change-window", lambda: _check_sign_change(spec)),
-    ]
-
-
 def cmd_verify(args: argparse.Namespace, spec: QuadratureSpec) -> int:
-    results: List[Tuple[str, bool, str]] = []
-
-    # Gate: the numeric kernel must meet the requested tolerance on a known
-    # integral before the battery is meaningful.  A tolerance the kernel
-    # cannot certify surfaces here as a convergence failure (exit 3), not as
-    # failed invariants.
-    gate_name = "quadrature-tolerance-gate"
-    try:
-        reference = integrate_semi_infinite(
-            lambda x: math.exp(-math.sqrt(x)), 0.0, spec
-        )
-        if abs(reference - 2.0) <= max(1e-8, 4.0 * spec.rel_tol):
-            results.append((gate_name, True, ""))
-        else:
-            results.append(
-                (gate_name, False, f"semi-infinite reference gave {reference!r}")
-            )
-    except _CONVERGENCE_ERRORS as exc:
-        raise type(exc)(
-            f"verification check '{gate_name}' (integral of exp(-sqrt(x)) "
-            f"over [0, inf)): {exc}"
-        ) from exc
-
-    for name, check in _verification_checks(spec):
-        try:
-            check()
-            results.append((name, True, ""))
-        except _CONVERGENCE_ERRORS:
-            raise
-        except _CheckFailed as exc:
-            results.append((name, False, str(exc)))
-        except (CasimirModelError, ValueError, ArithmeticError) as exc:
-            results.append((name, False, f"{type(exc).__name__}: {exc}"))
-
+    # A tolerance the quadrature cannot certify raises a convergence error
+    # from the first check (exit 3) instead of failing rows.
+    results = self_check(spec)
     all_passed = all(passed for _, passed, _ in results)
     if args.format == "json":
         text = _json_text(
@@ -945,7 +514,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (_ArgumentError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _CONVERGENCE_ERRORS as exc:
+    except CONVERGENCE_ERRORS as exc:
         print(f"error: convergence failure: {exc}", file=sys.stderr)
         return 3
     except CasimirModelError as exc:

@@ -18,22 +18,25 @@ coefficient ``alpha`` (both ``eta_E`` and ``eta_pl`` behave as
 ``(3/2) * alpha * L/lambda_p``), the large-separation coefficients ``gamma``
 (``eta_pl ~ -gamma * sqrt(Omega_P)``) and ``beta_ev``
 (``eta_ev ~ beta_ev * sqrt(Omega_P)``), and the separation at which
-``eta_pl`` changes sign.
+``eta_pl`` changes sign.  :func:`self_check` ties these together in the
+invariants an installed package can check at run time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
+    CONVERGENCE_ERRORS,
+    CasimirModelError,
     ConvergenceFailure,
     DomainError,
     ExtrapolationUnstable,
     require_positive_finite,
 )
-from .lifshitz import _eta_total_detailed
+from .lifshitz import _eta_total_detailed, eta_total
 from .modes import (
     CoupledBranch,
     branch_constants,
@@ -51,6 +54,7 @@ from .numerics import (
     fit_scaling_coefficient,
     integrate_finite,
     integrate_finite_with_estimate,
+    integrate_semi_infinite,
     integrate_semi_infinite_with_estimate,
 )
 
@@ -68,6 +72,7 @@ __all__ = [
     "fit_beta_ev",
     "locate_sign_change",
     "asymptotic_report",
+    "self_check",
     "ASYMPTOTIC_FIT_WINDOW",
     "SIGN_CHANGE_BRACKET",
 ]
@@ -498,3 +503,101 @@ def asymptotic_report(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> AsymptoticRe
             "beta_ev": beta.fit.relative_residual,
         },
     )
+
+
+# Each self-check returns ``(passed, detail)``; the detail is reported on
+# failure.
+
+
+def _check_quadrature_gate(spec: QuadratureSpec) -> Tuple[bool, str]:
+    # The numeric kernel must meet the requested tolerance on a known integral
+    # before the other checks mean anything; a tolerance it cannot certify is
+    # a convergence failure, not a failed invariant.
+    try:
+        reference = integrate_semi_infinite(
+            lambda x: math.exp(-math.sqrt(x)), 0.0, spec
+        )
+    except CONVERGENCE_ERRORS as exc:
+        raise type(exc)(
+            "verification check 'quadrature-tolerance-gate' (integral of "
+            f"exp(-sqrt(x)) over [0, inf)): {exc}"
+        ) from exc
+    return (
+        abs(reference - 2.0) <= max(1e-8, 4.0 * spec.rel_tol),
+        f"semi-infinite reference gave {reference!r}",
+    )
+
+
+def _check_short_distance_slopes(spec: QuadratureSpec) -> Tuple[bool, str]:
+    x = 1e-3
+    Omega_P = 2.0 * math.pi * x
+    target = 1.5 * short_distance_alpha(spec)
+    slopes = {
+        "eta_E": eta_total(Omega_P, spec) / x,
+        "eta_pl": eta_plasmonic(Omega_P, spec) / x,
+        "eta_ev": eta_evanescent(Omega_P, spec) / x,
+    }
+    worst = max(slopes, key=lambda name: abs(slopes[name] - target))
+    return (
+        abs(slopes[worst] - target) <= 0.02 * target,
+        f"{worst}/(L/lambda_p) = {slopes[worst]!r} at 1e-3, expected ~{target!r}",
+    )
+
+
+def _check_propagative_identity(spec: QuadratureSpec) -> Tuple[bool, str]:
+    lhs, rhs = propagative_part_identity(5.0, spec)
+    return (
+        abs(lhs - rhs) < 1e-6,
+        f"propagative-part identity off by {abs(lhs - rhs):.3e} at Omega_P=5",
+    )
+
+
+def _check_closure(spec: QuadratureSpec) -> Tuple[bool, str]:
+    # EtaBreakdown itself rejects eta_ph != eta_total - eta_pl and eta_ev <= 0.
+    breakdown = compute_eta_breakdown(2.0 * math.pi, spec)
+    residue = abs(breakdown.eta_pl + breakdown.eta_ph - breakdown.eta_total)
+    scale = 1.0 + abs(breakdown.eta_pl) + abs(breakdown.eta_total)
+    return (
+        residue <= 1e-12 * scale,
+        f"decomposition closure residue {residue:.3e}",
+    )
+
+
+def _check_sign_change(spec: QuadratureSpec) -> Tuple[bool, str]:
+    crossing = locate_sign_change(spec)
+    return (
+        0.065 <= crossing <= 0.095,
+        f"sign change at {crossing!r}, expected within [0.065, 0.095]",
+    )
+
+
+_SELF_CHECKS = (
+    ("quadrature-tolerance-gate", _check_quadrature_gate),
+    ("short-distance-slopes", _check_short_distance_slopes),
+    ("propagative-identity", _check_propagative_identity),
+    ("decomposition-closure", _check_closure),
+    ("sign-change-window", _check_sign_change),
+)
+
+
+def self_check(
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> List[Tuple[str, bool, str]]:
+    """Run the package's end-to-end invariants at ``spec``.
+
+    Returns one ``(name, passed, detail)`` row per check, in a fixed order;
+    ``detail`` is empty for a check that passed.  Convergence errors
+    (:data:`~casimir_plasmons.errors.CONVERGENCE_ERRORS`) propagate: the
+    tolerance cannot be met, so no check has a verdict.  Any other error
+    fails its own check.
+    """
+    rows = []
+    for name, check in _SELF_CHECKS:
+        try:
+            passed, detail = check(spec)
+        except CONVERGENCE_ERRORS:
+            raise
+        except (CasimirModelError, ValueError, ArithmeticError) as exc:
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        rows.append((name, passed, "" if passed else detail))
+    return rows

@@ -49,6 +49,16 @@ class NoSolution(CasimirModelError):
     """A mode equation has no solution for the requested parameters."""
 
 
+# Numeric-machinery failures: the computation could not be carried out at the
+# requested tolerance (as opposed to producing a wrong value).
+CONVERGENCE_ERRORS = (
+    ConvergenceFailure,
+    TailBoundViolated,
+    NonFiniteIntegrand,
+    ExtrapolationUnstable,
+)
+
+
 def require_positive_finite(name: str, value: object) -> float:
     """Return ``value`` as a float if it is an int or float in ``(0, inf)``.
 

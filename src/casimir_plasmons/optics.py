@@ -146,8 +146,13 @@ def reflection_sq_imag_axis(
     if pol is Polarization.TE:
         amplitude = (kappa - kappa_t) / (kappa + kappa_t)
     else:
-        # kappa_t / eps(i Xi) written so that neither factor can overflow.
-        ratio = Omega_P / Xi
-        reduced = kappa_t / (1.0 + ratio * ratio)
+        # kappa_t / eps(i Xi) written so that neither factor can overflow;
+        # where (Omega_P / Xi)**2 itself could, through its reciprocal.
+        if Xi_lo < 1e-150 * Omega_P:
+            q_sq = (Xi / Omega_P) ** 2
+            reduced = kappa_t * q_sq / (1.0 + q_sq)
+        else:
+            ratio = Omega_P / Xi
+            reduced = kappa_t / (1.0 + ratio * ratio)
         amplitude = (kappa - reduced) / (kappa + reduced)
     return amplitude * amplitude

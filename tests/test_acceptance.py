@@ -136,7 +136,7 @@ def test_09_branch_ordering_single_lightcone_crossing_and_degeneracy() -> None:
         assert m.Omega <= z.Omega + 1e-12
         assert z.Omega <= p.Omega + 1e-12
 
-    assert all(pt.sector is Sector.EVANESCENT for pt in minus)
+    assert all(pt.sector is Sector.EVANESCENT for pt in minus + zero)
 
     sectors = [pt.sector for pt in plus]
     assert sum(1 for a, b in zip(sectors, sectors[1:]) if a is not b) == 1

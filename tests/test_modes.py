@@ -271,9 +271,10 @@ class TestBranchConstants:
         assert constants.k_P == pytest.approx(expected, rel=1e-14)
 
     def test_endpoint_against_independent_bisection(self) -> None:
-        for omega_p in (0.5, 2 * math.pi, 3 * math.pi):
+        for omega_p in (0.5, 2 * math.pi, 3 * math.pi, 50.0):
             constants = branch_constants(omega_p)
             oracle = _endpoint_oracle(omega_p)
+            assert constants.z_plus0 > 0.0
             assert constants.y_plus == pytest.approx(oracle, abs=1e-10)
             assert constants.z_plus0 == pytest.approx(oracle**2, rel=1e-9)
 
