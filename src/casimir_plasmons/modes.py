@@ -57,15 +57,18 @@ __all__ = [
     "default_dispersion_grid",
 ]
 
-# The real-arithmetic continuation below the light cone routes its tangent
-# evaluations through this module attribute so the self-check battery can
-# inject a fault and prove the continuation-consistency check has teeth.
+# The scalar real-arithmetic continuation below the light cone routes its
+# tangent evaluations through this module attribute so the self-check
+# battery can inject a fault and prove the continuation-consistency check
+# has teeth.
 _tan = math.tan
 
-# Above this size a product of four arguments can overflow; closed forms
-# switch to the ratio of their arguments there (and only there, so results
-# for ordinary arguments keep their bits).
+# Above this size a product of four arguments can overflow, below the lower
+# one they can all underflow; closed forms switch to the ratio of their
+# arguments there (and only there, so results for ordinary arguments keep
+# their bits).
 _RATIO_FORM_ABOVE = 1e75
+_RATIO_FORM_BELOW = 1e-75
 
 # Largest plasma parameter whose plus-branch endpoint lies inside the
 # endpoint's root bracket (which stops 1e-15 short of pi).
@@ -179,9 +182,9 @@ def omega0(K: float, Omega_P: float) -> float:
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
     if K == 0.0:
         return 0.0
-    if max(K, Omega_P) > _RATIO_FORM_ABOVE:
+    if not (_RATIO_FORM_BELOW <= max(K, Omega_P) <= _RATIO_FORM_ABOVE):
         # The same closed form in the ratio of the smaller to the larger
-        # argument, whose squares cannot overflow.
+        # argument, whose squares can neither overflow nor all underflow.
         if K <= Omega_P:
             t_sq = (K / Omega_P) ** 2
             return K * math.sqrt(2.0 / (1.0 + 2.0 * t_sq + math.hypot(1.0, 2.0 * t_sq)))
@@ -193,7 +196,49 @@ def omega0(K: float, Omega_P: float) -> float:
     return math.sqrt(2.0 * k2 * wp2 / (wp2 + 2.0 * k2 + discriminant))
 
 
-def _g_squared(branch: CoupledBranch, z: float, Omega_P: float) -> float:
+def _evanescent_g_squared(branch: CoupledBranch, root_z, Omega_P: float, ops):
+    """``g(z)^2`` at ``z = root_z**2 > 0``, with ``ops`` either math or numpy."""
+    root_sum = ops.hypot(root_z, Omega_P)
+    decay = ops.exp(-root_z)
+    one_minus_decay = -ops.expm1(-root_z)
+    if branch is CoupledBranch.ZERO:
+        coupling = 1.0
+    elif branch is CoupledBranch.PLUS:
+        coupling = one_minus_decay / (1.0 + decay)
+    else:
+        coupling = (1.0 + decay) / one_minus_decay
+    denominator = root_z + root_sum * coupling
+    if Omega_P > _RATIO_FORM_ABOVE:
+        # Omega_P / denominator * root_z is at most Omega_P, so the last
+        # factor overflows only where g^2 itself does.
+        return Omega_P / denominator * root_z * Omega_P
+    return Omega_P * Omega_P * root_z / denominator
+
+
+def _continued_g_squared(u, Omega_P: float, sqrt, tan):
+    """Plus-branch ``g(z)^2`` at ``z = -u**2 < 0`` (``Omega_P <= 1e15`` here)."""
+    span = sqrt((Omega_P - u) * (Omega_P + u))
+    return Omega_P * Omega_P * u / (u + span * tan(0.5 * u))
+
+
+def _plus_g_squared_at_zero(Omega_P: float) -> float:
+    if Omega_P > _RATIO_FORM_ABOVE:
+        return Omega_P / (1.0 + 0.5 * Omega_P) * Omega_P
+    return Omega_P * Omega_P / (1.0 + 0.5 * Omega_P)
+
+
+def _check_continuation(branch: CoupledBranch, u: float, Omega_P: float) -> None:
+    """Raise unless ``z = -u**2`` lies in the plus branch's continuation window."""
+    if branch is not CoupledBranch.PLUS:
+        raise DomainError("only the plus branch continues below the light cone (z < 0)")
+    if u >= min(Omega_P, math.pi):
+        raise ContinuationError(
+            f"continuation parameter u={u:.6g} outside the principal "
+            f"window [0, min(Omega_P, pi)) for Omega_P={Omega_P:.6g}"
+        )
+
+
+def _g_squared(branch: CoupledBranch, z, Omega_P: float):
     """Squared mode function g(z)^2 of one coupled branch (no domain gate).
 
     For ``z > 0`` the three branches share the structure
@@ -202,115 +247,134 @@ def _g_squared(branch: CoupledBranch, z: float, Omega_P: float) -> float:
     ``coth(sqrt(z)/2)`` (minus) or 1 (zero reference).  For ``z < 0`` only the
     plus branch continues, via ``u = sqrt(-z)`` and the tangent analogue of
     the hyperbolic form; the window ``u < min(Omega_P, pi)`` keeps that
-    continuation single-valued.
+    continuation single-valued.  Above ``Omega_P = 1e75`` the form is
+    reordered so that only a ``g^2`` beyond the float range overflows.
+
+    A scalar ``z`` is evaluated with libm (through math), whose bits the
+    branch inversions follow; an array ``z`` with numpy, one call per array.
     """
+    if np.ndim(z):
+        return _g_squared_array(branch, np.asarray(z, dtype=float), Omega_P)
     if z < 0.0:
-        if branch is not CoupledBranch.PLUS:
-            raise DomainError(
-                "only the plus branch continues below the light cone (z < 0)"
-            )
         u = math.sqrt(-z)
-        if u >= min(Omega_P, math.pi):
-            raise ContinuationError(
-                f"continuation parameter u={u:.6g} outside the principal "
-                f"window [0, min(Omega_P, pi)) for Omega_P={Omega_P:.6g}"
-            )
-        span = math.sqrt((Omega_P - u) * (Omega_P + u))
-        return Omega_P * Omega_P * u / (u + span * _tan(0.5 * u))
+        _check_continuation(branch, u, Omega_P)
+        return _continued_g_squared(u, Omega_P, math.sqrt, _tan)
     if z == 0.0:
         if branch is CoupledBranch.PLUS:
-            return Omega_P * Omega_P / (1.0 + 0.5 * Omega_P)
+            return _plus_g_squared_at_zero(Omega_P)
         return 0.0
-    root_z = math.sqrt(z)
-    root_sum = math.hypot(root_z, Omega_P)
-    decay = math.exp(-root_z)
-    one_minus_decay = -math.expm1(-root_z)
-    if branch is CoupledBranch.ZERO:
-        coupling = 1.0
-    elif branch is CoupledBranch.PLUS:
-        coupling = one_minus_decay / (1.0 + decay)
-    else:
-        coupling = (1.0 + decay) / one_minus_decay
-    return Omega_P * Omega_P * root_z / (root_z + root_sum * coupling)
+    return _evanescent_g_squared(branch, math.sqrt(z), Omega_P, math)
 
 
-def _g_squared_checked(branch: CoupledBranch, z: float, Omega_P: float) -> float:
+def _g_squared_array(branch: CoupledBranch, z: np.ndarray, Omega_P: float) -> np.ndarray:
+    """:func:`_g_squared` of an array: one numpy pass per sign of ``z``."""
+    if z.min() > 0.0:
+        return _evanescent_g_squared(branch, np.sqrt(z), Omega_P, np)
+    if z.max() < 0.0:
+        u = np.sqrt(-z)
+        _check_continuation(branch, float(u.max()), Omega_P)
+        return _continued_g_squared(u, Omega_P, np.sqrt, np.tan)
+    g_sq = np.zeros(z.shape)
+    for part in (z < 0.0, z > 0.0):
+        if part.any():
+            g_sq[part] = _g_squared_array(branch, z[part], Omega_P)
+    if branch is CoupledBranch.PLUS:
+        g_sq[z == 0.0] = _plus_g_squared_at_zero(Omega_P)
+    return g_sq
+
+
+def _g_squared_checked(branch: CoupledBranch, z, Omega_P: float):
     """``_g_squared`` plus the checks it omits: finite inputs, plus-branch endpoint."""
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    if not math.isfinite(z):
+    z_min, z_max = (float(z.min()), float(z.max())) if np.ndim(z) else (z, z)
+    if not (-math.inf < z_min and z_max < math.inf):
         raise DomainError("z must be finite")
     g_sq = _g_squared(branch, z, Omega_P)
-    if z < 0.0:
+    if z_min < 0.0:
         z_plus0 = branch_constants(Omega_P).z_plus0
-        if z < -z_plus0 * (1.0 + 1e-12):
+        if z_min < -z_plus0 * (1.0 + 1e-12):
             raise DomainError(
-                f"z={z!r} lies below the plus-branch endpoint -z_plus0="
+                f"z={z_min!r} lies below the plus-branch endpoint -z_plus0="
                 f"{-z_plus0!r} for Omega_P={Omega_P:.6g}"
             )
     return g_sq
 
 
-def f_branch(kind: Union[CoupledBranch, str], z: float, Omega_P: float) -> float:
+def f_branch(kind: Union[CoupledBranch, str], z, Omega_P: float):
     """Characteristic function ``f(z) = z + g(z)**2`` of a coupled branch.
 
     Strictly increasing in ``z`` on its domain; the branch frequency at
     wavevector ``K`` solves ``f(z) = K**2``.  The minus and zero branches are
     defined for ``z >= 0``; the plus branch extends down to ``-z_plus0``.
+    ``z`` may be a numpy array.
     """
     return z + _g_squared_checked(_coerce_branch(kind), z, Omega_P)
 
 
-def g_branch(kind: Union[CoupledBranch, str], z: float, Omega_P: float) -> float:
-    """Mode function ``g(z) = sqrt(f(z) - z)``; non-negative on its domain."""
-    return math.sqrt(_g_squared_checked(_coerce_branch(kind), z, Omega_P))
+def g_branch(kind: Union[CoupledBranch, str], z, Omega_P: float):
+    """Mode function ``g(z) = sqrt(f(z) - z)``; non-negative on its domain.
+
+    ``z`` may be a numpy array.
+    """
+    g_sq = _g_squared_checked(_coerce_branch(kind), z, Omega_P)
+    return np.sqrt(g_sq) if np.ndim(g_sq) else math.sqrt(g_sq)
 
 
-def g_branch_combination(z: float, Omega_P: float) -> float:
+def g_branch_combination(z, Omega_P: float):
     """The combination ``g_plus + g_minus - 2*g_zero`` without cancellation.
 
     All three mode functions share the plateau ``Omega_P/sqrt(2)`` at large
     ``z``, so the naive sum loses all significance once the differences fall
     below machine precision; this evaluation reorganises the sum so the
     plateau cancels algebraically and the exp(-sqrt(z)) decay of the
-    remainder is computed directly.  Defined for ``z >= 0``.
+    remainder is computed directly.  Defined for ``z >= 0``; ``z`` may be a
+    numpy array, evaluated in one pass (a float in, a float out).
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    if not (0.0 <= z < math.inf):
+    z_array = np.asarray(z, dtype=float)
+    if not (0.0 <= z_array.min() and z_array.max() < math.inf):
         raise DomainError(
             f"the branch combination is defined for finite z >= 0, got {z!r}"
         )
-    if z == 0.0:
+    root_z = np.sqrt(z_array)
+    total = root_z + np.hypot(root_z, Omega_P)
+    decay = np.exp(-root_z)
+    one_minus_decay = -np.expm1(-root_z)
+    # (Omega_P / total)**2, from the product of four arguments where that
+    # cannot overflow; np.where evaluates both forms, so the discarded one
+    # may overflow or divide by zero (at z = 0) unseen.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scaled = Omega_P / total
+        scaled_sq = np.where(
+            total <= _RATIO_FORM_ABOVE,
+            Omega_P * Omega_P / (total * total),
+            scaled * scaled,
+        )
+        ratio = decay * scaled_sq
+        one_minus_ratio = 2.0 * root_z / total + scaled_sq * one_minus_decay
+        g_zero = Omega_P * np.sqrt(root_z / total)
+        plus_factor = np.sqrt((1.0 + decay) / one_minus_ratio)
+        minus_factor = np.sqrt(one_minus_decay / (1.0 + ratio))
+        factor_sum = minus_factor + plus_factor
+        decay_sum = decay + ratio
+        one_minus_ratio_sq = one_minus_ratio * (1.0 + ratio)
+        numerator = ratio * (factor_sum + 2.0) - 2.0 * decay_sum / (
+            one_minus_ratio_sq * factor_sum
+        )
+        combination = (
+            g_zero
+            * decay_sum
+            * numerator
+            / (one_minus_ratio_sq * (plus_factor + 1.0) * (minus_factor + 1.0))
+        )
+    if z_array.min() == 0.0:
         # g_minus and g_zero vanish at z = 0; only the plus branch survives.
         if Omega_P > _RATIO_FORM_ABOVE:
-            return Omega_P / math.sqrt(1.0 + 0.5 * Omega_P)
-        return math.sqrt(_g_squared(CoupledBranch.PLUS, 0.0, Omega_P))
-    root_z = math.sqrt(z)
-    root_sum = math.hypot(root_z, Omega_P)
-    total = root_z + root_sum
-    decay = math.exp(-root_z)
-    one_minus_decay = -math.expm1(-root_z)
-    if total <= _RATIO_FORM_ABOVE:
-        ratio = decay * Omega_P * Omega_P / (total * total)
-        one_minus_ratio = (
-            2.0 * root_z * total + Omega_P * Omega_P * one_minus_decay
-        ) / (total * total)
-    else:
-        scaled = Omega_P / total
-        ratio = decay * scaled * scaled
-        one_minus_ratio = 2.0 * root_z / total + scaled * scaled * one_minus_decay
-    g_zero = Omega_P * math.sqrt(root_z / total)
-    plus_factor = math.sqrt((1.0 + decay) / one_minus_ratio)
-    minus_factor = math.sqrt(one_minus_decay / (1.0 + ratio))
-    one_minus_ratio_sq = one_minus_ratio * (1.0 + ratio)
-    numerator = ratio * (minus_factor + plus_factor + 2.0) - 2.0 * (
-        decay + ratio
-    ) / (one_minus_ratio_sq * (minus_factor + plus_factor))
-    return (
-        g_zero
-        * (decay + ratio)
-        * numerator
-        / (one_minus_ratio_sq * (plus_factor + 1.0) * (minus_factor + 1.0))
-    )
+            at_zero = Omega_P / math.sqrt(1.0 + 0.5 * Omega_P)
+        else:
+            at_zero = math.sqrt(_plus_g_squared_at_zero(Omega_P))
+        combination = np.where(z_array == 0.0, at_zero, combination)
+    return float(combination) if combination.ndim == 0 else combination
 
 
 @lru_cache(maxsize=512)

@@ -1,22 +1,37 @@
 """Reusable numeric kernel: quadrature, root finding, asymptote fitting.
 
 All physics modules funnel their numerical work through this layer so that
-tolerance handling, failure modes and determinism live in one place.  The
-one-dimensional integration routines are built on adaptive Gauss-Kronrod
-subdivision (QUADPACK via scipy), the two-dimensional one on a vectorised
-nested trapezoidal rule in logarithmic variables, and the root finder on
-Brent's bracketing hybrid; all are deterministic for identical inputs.
+tolerance handling, failure modes and determinism live in one place.
+
+Every quadrature is a trapezoidal rule after a change of variable, refined
+by step halving on one shared loop: each level evaluates only its new
+nodes, and the error estimate is the difference of the last two levels plus
+a rounding allowance (and the caller's bound on anything outside the rule's
+reach).
+
+* One-dimensional integrals use the double-exponential rules of Takahashi
+  and Mori (Publ. RIMS 9, 721 (1974)).  On a finite interval the tanh-sinh
+  rule crowds its nodes double-exponentially towards both ends, so
+  integrable square-root endpoint singularities need no special treatment;
+  on ``[a, inf)`` the exp-sinh rule does the same towards ``a`` and spreads
+  its nodes out to about ``a + 7e6``.  The integrand is evaluated on a numpy
+  array of nodes per level; scalar callables go through one adapter.
+* The two-dimensional rule is the trapezoidal rule in ``log x`` and
+  ``log y`` on a box.
+
+Roots come from Brent's bracketing hybrid (Brent 1973, *Algorithms for
+Minimization without Derivatives*, ch. 4).  Everything is deterministic for
+identical inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Tuple
+from functools import lru_cache
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import (
     ConvergenceFailure,
@@ -30,33 +45,44 @@ from .errors import (
 __all__ = [
     "QuadratureSpec",
     "RootSpec",
+    "RootInfo",
     "FitResult",
     "DEFAULT_QUADRATURE",
     "DEFAULT_ROOT",
+    "quad",
     "integrate_finite",
     "integrate_finite_with_estimate",
     "integrate_semi_infinite",
     "integrate_semi_infinite_with_estimate",
     "integrate_log_box",
+    "brentq",
     "find_root_bracketed",
     "fit_scaling_coefficient",
 ]
 
 _EPS = float(np.finfo(float).eps)
-# Smallest relative tolerance the QUADPACK wrapper accepts.
-_MIN_EPSREL = 50.0 * _EPS * (1.0 + 1e-7)
-# Brent's method refuses relative x-tolerances below 4 ulp.
+# Relative x-tolerance of Brent's method: 4 ulp, below which its steps stall
+# in rounding.
 _MIN_BRENT_RTOL = 4.0 * _EPS * (1.0 + 1e-7)
 # Abscissa beyond which the semi-infinite integrator trusts (and checks) the
 # exp(-sqrt(x)) decay envelope of the integrand.
 _TAIL_THRESHOLD = 50.0
+# Rounding allowance of every rule, relative to the sum of |weight * f|.
+_ROUNDING = 64.0 * _EPS
 # integrate_log_box: first step in log x and log y, number of step halvings,
 # and the most nodes evaluated in one numpy block.
 _LOG_BOX_STEP = 0.3
 _LOG_BOX_LEVELS = 6
 _LOG_BOX_BLOCK = 8192
-# Rounding allowance of integrate_log_box, relative to the value.
-_LOG_BOX_ROUNDING = 64.0 * _EPS
+# Double-exponential rules: first step in t, the widest window of t they
+# sum over, the part of it always evaluated, and the most step halvings.
+# The widest windows reach within 6e-38 * (b - a) of both ends (tanh-sinh)
+# and from a + 2e-31 to a + 7e6 (exp-sinh); the core, |t| <= 3, within
+# 2e-14 * (b - a) (tanh-sinh) and from a + 1.5e-7 to a + 7e6 (exp-sinh).
+_DE_STEP = 0.5
+_DE_WINDOWS = {"tanh-sinh": (-4.0, 4.0), "exp-sinh": (-4.5, 3.0)}
+_DE_CORE = 3.0
+_DE_LEVELS = 8
 
 
 @dataclass(frozen=True)
@@ -65,10 +91,13 @@ class QuadratureSpec:
 
     ``abs_tol``/``rel_tol``: the returned value carries an estimated error of
     at most ``max(abs_tol, rel_tol * |result|)``; at least one of the two must
-    be strictly positive.  ``max_subdivisions`` bounds the adaptive refinement
-    work.  A tolerance below what a routine can certify raises
-    :class:`ConvergenceFailure`: ``eta_total`` cannot certify ``rel_tol``
-    below about 3e-13 for ``Omega_P`` above about 0.5, because the strip
+    be strictly positive.  ``max_subdivisions`` caps the step halvings of
+    the one-dimensional rules, which stop at 8 in any case (each halving
+    doubles their nodes: at most about 4100 per integral); the log-box rule
+    always allows 6.  A tolerance below what a routine can certify raises
+    :class:`ConvergenceFailure`: no rule certifies ``rel_tol`` below its
+    rounding allowance of 64 ulp, and ``eta_total`` none below about 3e-13
+    for ``Omega_P`` above about 0.5, because the strip
     ``Xi < 1e-13 * min(Omega_P, 1)`` left out of its box holds about 1e-13 of
     the value.
     """
@@ -101,6 +130,15 @@ class RootSpec:
 
 
 @dataclass(frozen=True)
+class RootInfo:
+    """What one :func:`brentq` solve did."""
+
+    converged: bool
+    iterations: int
+    function_calls: int
+
+
+@dataclass(frozen=True)
 class FitResult:
     """Least-squares outcome of :func:`fit_scaling_coefficient`.
 
@@ -120,59 +158,194 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 DEFAULT_ROOT = RootSpec()
 
 
-def _guarded(f: Callable[[float], float]) -> Callable[[float], float]:
-    """Wrap an integrand so that non-finite values fail loudly."""
+def _refine(
+    level_value: Callable[[int], Tuple[float, float]],
+    levels: int,
+    target_of: Callable[[float], float],
+    tail_error: float,
+) -> Tuple[float, float, int, str]:
+    """The step-halving loop every quadrature rule runs on.
 
-    def wrapper(x: float) -> float:
-        value = f(x)
+    ``level_value(level)`` evaluates the nodes new at ``level`` (all of them
+    at level 0) and returns the rule's value and the sum of ``|weight * f|``
+    at that level.  The error estimate is the difference of the last two
+    levels plus ``tail_error`` plus the rounding allowance; refinement stops
+    once it is at most ``target_of(value)``.  Returns ``(value, error,
+    halvings, failure)``, where ``failure`` is empty on success and says why
+    otherwise: at once when the tail bound and rounding allowance alone miss
+    the target, after ``levels`` halvings when the finest level does.
+    Raises :class:`NonFiniteIntegrand` when a level sums to NaN or infinity.
+    """
+    previous, error = None, math.inf
+    for level in range(levels + 1):
+        value, magnitude = level_value(level)
         if not math.isfinite(value):
-            raise NonFiniteIntegrand(
-                f"integrand returned {value!r} at x={x!r}"
+            raise NonFiniteIntegrand(f"integrand summed to {value!r}")
+        floor = tail_error + _ROUNDING * magnitude
+        target = target_of(value)
+        if floor > target:
+            return value, floor, level, (
+                f"tail bound and rounding allowance {floor:.3e} exceed the "
+                f"requested bound {target:.3e}"
             )
-        return value
+        if previous is not None:
+            error = abs(value - previous) + floor
+            if error <= target:
+                return value, error, level, ""
+        previous = value
+    return value, error, levels, (
+        f"reached error {error:.3e} after {levels} halvings, above the "
+        f"requested bound {target:.3e}"
+    )
 
-    return wrapper
+
+@lru_cache(maxsize=None)
+def _de_nodes(rule: str, level: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes of a double-exponential rule that are new at ``level``.
+
+    Level 0 holds every multiple of ``_DE_STEP`` in the rule's widest window
+    of ``t``; level ``n`` the odd multiples of ``_DE_STEP / 2**n``.  Returns
+    ``(offset, weight)`` for the unit problem, read-only, where ``weight``
+    is ``dx/dt`` and
+
+    * tanh-sinh, ``x = tanh(pi/2 sinh t)`` mapped onto ``[0, 1]``:
+      ``offset`` is the distance from the nearer end, negative from 1;
+    * exp-sinh, ``x = exp(pi/2 sinh t)`` on ``[0, inf)``: ``offset`` is
+      ``x`` itself.
+
+    Both are formed from ``exp(-|pi/2 sinh t|)`` so that no node rounds onto
+    an end it does not reach.
+    """
+    lo, hi = _DE_WINDOWS[rule]
+    cells = round((hi - lo) / _DE_STEP) * 2**level
+    if level == 0:
+        t = np.linspace(lo, hi, cells + 1)
+    else:
+        t = lo + (hi - lo) * (2.0 * np.arange(cells // 2) + 1.0) / cells
+    u = 0.5 * math.pi * np.sinh(t)
+    if rule == "tanh-sinh":
+        e = np.exp(-2.0 * np.abs(u))
+        distance = e / (1.0 + e)
+        weight = math.pi * np.cosh(t) * distance / (1.0 + e)
+        offset = np.where(t <= 0.0, distance, -distance)
+    else:
+        offset = np.exp(u)
+        weight = 0.5 * math.pi * np.cosh(t) * offset
+    for array in (offset, weight):
+        array.flags.writeable = False
+    return offset, weight
 
 
-def _quad_checked(
-    f: Callable[[float], float],
+def quad(
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     spec: QuadratureSpec,
-) -> Tuple[float, float]:
-    """Adaptive quadrature on [a, b] with an enforced error bound.
+    tail_bound: Optional[Callable[[float], float]] = None,
+):
+    """Double-exponential quadrature of a vectorised ``f`` over ``[a, b]``.
 
-    Returns ``(value, error_estimate)``.  Raises :class:`ConvergenceFailure`
-    when the subdivision budget runs out or when the achieved error estimate
-    does not meet ``max(abs_tol, rel_tol * |value|)``.
+    ``a < b`` must be finite, except that ``b = inf`` selects the exp-sinh
+    rule; ``f`` maps an array of nodes to the array of its values.  The
+    first level evaluates the core of the window and then widens it, one
+    node per side and call, until the outermost term on each side is below
+    machine epsilon times the sum of ``|weight * f|`` (or the widest window
+    is reached); the finer levels fill in that window.  So ``f`` is never
+    evaluated much closer to an end than it contributes.  ``tail_bound(X)``
+    bounds what lies beyond the exp-sinh window's reach ``X``.
+
+    Returns ``(value, error_estimate, {"neval": nodes, "last": halvings})``,
+    and a fourth element, the reason, when the finest level allowed misses
+    ``max(abs_tol, rel_tol * |value|)``.  Raises :class:`NonFiniteIntegrand`
+    when ``f`` returns NaN or infinity at a node.
     """
-    epsrel = spec.rel_tol
-    if 0.0 < epsrel < _MIN_EPSREL:
-        # QUADPACK rejects smaller requests outright; run it at its floor and
-        # let the a-posteriori error check below decide whether the original
-        # request was actually met.
-        epsrel = _MIN_EPSREL
-    out = quad(
-        f,
-        a,
-        b,
-        epsabs=spec.abs_tol,
-        epsrel=epsrel,
-        limit=spec.max_subdivisions,
-        full_output=True,
+    rule = "exp-sinh" if b == math.inf else "tanh-sinh"
+    scale = 1.0 if b == math.inf else b - a
+    sums = [0.0, 0.0]
+    neval = 0
+
+    def add(level: int, index) -> np.ndarray:
+        """Add the nodes ``index`` of ``level`` to the sums; return their ``|w f|``."""
+        nonlocal neval
+        offset, weight = (array[index] for array in _de_nodes(rule, level))
+        if b == math.inf:
+            x = a + offset
+        else:
+            x = np.where(offset > 0.0, a, b) + scale * offset
+        fx = np.asarray(f(x), dtype=float)
+        neval += x.size
+        total = float(weight @ fx)
+        if not math.isfinite(total):
+            bad = ~np.isfinite(fx)
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise NonFiniteIntegrand(
+                    f"integrand returned {float(fx[i])!r} at x={float(x[i])!r}"
+                )
+        magnitudes = weight * np.abs(fx)
+        sums[0] += total
+        sums[1] += float(magnitudes.sum())
+        return magnitudes
+
+    # First level: the core, then one node further on each side whose
+    # outermost term still counts.
+    last = _de_nodes(rule, 0)[0].size - 1
+    centre = round(-_DE_WINDOWS[rule][0] / _DE_STEP)
+    lo, hi = centre - round(_DE_CORE / _DE_STEP), centre + round(_DE_CORE / _DE_STEP)
+    core = add(0, slice(lo, hi + 1))
+    edges = [core[0], core[-1]]
+    while True:
+        grow = [lo > 0 and edges[0] > _EPS * sums[1], hi < last and edges[1] > _EPS * sums[1]]
+        if not any(grow):
+            break
+        index = [i for i, g in ((lo - 1, grow[0]), (hi + 1, grow[1])) if g]
+        terms = add(0, np.array(index))
+        if grow[0]:
+            lo, edges[0] = lo - 1, terms[0]
+        if grow[1]:
+            hi, edges[1] = hi + 1, terms[-1]
+    tail = 0.0
+    if tail_bound is not None:
+        tail = tail_bound(a + float(_de_nodes(rule, 0)[0][hi]))
+
+    def level_value(level: int) -> Tuple[float, float]:
+        if level:
+            # The new nodes of this level between those of the window's ends.
+            add(level, slice(lo << (level - 1), hi << (level - 1)))
+        step = scale * _DE_STEP / 2**level
+        return sums[0] * step, sums[1] * step
+
+    value, error, halvings, failure = _refine(
+        level_value,
+        min(_DE_LEVELS, spec.max_subdivisions),
+        lambda v: max(spec.abs_tol, spec.rel_tol * abs(v)),
+        tail,
     )
-    value, abserr = float(out[0]), float(out[1])
+    info = {"neval": neval, "last": halvings}
+    return (value, error, info, failure) if failure else (value, error, info)
+
+
+def _quad_checked(
+    f: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    spec: QuadratureSpec,
+    tail_bound: Optional[Callable[[float], float]] = None,
+) -> Tuple[float, float]:
+    """:func:`quad`, with a missed tolerance raised as :class:`ConvergenceFailure`."""
+    out = quad(f, a, b, spec, tail_bound)
     if len(out) > 3:
-        raise ConvergenceFailure(
-            f"quadrature on [{a:g}, {b:g}] did not converge: {out[3]}"
-        )
-    bound = max(spec.abs_tol, spec.rel_tol * abs(value))
-    if abserr > bound:
-        raise ConvergenceFailure(
-            f"quadrature on [{a:g}, {b:g}] achieved error {abserr:.3e}, "
-            f"above the requested bound {bound:.3e}"
-        )
-    return value, abserr
+        raise ConvergenceFailure(f"quadrature on [{a:g}, {b:g}]: {out[3]}")
+    return out[0], out[1]
+
+
+def _on_arrays(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Adapt a scalar integrand to the array form the rules evaluate."""
+
+    def on_arrays(x: np.ndarray) -> np.ndarray:
+        return np.array([f(node) for node in x.tolist()], dtype=float)
+
+    return on_arrays
 
 
 def integrate_finite(
@@ -184,27 +357,36 @@ def integrate_finite(
     """Integrate ``f`` over ``[a, b]`` within the spec's tolerances.
 
     Bounds are signed: when ``a > b`` the result is the negative of the
-    integral over ``[b, a]``.  Integrable square-root endpoint singularities
-    are handled by the adaptive rule's extrapolation.
+    integral over ``[b, a]``.  The tanh-sinh rule never evaluates ``f`` at
+    ``0`` (an endpoint there is approached through representable nodes), so
+    an integrable singularity there, up to ``x**-0.5``, needs no special
+    care; at another endpoint the nearest nodes round onto it, and ``f``
+    must be finite there.  An interior kink slows convergence down to that
+    of a plain trapezoidal rule; split the interval at it.
     """
     return integrate_finite_with_estimate(f, a, b, spec)[0]
 
 
 def integrate_finite_with_estimate(
-    f: Callable[[float], float],
+    f: Callable,
     a: float,
     b: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    *,
+    vectorized: bool = False,
 ) -> Tuple[float, float]:
-    """Like :func:`integrate_finite` but also returns the error estimate."""
+    """Like :func:`integrate_finite` but also returns the error estimate.
+
+    With ``vectorized=True``, ``f`` takes and returns numpy arrays.
+    """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration bounds must be finite")
     if a == b:
         return 0.0, 0.0
     if a > b:
-        value, err = integrate_finite_with_estimate(f, b, a, spec)
+        value, err = integrate_finite_with_estimate(f, b, a, spec, vectorized=vectorized)
         return -value, err
-    return _quad_checked(_guarded(f), a, b, spec)
+    return _quad_checked(f if vectorized else _on_arrays(f), a, b, spec)
 
 
 def integrate_semi_infinite(
@@ -215,29 +397,37 @@ def integrate_semi_infinite(
     """Integrate ``f`` over ``[a, inf)`` for integrands with exp(-sqrt(x)) tails.
 
     The integrand must decay at least as fast as ``C * exp(-sqrt(x))`` beyond
-    ``x = 50``.  The truncation point is chosen adaptively by probing the
-    integrand against that envelope; the neglected tail is certified below
-    the requested tolerance.  Raises :class:`TailBoundViolated` when probe
-    samples beyond the threshold fail to decrease.
+    ``x = 50``.  Six probes beyond that point fix ``C``; the part beyond the
+    exp-sinh rule's reach is bounded through that envelope and added to the
+    error estimate.  Raises :class:`TailBoundViolated` when the probe samples
+    fail to decrease.
     """
     return integrate_semi_infinite_with_estimate(f, a, spec)[0]
 
 
 def integrate_semi_infinite_with_estimate(
-    f: Callable[[float], float],
+    f: Callable,
     a: float,
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    *,
+    vectorized: bool = False,
 ) -> Tuple[float, float]:
-    """Like :func:`integrate_semi_infinite` with an error estimate."""
+    """Like :func:`integrate_semi_infinite` with an error estimate.
+
+    With ``vectorized=True``, ``f`` takes and returns numpy arrays.
+    """
     if not math.isfinite(a):
         raise DomainError("lower bound must be finite")
-    g = _guarded(f)
+    g = f if vectorized else _on_arrays(f)
 
     # Probe the tail region against the exp(-sqrt(x)) envelope.
     t0 = max(a, _TAIL_THRESHOLD)
     step = max(1.0, 0.1 * abs(t0))
     probes = [t0 + step * (1.7**j - 1.0) for j in range(6)]
-    magnitudes = [abs(g(t)) for t in probes]
+    magnitudes = np.abs(np.asarray(g(np.array(probes)), dtype=float)).tolist()
+    for t, v in zip(probes, magnitudes):
+        if not math.isfinite(v):
+            raise NonFiniteIntegrand(f"integrand returned {v!r} at x={t!r}")
     for earlier, later in zip(magnitudes, magnitudes[1:]):
         if later > earlier * (1.0 + 1e-12) + 1e-300:
             raise TailBoundViolated(
@@ -245,43 +435,20 @@ def integrate_semi_infinite_with_estimate(
                 f"(|f| went {earlier:.3e} -> {later:.3e})"
             )
 
-    # Envelope constant in log space: |f(x)| <= exp(log_c) * exp(-sqrt(x)).
-    recent: list[Tuple[float, float]] = list(zip(probes, magnitudes))
+    # |f(x)| <= C exp(-sqrt(x)) with C from the last four probes, so beyond
+    # the rule's reach X lies at most 2 C (sqrt(X) + 1) exp(-sqrt(X)).
+    log_c = max(
+        (math.log(v) + math.sqrt(t) for t, v in zip(probes[-4:], magnitudes[-4:]) if v > 0.0),
+        default=-math.inf,
+    )
 
-    def log_envelope_constant() -> float:
-        best = -math.inf
-        for t, v in recent[-4:]:
-            if v > 0.0:
-                best = max(best, math.log(v) + math.sqrt(t))
-        return best
-
-    def tail_bound(upper: float) -> float:
-        log_c = log_envelope_constant()
+    def tail_bound(reach: float) -> float:
         if log_c == -math.inf:
             return 0.0
-        s = math.sqrt(upper)
-        exponent = log_c + math.log(2.0 * (s + 1.0)) - s
-        return math.exp(min(700.0, exponent))
+        s = math.sqrt(reach)
+        return math.exp(min(700.0, log_c + math.log(2.0 * (s + 1.0)) - s))
 
-    truncation = probes[-1]
-    body, err = _quad_checked(g, a, truncation, spec) if truncation > a else (0.0, 0.0)
-    target = max(spec.abs_tol, spec.rel_tol * abs(body))
-    extensions = 0
-    while tail_bound(truncation) > target:
-        extensions += 1
-        if extensions > 120:
-            raise ConvergenceFailure(
-                "tail truncation for the semi-infinite integral could not be "
-                f"certified below {target:.3e}"
-            )
-        new_truncation = truncation * 1.7 + step
-        piece, piece_err = _quad_checked(g, truncation, new_truncation, spec)
-        body += piece
-        err += piece_err
-        truncation = new_truncation
-        recent.append((truncation, abs(g(truncation))))
-        target = max(spec.abs_tol, spec.rel_tol * abs(body))
-    return body, err + tail_bound(truncation)
+    return _quad_checked(g, a, math.inf, spec, tail_bound)
 
 
 def _log_axis(lo: float, hi: float, steps: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -325,8 +492,9 @@ def integrate_log_box(
     ``x * y``), which suits integrands that vary on every scale from the
     lower bounds up and decay at least like a power at both lower edges.
     ``f`` is vectorised: it receives a column of ``x`` and a row of ``y``
-    (at most about 8192 nodes together) and returns their broadcast block.
-    Each level halves both steps and evaluates only the new nodes.
+    (at most about 8192 nodes together) and returns their broadcast block;
+    its values must not be negative.  Each level halves both steps and
+    evaluates only the new nodes.
 
     Returns ``(value, error_estimate)``.  The estimate is the difference of
     the last two levels, plus ``tail_error`` (the caller's bound on what lies
@@ -339,12 +507,18 @@ def integrate_log_box(
     :class:`NonFiniteIntegrand` when a level sums to NaN or infinity.
     """
     for lo, hi in (x_bounds, y_bounds):
-        if not (0.0 < lo < hi < math.inf):
-            raise DomainError(f"log-box bounds must satisfy 0 < lo < hi < inf, got {(lo, hi)}")
+        if not (0.0 < lo < hi and hi / lo < math.inf):
+            raise DomainError(
+                f"log-box bounds must satisfy 0 < lo < hi with a finite ratio hi/lo, "
+                f"got {(lo, hi)}"
+            )
     widths = [math.log(hi / lo) for lo, hi in (x_bounds, y_bounds)]
-    steps = [max(1, math.ceil(width / _LOG_BOX_STEP)) for width in widths]
-    weighted_sum, previous = 0.0, None
-    for level in range(_LOG_BOX_LEVELS + 1):
+    first_steps = [max(1, math.ceil(width / _LOG_BOX_STEP)) for width in widths]
+    weighted_sum = 0.0
+
+    def level_value(level: int) -> Tuple[float, float]:
+        nonlocal weighted_sum
+        steps = [n * 2**level for n in first_steps]
         x, wx = _log_axis(*x_bounds, steps[0])
         y, wy = _log_axis(*y_bounds, steps[1])
         if level == 0:
@@ -354,25 +528,81 @@ def integrate_log_box(
             weighted_sum += _tensor_sum(f, x[1::2], wx[1::2], y, wy)
             weighted_sum += _tensor_sum(f, x[::2], wx[::2], y[1::2], wy[1::2])
         value = weighted_sum * (widths[0] / steps[0]) * (widths[1] / steps[1])
-        if not math.isfinite(value):
-            raise NonFiniteIntegrand(f"log-box integrand summed to {value!r}")
-        floor = tail_error + _LOG_BOX_ROUNDING * abs(value)
-        target = spec.rel_tol * abs(value) if spec.rel_tol > 0.0 else spec.abs_tol
-        if floor > target:
-            raise ConvergenceFailure(
-                f"log-box tail bound and rounding allowance {floor:.3e} exceed "
-                f"the requested bound {target:.3e}"
-            )
-        if previous is not None:
-            error = abs(value - previous) + floor
-            if error <= target:
-                return value, error
-        previous = value
-        steps = [2 * n for n in steps]
-    raise ConvergenceFailure(
-        f"log-box trapezoid rule reached error {error:.3e} after {_LOG_BOX_LEVELS} "
-        f"halvings, above the requested bound {target:.3e}"
+        return value, abs(value)
+
+    value, error, _, failure = _refine(
+        level_value,
+        _LOG_BOX_LEVELS,
+        lambda v: spec.rel_tol * abs(v) if spec.rel_tol > 0.0 else spec.abs_tol,
+        tail_error,
     )
+    if failure:
+        raise ConvergenceFailure(f"log-box trapezoid rule: {failure}")
+    return value, error
+
+
+def brentq(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float,
+    rtol: float,
+    maxiter: int,
+) -> Tuple[float, RootInfo]:
+    """Brent's root finder on a bracket ``[a, b]`` with a sign change.
+
+    A line-for-line transcription of the classic C implementation of
+    Brent (1973), ch. 4: inverse quadratic (or secant) steps while they
+    shrink the bracket fast enough, bisection otherwise, converged once half
+    the bracket is below ``(xtol + rtol * |x|) / 2``.  Returns ``(root,
+    info)``; after ``maxiter`` iterations ``info.converged`` is false.
+    Raises :class:`InvalidBracket` when ``f(a)`` and ``f(b)`` share a sign.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    calls = 2
+    if fpre == 0.0:
+        return xpre, RootInfo(True, 0, calls)
+    if fcur == 0.0:
+        return xcur, RootInfo(True, 0, calls)
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise InvalidBracket(f"no sign change on bracket [{a:g}, {b:g}]")
+    for iteration in range(1, maxiter + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, RootInfo(True, iteration, calls)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        calls += 1
+    return xcur, RootInfo(False, maxiter, calls)
 
 
 def find_root_bracketed(
@@ -401,16 +631,7 @@ def find_root_bracketed(
         raise InvalidBracket(
             f"no sign change on bracket: g({lo:g})={g_lo:.6g}, g({hi:g})={g_hi:.6g}"
         )
-    root, info = brentq(
-        g,
-        lo,
-        hi,
-        xtol=spec.x_tol,
-        rtol=_MIN_BRENT_RTOL,
-        maxiter=spec.max_iterations,
-        full_output=True,
-        disp=False,
-    )
+    root, info = brentq(g, lo, hi, spec.x_tol, _MIN_BRENT_RTOL, spec.max_iterations)
     if not info.converged:
         raise ConvergenceFailure(
             f"root search on [{lo:g}, {hi:g}] did not converge within "

@@ -19,7 +19,6 @@ from enum import Enum, unique
 from typing import Union
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import DomainError, require_positive_finite
 
@@ -33,6 +32,9 @@ __all__ = [
 ]
 
 ArrayOrFloat = Union[float, np.ndarray]
+
+#: Speed of light in vacuum, m/s (exact by the SI definition of the metre).
+SPEED_OF_LIGHT = 299792458.0
 
 #: Absolute tolerance on Omega - K below which a point counts as on the cone.
 LIGHTCONE_TOLERANCE = 1e-12

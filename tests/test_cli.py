@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from casimir_plasmons import cli, modes
+from casimir_plasmons import cli, decomposition, modes
 
 FLOAT_FIELD = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -319,7 +319,11 @@ class TestDispersion:
 
 # SHA-256 of the CLI outputs whose bytes must not change.  The dispersion
 # digests (400 points, m <= 5) were pinned from the scalar bracket scan that
-# photonic_mode used before its scan was vectorised.
+# photonic_mode used before its scan was vectorised.  The eta and sweep
+# digests were pinned again when the surface-mode integrals moved to the
+# double-exponential rules: eta_pl, eta_ph, eta_ev and their error estimates
+# moved in the last digits (each value by under 0.2% of its error estimate),
+# eta_total kept every bit.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -340,22 +344,22 @@ class TestDispersion:
         ),
         (
             ["eta", "--l-over-lambda-p", "1"],
-            "7295bd0d954602140a5f377b89ce4c1f38f1ded2c0633d9190aafd750eeb01b9",
+            "fd20e71e67a617f004fde28d0b477cb0c3ce8b7f7e4a5b7f4667166701c8cceb",
         ),
         (
             ["eta", "--l-over-lambda-p", "0.25", "--format", "json"],
-            "bd178ba0ecbf02f113eb3330135eb45d4ad9c59c9f94241fd605e0d77505b37e",
+            "f7e2483129646d177924c9856a573eff92968678825c4e8a0ab089cbb4523ce7",
         ),
         (
             ["sweep", "--range", "0.01:10", "--points", "20"],
-            "e3842fc0d60b372b48082c34c7344063dce77d0184eaf60124525723ba9ae542",
+            "4ef5e23c016ae1ebbc2dfce632470567cc9e75ad983326dc8e98d1a21e10bf92",
         ),
         (
             [
                 "sweep", "--range", "1e-8:1e-6", "--lambda-p", "137e-9",
                 "--points", "7", "--format", "json",
             ],
-            "dc02c108e592d1c1d7c1b4b525f2726b57c09f30275a1ee0a3974613b1ec675c",
+            "4064753e0da3c12e3c5c228d12d253b7c11b49cc7ba710ad138711ac56661bec",
         ),
     ],
     ids=[
@@ -440,6 +444,23 @@ class TestVerify:
         assert status["propagative-identity"] == "fail"
         assert status["quadrature-tolerance-gate"] == "pass"
         assert any(row[0] == "fail" for row in rows)
+
+    def test_understated_error_estimate_is_caught(self, capsys, monkeypatch) -> None:
+        # A branch-sum bias of 1000 * rel_tol that its error estimate does not
+        # report moves eta_pl and eta_ev between the check's two tolerances.
+        original = decomposition._branch_sum_integral
+
+        def biased(Omega_P, spec):
+            value, error = original(Omega_P, spec)
+            return value + 1e3 * spec.rel_tol, error
+
+        monkeypatch.setattr(decomposition, "_branch_sum_integral", biased)
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 1
+        _, rows = _rows(out)
+        status = {row[1]: row[0] for row in rows}
+        assert status["error-estimates-cover"] == "fail"
+        assert status["quadrature-tolerance-gate"] == "pass"
 
     def test_unreachable_tolerance_exits_three(self, capsys) -> None:
         code, _, err = run_cli(["verify", "--tol", "1e-15"], capsys)

@@ -10,13 +10,16 @@ Dual routes exercised here:
 * the short-distance coefficient against a dense trapezoid evaluation of its
   parameter-free integral;
 * the closure ``eta_pl + eta_ph = eta_total`` tying the decomposition back to
-  the independently computed total.
+  the independently computed total;
+* each of the three surface-mode integrals against ``mpmath`` at 30 digits,
+  where the reported error estimate must cover the distance.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -24,7 +27,10 @@ from casimir_plasmons.decomposition import (
     ASYMPTOTIC_FIT_WINDOW,
     AsymptoticReport,
     EtaBreakdown,
+    _branch_sum_integral,
+    _continuation_integral,
     _direct_integrand,
+    _reference_correction_integral,
     asymptotic_report,
     compute_eta_breakdown,
     eta_evanescent,
@@ -38,7 +44,8 @@ from casimir_plasmons.decomposition import (
 )
 from casimir_plasmons.errors import DomainError, ExtrapolationUnstable
 from casimir_plasmons.lifshitz import eta_total
-from casimir_plasmons.numerics import fit_scaling_coefficient
+from casimir_plasmons.modes import branch_constants
+from casimir_plasmons.numerics import DEFAULT_QUADRATURE, fit_scaling_coefficient
 
 
 # ----------------------------------------------------------------------
@@ -65,6 +72,91 @@ class TestShortDistanceAlpha:
         assert slope_ev == pytest.approx(1.7892059219720802, abs=1e-6)
         for slope in (slope_pl, slope_ev):
             assert slope == pytest.approx(1.5 * alpha, rel=2e-2)
+
+
+# ----------------------------------------------------------------------
+# The three surface-mode integrals against mpmath
+# ----------------------------------------------------------------------
+
+SURFACE_OMEGAS = [1e-7, 1e-3, 0.5, 2.0 * math.pi, 1e5]
+
+
+def _mp_branch_sum(omega_p: float) -> mp.mpf:
+    """``Int_0^inf 2 s (g_plus + g_minus - 2 g_zero)(s^2) ds`` at 30 digits.
+
+    The naive sum of the hyperbolic forms: at 30 digits its cancellation
+    costs at most about 1e-26 of the value.
+    """
+    with mp.workdps(30):
+        w = mp.mpf(omega_p)
+
+        def integrand(s):
+            if s == 0:
+                return mp.mpf(0)
+            root_sum = mp.sqrt(s * s + w**2)
+            g = [
+                mp.sqrt(w**2 * s / (s + root_sum * coupling))
+                for coupling in (mp.tanh(s / 2), mp.coth(s / 2), mp.mpf(1))
+            ]
+            return 2 * s * (g[0] + g[1] - 2 * g[2])
+
+        # Breakpoints at the scale omega_p, where g_zero turns over, and
+        # along the exp(-2 s) decay.
+        scale = [p for p in (0.1 * omega_p, omega_p) if p < 1.0]
+        return mp.quad(integrand, [0.0] + scale + [1.0, 4.0, 16.0, 64.0, mp.inf])
+
+
+def _mp_continuation(omega_p: float, y_plus: float) -> mp.mpf:
+    """``Int_0^{y_plus} 2 u g_plus(-u^2) du`` at 30 digits, tangent form."""
+    with mp.workdps(30):
+        w = mp.mpf(omega_p)
+        return mp.quad(
+            lambda u: 2 * u * mp.sqrt(w**2 * u / (u + mp.sqrt((w - u) * (w + u)) * mp.tan(u / 2))),
+            [0, mp.mpf(y_plus)],
+        )
+
+
+def _mp_reference_correction(omega_p: float, depth: float) -> mp.mpf:
+    """``Int_{sqrt(depth)}^0 2 s g_zero(s^2) ds`` at 30 digits."""
+    with mp.workdps(30):
+        w = mp.mpf(omega_p)
+        return -mp.quad(
+            lambda s: 2 * s * mp.sqrt(w**2 * s / (s + mp.sqrt(s * s + w**2))),
+            [0, mp.sqrt(mp.mpf(depth))],
+        )
+
+
+class TestSurfaceIntegralsAgainstMpmath:
+    """Each rule's reported error must cover its distance from mpmath."""
+
+    @staticmethod
+    def _assert_covered(result, reference) -> None:
+        value, error = result
+        assert 0.0 <= error < math.inf
+        assert abs(value - float(reference)) <= error
+
+    # Below about 9e-8 branch_constants, which the other two need, raises.
+    @pytest.mark.parametrize("omega_p", [1e-8] + SURFACE_OMEGAS)
+    def test_branch_sum(self, omega_p: float) -> None:
+        self._assert_covered(
+            _branch_sum_integral(omega_p, DEFAULT_QUADRATURE), _mp_branch_sum(omega_p)
+        )
+
+    @pytest.mark.parametrize("omega_p", SURFACE_OMEGAS)
+    def test_plus_branch_continuation(self, omega_p: float) -> None:
+        y_plus = branch_constants(omega_p).y_plus
+        self._assert_covered(
+            _continuation_integral(omega_p, y_plus, DEFAULT_QUADRATURE),
+            _mp_continuation(omega_p, y_plus),
+        )
+
+    @pytest.mark.parametrize("omega_p", SURFACE_OMEGAS)
+    def test_reference_correction(self, omega_p: float) -> None:
+        depth = -branch_constants(omega_p).z_0P
+        self._assert_covered(
+            _reference_correction_integral(omega_p, depth, DEFAULT_QUADRATURE),
+            _mp_reference_correction(omega_p, depth),
+        )
 
 
 # ----------------------------------------------------------------------

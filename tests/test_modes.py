@@ -631,6 +631,54 @@ class TestHugePlasmaParameter:
                 oracle = float(terms[0] + terms[1] - 2 * terms[2])
             assert g_branch_combination(z, omega_p) == pytest.approx(oracle, rel=1e-13)
 
+    @pytest.mark.parametrize("omega_p", [1e75, 1e76, 1e154, 1e160, 1e200, 1e300])
+    def test_branch_functions_match_high_precision_oracle(self, omega_p: float) -> None:
+        # Where g**2 is representable the ratio form keeps both functions finite
+        # and accurate, although Omega_P**2 overflows from about 1.3e154.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for z in (1e-6, 1.0, 1e4):
+                for branch in CoupledBranch:
+                    oracle = _g_squared_oracle_positive(branch, z, omega_p)
+                    assert g_branch(branch, z, omega_p) == pytest.approx(
+                        math.sqrt(oracle), rel=1e-14
+                    )
+                    assert f_branch(branch, z, omega_p) == pytest.approx(z + oracle, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "branch, z, omega_p, f_bits, g_bits",
+        [
+            ("plus", -0.25, 2 * math.pi, "0x1.24e4645c41782p+3", "0x1.88802c962b6e0p+1"),
+            ("plus", 0.0, 1e-3, "0x1.0c4d2258e4e06p-20", "0x1.061417d39f118p-10"),
+            ("plus", 7.0, 2 * math.pi, "0x1.333c4f4135683p+4", "0x1.bf2022a4fbe74p+1"),
+            ("minus", 1e-3, 1e-3, "0x1.0625e870a4f86p-10", "0x1.0591459864804p-13"),
+            ("minus", 7.0, 1e75, "0x1.44c1baa99de08p+250", "0x1.20560d376ffa1p+125"),
+            ("zero", 1e4, 1e75, "0x1.ba2bfd0d5ff5ap+255", "0x1.dbce813831a70p+127"),
+            ("zero", 0.5, 3.0, "0x1.16f8334644df9p+1", "0x1.4bc2720600b85p+0"),
+        ],
+    )
+    def test_branch_functions_keep_their_bits_up_to_the_ratio_form(
+        self, branch, z, omega_p, f_bits, g_bits
+    ) -> None:
+        # Pinned from the libm evaluation the dispersion tables were computed
+        # with; the ratio form only takes over above Omega_P = 1e75.
+        assert f_branch(branch, z, omega_p).hex() == f_bits
+        assert g_branch(branch, z, omega_p).hex() == g_bits
+
+    def test_branch_functions_take_arrays(self) -> None:
+        z = np.array([-0.25, 0.0, 1e-3, 7.0])
+        values = g_branch(CoupledBranch.PLUS, z, 2 * math.pi)
+        scalars = [g_branch(CoupledBranch.PLUS, float(x), 2 * math.pi) for x in z]
+        assert values == pytest.approx(scalars, rel=1e-15)
+        combination = g_branch_combination(z[1:], 2 * math.pi)
+        assert combination == pytest.approx(
+            [g_branch_combination(float(x), 2 * math.pi) for x in z[1:]], rel=1e-15
+        )
+        with pytest.raises(DomainError):
+            g_branch(CoupledBranch.ZERO, z, 2 * math.pi)
+        with pytest.raises(ContinuationError):
+            g_branch(CoupledBranch.PLUS, np.array([-16.0, 1.0]), 10.0)
+
 
 @given(
     log_omega=st.floats(-10.0, 300.0),

@@ -21,8 +21,10 @@ from casimir_plasmons.errors import (
     TailBoundViolated,
 )
 from casimir_plasmons.numerics import (
+    DEFAULT_QUADRATURE,
     QuadratureSpec,
     RootSpec,
+    brentq,
     find_root_bracketed,
     fit_scaling_coefficient,
     integrate_finite,
@@ -30,6 +32,7 @@ from casimir_plasmons.numerics import (
     integrate_log_box,
     integrate_semi_infinite,
     integrate_semi_infinite_with_estimate,
+    quad,
 )
 
 
@@ -129,6 +132,35 @@ def test_cubic_polynomials_integrate_to_closed_form(a, b, c, d, lo, width):
     expected = antiderivative(hi) - antiderivative(lo)
     value = integrate_finite(poly, lo, hi)
     assert abs(value - expected) <= 1e-9 * (1.0 + abs(expected))
+
+
+def test_rule_reports_its_work_and_failures():
+    value, error, info = quad(lambda x: x * x, 0.0, 1.0, DEFAULT_QUADRATURE)
+    assert abs(value - 1.0 / 3.0) <= error
+    assert info["neval"] > 0 and info["last"] >= 1
+    # One halving cannot resolve an interior kink to 1e-13: a fourth element
+    # says why, and the checked entry raises it.
+    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13, max_subdivisions=1)
+    out = quad(lambda x: np.sqrt(np.abs(x - 0.3537)), 0.0, 1.0, spec)
+    assert len(out) == 4 and out[2]["last"] == 1 and "halvings" in out[3]
+
+
+def test_rule_approaches_an_end_only_as_far_as_it_contributes():
+    # The first level widens its window node by node while the outermost
+    # term counts: x**2 is done near 1e-14 from the origin, whereas the
+    # weight of 1/sqrt(x) draws nodes towards it down to below 1e-30.
+    def lowest(f):
+        seen = []
+
+        def recorded(x):
+            seen.append(x.min())
+            return f(x)
+
+        quad(recorded, 0.0, 1.0, DEFAULT_QUADRATURE)
+        return min(seen)
+
+    assert lowest(lambda x: x * x) > 1e-20
+    assert lowest(lambda x: 0.5 / np.sqrt(x)) < 1e-30
 
 
 def test_quadrature_is_deterministic():
@@ -311,6 +343,18 @@ def test_root_spec_validation():
         RootSpec(x_tol=0.0)
     with pytest.raises(DomainError):
         RootSpec(max_iterations=0)
+
+
+def test_brent_reports_iterations_and_calls():
+    root, info = brentq(math.cos, 1.0, 2.0, 1e-14, 4.0 * 2.0**-52, 100)
+    assert root == pytest.approx(0.5 * math.pi, abs=1e-13)
+    assert info.converged and info.iterations >= 1
+    # Two endpoint calls, then one per iteration but the converging one.
+    assert info.function_calls == info.iterations + 1
+    _, stalled = brentq(math.cos, 1.0, 2.0, 1e-14, 4.0 * 2.0**-52, 2)
+    assert not stalled.converged and stalled.iterations == 2
+    with pytest.raises(InvalidBracket):
+        brentq(math.cos, 0.0, 1.0, 1e-14, 4.0 * 2.0**-52, 100)
 
 
 def test_root_is_deterministic():
