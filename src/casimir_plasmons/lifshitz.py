@@ -13,7 +13,12 @@ wavevector ``K`` and the rotated frequency ``Xi`` (both scaled by ``L/c``):
 
 with ``kappa = sqrt(Xi**2 + K**2)`` and the squared reflection amplitudes of
 :func:`casimir_plasmons.optics.reflection_sq_imag_axis`.  On the imaginary
-axis the integrand is smooth and strictly negative.
+axis the integrand is smooth and strictly negative.  It is evaluated on
+blocks of nodes, a column of ``K`` against a row of ``Xi``, with one call of
+the optics kernel per block: that validates the block once and returns
+``kappa`` and both squared amplitudes, and the damping, the two logarithms
+and the weight ``K`` are applied in place, in the operations (and so to the
+bits) of one amplitude call per polarization.
 
 Quadrature.  In the variables ``ln K`` and ``ln Xi`` (weight ``K**2 Xi``) the
 integrand has no narrow feature at any ``Omega_P``: the TM amplitude's step
@@ -22,8 +27,8 @@ falls off like ``K**2`` and ``Xi`` at the lower edges and like
 ``e^(-2 kappa)`` at the upper ones.  One trapezoidal rule in these variables,
 :func:`casimir_plasmons.numerics.integrate_log_box`, therefore covers the
 box ``K in [1e-7, 45]``, ``Xi in [1e-13 min(Omega_P, 1), 45]`` with no
-breakpoint.  It halves both steps until two levels agree, evaluates only the
-new nodes of each level, and feeds the nodes through numpy blocks.
+breakpoint.  It halves both steps until two levels agree and evaluates only
+the new nodes of each level.
 
 Error estimate.  The reported error covers both axes: the difference of the
 last two levels (an estimate of the coarser level's error; the finer level is
@@ -38,6 +43,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Tuple
 
 import numpy as np
@@ -49,7 +55,8 @@ from .errors import (
     require_positive_finite,
 )
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_log_box
-from .optics import SPEED_OF_LIGHT, PlasmaMirror, Polarization, reflection_sq_imag_axis
+from .optics import SPEED_OF_LIGHT, PlasmaMirror, _reflection_sq_both
+from .optics import reflection_sq_imag_axis  # unused; perfbench/tracing.py patches it by name
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -149,6 +156,26 @@ def _tail_bound(Omega_P: float, Xi_min: float) -> float:
     return small_K + small_Xi + beyond
 
 
+def _mode_sum_integrand(K: np.ndarray, Xi: np.ndarray, Omega_P: float) -> np.ndarray:
+    """``K * sum_pol ln(1 - r_pol^2 e^(-2 kappa))`` on a block of nodes, in place."""
+    kappa, total, tm = _reflection_sq_both(K, Xi, Omega_P)
+    damping = np.exp(np.multiply(kappa, -2.0, out=kappa), out=kappa)
+    np.negative(damping, out=damping)
+    total *= damping
+    tm *= damping
+    np.log1p(total, out=total)
+    total += np.log1p(tm, out=tm)
+    # Strictly negative and finite wherever the mirror is imperfect; any
+    # other value signals a broken reflection amplitude.
+    if not (-math.inf < total.min() and total.max() <= 0.0):
+        raise NonFiniteIntegrand(
+            f"mode-sum integrand invalid in the block K in [{K.min():g}, {K.max():g}], "
+            f"Xi in [{Xi.min():g}, {Xi.max():g}] at Omega_P={Omega_P:g}"
+        )
+    total *= K
+    return total
+
+
 def _eta_total_detailed(
     Omega_P: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> Tuple[float, float]:
@@ -156,20 +183,7 @@ def _eta_total_detailed(
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     # The strip below Xi_min is at most ~1e-12 of the value (see _tail_bound).
     xi_range = (1e-13 * min(Omega_P, 1.0), _AXIS_CUTOFF)
-
-    def integrand(K: np.ndarray, Xi: np.ndarray) -> np.ndarray:
-        # Strictly negative and finite wherever the mirror is imperfect; any
-        # other value signals a broken reflection amplitude.
-        damping = np.exp(-2.0 * np.hypot(K, Xi))
-        total = np.log1p(-reflection_sq_imag_axis(Polarization.TE, K, Xi, Omega_P) * damping)
-        total += np.log1p(-reflection_sq_imag_axis(Polarization.TM, K, Xi, Omega_P) * damping)
-        if not (-math.inf < total.min() and total.max() <= 0.0):
-            raise NonFiniteIntegrand(
-                f"mode-sum integrand invalid in the block K in [{K.min():g}, {K.max():g}], "
-                f"Xi in [{Xi.min():g}, {Xi.max():g}] at Omega_P={Omega_P:g}"
-            )
-        return K * total
-
+    integrand = partial(_mode_sum_integrand, Omega_P=Omega_P)
     try:
         value, error = integrate_log_box(
             integrand, _K_RANGE, xi_range, spec, _tail_bound(Omega_P, xi_range[0])

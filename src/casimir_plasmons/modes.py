@@ -196,8 +196,8 @@ def omega0(K: float, Omega_P: float) -> float:
     return math.sqrt(2.0 * k2 * wp2 / (wp2 + 2.0 * k2 + discriminant))
 
 
-def _evanescent_g_squared(branch: CoupledBranch, root_z, Omega_P: float, ops):
-    """``g(z)^2`` at ``z = root_z**2 > 0``, with ``ops`` either math or numpy."""
+def _evanescent_g_squared(branch: CoupledBranch, root_z, Omega_P: float, ops, root: bool):
+    """``g(z)^2`` (or ``g`` if ``root``) at ``z = root_z**2 > 0``; ``ops`` is math or numpy."""
     root_sum = ops.hypot(root_z, Omega_P)
     decay = ops.exp(-root_z)
     one_minus_decay = -ops.expm1(-root_z)
@@ -209,10 +209,12 @@ def _evanescent_g_squared(branch: CoupledBranch, root_z, Omega_P: float, ops):
         coupling = (1.0 + decay) / one_minus_decay
     denominator = root_z + root_sum * coupling
     if Omega_P > _RATIO_FORM_ABOVE:
-        # Omega_P / denominator * root_z is at most Omega_P, so the last
-        # factor overflows only where g^2 itself does.
-        return Omega_P / denominator * root_z * Omega_P
-    return Omega_P * Omega_P * root_z / denominator
+        # scaled is at most Omega_P, so scaled * Omega_P overflows only where
+        # g^2 itself does; g, the product of the roots, is finite wherever g is.
+        scaled = Omega_P / denominator * root_z
+        return ops.sqrt(scaled) * math.sqrt(Omega_P) if root else scaled * Omega_P
+    g_sq = Omega_P * Omega_P * root_z / denominator
+    return ops.sqrt(g_sq) if root else g_sq
 
 
 def _continued_g_squared(u, Omega_P: float, sqrt, tan):
@@ -221,10 +223,12 @@ def _continued_g_squared(u, Omega_P: float, sqrt, tan):
     return Omega_P * Omega_P * u / (u + span * tan(0.5 * u))
 
 
-def _plus_g_squared_at_zero(Omega_P: float) -> float:
+def _plus_g_squared_at_zero(Omega_P: float, root: bool = False) -> float:
     if Omega_P > _RATIO_FORM_ABOVE:
-        return Omega_P / (1.0 + 0.5 * Omega_P) * Omega_P
-    return Omega_P * Omega_P / (1.0 + 0.5 * Omega_P)
+        scaled = Omega_P / (1.0 + 0.5 * Omega_P)
+        return math.sqrt(scaled) * math.sqrt(Omega_P) if root else scaled * Omega_P
+    g_sq = Omega_P * Omega_P / (1.0 + 0.5 * Omega_P)
+    return math.sqrt(g_sq) if root else g_sq
 
 
 def _check_continuation(branch: CoupledBranch, u: float, Omega_P: float) -> None:
@@ -238,8 +242,8 @@ def _check_continuation(branch: CoupledBranch, u: float, Omega_P: float) -> None
         )
 
 
-def _g_squared(branch: CoupledBranch, z, Omega_P: float):
-    """Squared mode function g(z)^2 of one coupled branch (no domain gate).
+def _g_squared(branch: CoupledBranch, z, Omega_P: float, root: bool = False):
+    """Squared mode function g(z)^2 (g(z) if ``root``) of one branch (no domain gate).
 
     For ``z > 0`` the three branches share the structure
     ``Omega_P^2 * sqrt(z) / (sqrt(z) + sqrt(z + Omega_P^2) * h)`` with the
@@ -248,48 +252,51 @@ def _g_squared(branch: CoupledBranch, z, Omega_P: float):
     plus branch continues, via ``u = sqrt(-z)`` and the tangent analogue of
     the hyperbolic form; the window ``u < min(Omega_P, pi)`` keeps that
     continuation single-valued.  Above ``Omega_P = 1e75`` the form is
-    reordered so that only a ``g^2`` beyond the float range overflows.
+    reordered so that only a ``g^2`` beyond the float range overflows, and
+    ``g`` is taken without forming ``g^2``.
 
     A scalar ``z`` is evaluated with libm (through math), whose bits the
     branch inversions follow; an array ``z`` with numpy, one call per array.
     """
     if np.ndim(z):
-        return _g_squared_array(branch, np.asarray(z, dtype=float), Omega_P)
+        return _g_squared_array(branch, np.asarray(z, dtype=float), Omega_P, root)
     if z < 0.0:
         u = math.sqrt(-z)
         _check_continuation(branch, u, Omega_P)
-        return _continued_g_squared(u, Omega_P, math.sqrt, _tan)
+        g_sq = _continued_g_squared(u, Omega_P, math.sqrt, _tan)
+        return math.sqrt(g_sq) if root else g_sq
     if z == 0.0:
         if branch is CoupledBranch.PLUS:
-            return _plus_g_squared_at_zero(Omega_P)
+            return _plus_g_squared_at_zero(Omega_P, root)
         return 0.0
-    return _evanescent_g_squared(branch, math.sqrt(z), Omega_P, math)
+    return _evanescent_g_squared(branch, math.sqrt(z), Omega_P, math, root)
 
 
-def _g_squared_array(branch: CoupledBranch, z: np.ndarray, Omega_P: float) -> np.ndarray:
+def _g_squared_array(branch: CoupledBranch, z: np.ndarray, Omega_P: float, root: bool):
     """:func:`_g_squared` of an array: one numpy pass per sign of ``z``."""
     if z.min() > 0.0:
-        return _evanescent_g_squared(branch, np.sqrt(z), Omega_P, np)
+        return _evanescent_g_squared(branch, np.sqrt(z), Omega_P, np, root)
     if z.max() < 0.0:
         u = np.sqrt(-z)
         _check_continuation(branch, float(u.max()), Omega_P)
-        return _continued_g_squared(u, Omega_P, np.sqrt, np.tan)
+        g_sq = _continued_g_squared(u, Omega_P, np.sqrt, np.tan)
+        return np.sqrt(g_sq) if root else g_sq
     g_sq = np.zeros(z.shape)
     for part in (z < 0.0, z > 0.0):
         if part.any():
-            g_sq[part] = _g_squared_array(branch, z[part], Omega_P)
+            g_sq[part] = _g_squared_array(branch, z[part], Omega_P, root)
     if branch is CoupledBranch.PLUS:
-        g_sq[z == 0.0] = _plus_g_squared_at_zero(Omega_P)
+        g_sq[z == 0.0] = _plus_g_squared_at_zero(Omega_P, root)
     return g_sq
 
 
-def _g_squared_checked(branch: CoupledBranch, z, Omega_P: float):
+def _g_squared_checked(branch: CoupledBranch, z, Omega_P: float, root: bool = False):
     """``_g_squared`` plus the checks it omits: finite inputs, plus-branch endpoint."""
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     z_min, z_max = (float(z.min()), float(z.max())) if np.ndim(z) else (z, z)
     if not (-math.inf < z_min and z_max < math.inf):
         raise DomainError("z must be finite")
-    g_sq = _g_squared(branch, z, Omega_P)
+    g_sq = _g_squared(branch, z, Omega_P, root)
     if z_min < 0.0:
         z_plus0 = branch_constants(Omega_P).z_plus0
         if z_min < -z_plus0 * (1.0 + 1e-12):
@@ -316,8 +323,7 @@ def g_branch(kind: Union[CoupledBranch, str], z, Omega_P: float):
 
     ``z`` may be a numpy array.
     """
-    g_sq = _g_squared_checked(_coerce_branch(kind), z, Omega_P)
-    return np.sqrt(g_sq) if np.ndim(g_sq) else math.sqrt(g_sq)
+    return _g_squared_checked(_coerce_branch(kind), z, Omega_P, root=True)
 
 
 def g_branch_combination(z, Omega_P: float):
@@ -369,10 +375,7 @@ def g_branch_combination(z, Omega_P: float):
         )
     if z_array.min() == 0.0:
         # g_minus and g_zero vanish at z = 0; only the plus branch survives.
-        if Omega_P > _RATIO_FORM_ABOVE:
-            at_zero = Omega_P / math.sqrt(1.0 + 0.5 * Omega_P)
-        else:
-            at_zero = math.sqrt(_plus_g_squared_at_zero(Omega_P))
+        at_zero = _plus_g_squared_at_zero(Omega_P, root=True)
         combination = np.where(z_array == 0.0, at_zero, combination)
     return float(combination) if combination.ndim == 0 else combination
 

@@ -115,6 +115,45 @@ def classify(K: float, Omega: float) -> Sector:
     return Sector.PROPAGATIVE if Omega > K else Sector.EVANESCENT
 
 
+def _reflection_sq_both(K: ArrayOrFloat, Xi: ArrayOrFloat, Omega_P: float):
+    """``(kappa, r_TE^2, r_TM^2)`` from one ``kappa`` and ``kappa_t``.
+
+    The one amplitude formula behind :func:`reflection_sq_imag_axis`.  Its
+    arrays are new, so callers may overwrite them.
+    """
+    # Inline rather than require_positive_finite: this runs at every block.
+    if not (0.0 < Omega_P < math.inf):
+        raise DomainError(f"Omega_P must be positive and finite, got {Omega_P!r}")
+    K_block, Xi_block = isinstance(K, np.ndarray), isinstance(Xi, np.ndarray)
+    K_lo, K_hi = (K.min(), K.max()) if K_block else (K, K)
+    Xi_lo, Xi_hi = (Xi.min(), Xi.max()) if Xi_block else (Xi, Xi)
+    if not (0.0 <= K_lo and K_hi < math.inf):
+        raise DomainError(f"K must be non-negative and finite, got {K!r}")
+    if not (0.0 < Xi_lo and Xi_hi < math.inf):
+        raise DomainError(f"Xi must be positive and finite, got {Xi!r}")
+    hypot = np.hypot if K_block or Xi_block else math.hypot
+    kappa = hypot(K, Xi)
+    kappa_t = hypot(kappa, Omega_P)
+    # Augmented assignments work in place on arrays and rebind floats.
+    te = kappa - kappa_t
+    te /= kappa + kappa_t
+    te *= te
+    # kappa_t / eps(i Xi) written so that neither factor can overflow;
+    # where (Omega_P / Xi)**2 itself could, through its reciprocal.
+    if Xi_lo < 1e-150 * Omega_P:
+        q_sq = (Xi / Omega_P) ** 2
+        kappa_t *= q_sq
+        kappa_t /= 1.0 + q_sq
+    else:
+        ratio = Omega_P / Xi
+        kappa_t /= 1.0 + ratio * ratio
+    tm = kappa - kappa_t
+    kappa_t += kappa
+    tm /= kappa_t
+    tm *= tm
+    return kappa, te, tm
+
+
 def reflection_sq_imag_axis(
     pol: Union[Polarization, str], K: ArrayOrFloat, Xi: ArrayOrFloat, Omega_P: float
 ) -> ArrayOrFloat:
@@ -131,30 +170,5 @@ def reflection_sq_imag_axis(
     arbitrarily small ``Xi``.  The result lies in [0, 1].
     """
     pol = _coerce_polarization(pol)
-    # Inline rather than require_positive_finite: this runs at every node
-    # (or block of nodes).
-    if not (0.0 < Omega_P < math.inf):
-        raise DomainError(f"Omega_P must be positive and finite, got {Omega_P!r}")
-    block = isinstance(K, np.ndarray) or isinstance(Xi, np.ndarray)
-    K_lo, K_hi = (np.min(K), np.max(K)) if block else (K, K)
-    Xi_lo, Xi_hi = (np.min(Xi), np.max(Xi)) if block else (Xi, Xi)
-    if not (0.0 <= K_lo and K_hi < math.inf):
-        raise DomainError(f"K must be non-negative and finite, got {K!r}")
-    if not (0.0 < Xi_lo and Xi_hi < math.inf):
-        raise DomainError(f"Xi must be positive and finite, got {Xi!r}")
-    hypot = np.hypot if block else math.hypot
-    kappa = hypot(K, Xi)
-    kappa_t = hypot(kappa, Omega_P)
-    if pol is Polarization.TE:
-        amplitude = (kappa - kappa_t) / (kappa + kappa_t)
-    else:
-        # kappa_t / eps(i Xi) written so that neither factor can overflow;
-        # where (Omega_P / Xi)**2 itself could, through its reciprocal.
-        if Xi_lo < 1e-150 * Omega_P:
-            q_sq = (Xi / Omega_P) ** 2
-            reduced = kappa_t * q_sq / (1.0 + q_sq)
-        else:
-            ratio = Omega_P / Xi
-            reduced = kappa_t / (1.0 + ratio * ratio)
-        amplitude = (kappa - reduced) / (kappa + reduced)
-    return amplitude * amplitude
+    _, te, tm = _reflection_sq_both(K, Xi, Omega_P)
+    return te if pol is Polarization.TE else tm

@@ -1,0 +1,53 @@
+"""The benchmark's traced run still finds every library name it wraps.
+
+``perfbench/tracing.py`` installs its counters and spans by assigning to
+module attributes, one ``self._patch(module, "name", wrapper)`` call each.
+A renamed or moved function would fail only the traced benchmark run and the
+benchmark's own tests.  This reads those calls with ``ast`` and checks that
+each attribute they name still exists.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _patched_attributes() -> list:
+    """``(module name, attribute)`` for every ``_patch`` call in the tracer."""
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "casimir_plasmons":
+            modules.update({alias.asname or alias.name: alias.name for alias in node.names})
+    # ``for module in (modes, decomposition): self._patch(module, ...)``
+    loops = {
+        node.target.id: [modules[element.id] for element in node.iter.elts]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For)
+        and isinstance(node.target, ast.Name)
+        and isinstance(node.iter, ast.Tuple)
+        and all(isinstance(e, ast.Name) and e.id in modules for e in node.iter.elts)
+    }
+    patched = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_patch":
+            target, attribute = node.args[0].id, node.args[1].value
+            names = [modules[target]] if target in modules else loops[target]
+            patched.extend((name, attribute) for name in names)
+    return patched
+
+
+def test_every_patched_attribute_exists() -> None:
+    patched = _patched_attributes()
+    assert ("lifshitz", "reflection_sq_imag_axis") in patched
+    assert len(patched) >= 15
+    missing = [
+        (name, attribute)
+        for name, attribute in patched
+        if not hasattr(importlib.import_module(f"casimir_plasmons.{name}"), attribute)
+    ]
+    assert missing == []

@@ -13,18 +13,20 @@ from __future__ import annotations
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casimir_plasmons.decomposition import short_distance_alpha
-from casimir_plasmons.errors import CasimirModelError, DomainError
+from casimir_plasmons.errors import CasimirModelError, DomainError, NonFiniteIntegrand
 from casimir_plasmons.lifshitz import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
     EnergyResult,
     PhysicalSetup,
     _eta_total_detailed,
+    _mode_sum_integrand,
     casimir_ideal_energy,
     energy_breakdown,
     eta_total,
@@ -167,6 +169,65 @@ class TestReductionFactor:
         for bad in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(DomainError):
                 eta_total(bad)
+
+
+class TestModeSumIntegrand:
+    """The integrand's one kernel call per block keeps every bit."""
+
+    @pytest.mark.parametrize("omega_p", [1e-8, 0.1, 2.0 * math.pi, 1e12, 1e200])
+    def test_matches_one_amplitude_call_per_polarization(self, omega_p) -> None:
+        K = np.array([[0.0], [1e-7], [0.5], [7.0], [45.0]])
+        # The first row reaches below 1e-150 * Omega_P, so its block takes the
+        # small-Xi TM form; the second takes the ratio form up to 1e129.
+        rows = (
+            np.array([[1e-300, 1e-160, 1e-21, 1e-8, 0.5, 45.0]]),
+            np.array([[1e-21, 1e-8, 1e-3, 0.5, 3.0, 45.0]]),
+        )
+
+        def reference(k, xi):
+            damping = np.exp(-2.0 * np.hypot(k, xi))
+            te = reflection_sq_imag_axis("TE", k, xi, omega_p)
+            tm = reflection_sq_imag_axis("TM", k, xi, omega_p)
+            return k * (np.log1p(-te * damping) + np.log1p(-tm * damping))
+
+        compared = 0
+        for Xi in rows:
+            blocks = [(K, Xi)] + [(K[i : i + 1], Xi) for i in range(K.shape[0])]
+            blocks += [(K[i : i + 1], Xi[:, j : j + 1]) for i, j in np.ndindex(5, 6)]
+            for k, xi in blocks:
+                # Where r^2 e^(-2 kappa) rounds to 1 (K = 0, tiny Xi) the log is
+                # -inf: the reference shows it, the integrand must refuse.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    expected = reference(k, xi)
+                    if np.isfinite(expected).all() and expected.max() <= 0.0:
+                        assert np.array_equal(_mode_sum_integrand(k, xi, omega_p), expected)
+                        compared += expected.size
+                    else:
+                        with pytest.raises(NonFiniteIntegrand):
+                            _mode_sum_integrand(k, xi, omega_p)
+        assert compared >= 100
+
+    @pytest.mark.parametrize(
+        "omega_p, value_bits, error_bits",
+        [
+            (1e-10, "0x1.f52f020890144p-36", "0x1.d924816d9c99cp-75"),
+            (1e-08, "0x1.878cb996b08dbp-29", "0x1.580b065f4a370p-68"),
+            (1e-06, "0x1.31e5f0fd83c0bp-22", "0x1.15e553a140350p-61"),
+            (3e-05, "0x1.1ec7917020bddp-17", "0x1.18ae440abb110p-56"),
+            (1e-03, "0x1.2ab9481ab59a8p-12", "0x1.164e0e46b73a2p-51"),
+            (0.05, "0x1.cd9f2baa070b3p-7", "0x1.bd857b2b2746ep-46"),
+            (0.5, "0x1.e5b8f3d362725p-4", "0x1.f4310645c2006p-43"),
+            (2.0 * math.pi, "0x1.3549e9e69da51p-1", "0x1.40bd66d1ef165p-40"),
+            (40.0, "0x1.d11458dd30de9p-1", "0x1.aa04d54aff390p-39"),
+            (1e3, "0x1.fdf597ff5ad92p-1", "0x1.67f5469cc0fddp-40"),
+            (1e5, "0x1.fffac1defbff3p-1", "0x1.44ec06c4340d0p-40"),
+            (1e12, "0x1.fffffffff6eccp-1", "0x1.44a226fe498acp-40"),
+        ],
+    )
+    def test_value_and_error_keep_their_bits(self, omega_p, value_bits, error_bits) -> None:
+        # Pinned from the evaluation with one amplitude call per polarization.
+        value, error = _eta_total_detailed(omega_p)
+        assert (value.hex(), error.hex()) == (value_bits, error_bits)
 
 
 # ----------------------------------------------------------------------

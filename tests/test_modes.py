@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -644,6 +645,29 @@ class TestHugePlasmaParameter:
                         math.sqrt(oracle), rel=1e-14
                     )
                     assert f_branch(branch, z, omega_p) == pytest.approx(z + oracle, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "z, omega_p",
+        [(1e300, 1e160), (1e20, 1e300), (1e200, 1e300), (1e300, 1e300), (1e300, 1e200)],
+    )
+    def test_g_is_finite_where_its_square_overflows(self, z: float, omega_p: float) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for branch in CoupledBranch:
+                with mp.workdps(40):
+                    s, w = mp.sqrt(mp.mpf(z)), mp.mpf(omega_p)
+                    g_sq = w**2 * s / (s + mp.sqrt(s**2 + w**2) * _HYPERBOLIC[branch](s))
+                    oracle = float(mp.sqrt(g_sq))
+                    assert g_sq > mp.mpf(sys.float_info.max)
+                assert g_branch(branch, z, omega_p) == pytest.approx(oracle, rel=1e-14)
+                assert g_branch(branch, np.array([z, z]), omega_p) == pytest.approx(
+                    [oracle, oracle], rel=1e-14
+                )
+            # The plus branch at z = 0: g^2 = Omega_P^2 / (1 + Omega_P/2).
+            with mp.workdps(40):
+                oracle = float(mp.sqrt(mp.mpf(1e308) ** 2 / (1 + mp.mpf(1e308) / 2)))
+            assert g_branch(CoupledBranch.PLUS, 0.0, 1e308) == pytest.approx(oracle, rel=1e-14)
+            assert g_branch_combination(0.0, 1e308) == pytest.approx(oracle, rel=1e-14)
 
     @pytest.mark.parametrize(
         "branch, z, omega_p, f_bits, g_bits",
