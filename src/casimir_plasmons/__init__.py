@@ -40,10 +40,7 @@ from .numerics import (
     RootSpec,
     find_root_bracketed,
     fit_scaling_coefficient,
-    integrate_finite,
-    integrate_finite_with_estimate,
-    integrate_semi_infinite,
-    integrate_semi_infinite_with_estimate,
+    integrate,
 )
 from .optics import (
     LIGHTCONE_TOLERANCE,
@@ -118,10 +115,7 @@ __all__ = [
     "FitResult",
     "DEFAULT_QUADRATURE",
     "DEFAULT_ROOT",
-    "integrate_finite",
-    "integrate_finite_with_estimate",
-    "integrate_semi_infinite",
-    "integrate_semi_infinite_with_estimate",
+    "integrate",
     "find_root_bracketed",
     "fit_scaling_coefficient",
     # optics

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,10 +54,7 @@ from .numerics import (
     RootSpec,
     find_root_bracketed,
     fit_scaling_coefficient,
-    integrate_finite,
-    integrate_finite_with_estimate,
-    integrate_semi_infinite,
-    integrate_semi_infinite_with_estimate,
+    integrate,
 )
 
 __all__ = [
@@ -152,6 +149,15 @@ class AsymptoticReport:
             raise DomainError("sign change must lie in (0, 1) as L/lambda_p")
 
 
+def _per_node(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """Evaluate a scalar integrand node by node, each node a Python float.
+
+    For integrands built on root finds (:func:`invert_branch`), and for
+    ``alpha``'s, whose libm evaluation fixes the bits of its value.
+    """
+    return lambda x: np.array([f(node) for node in x.tolist()], dtype=float)
+
+
 def _branch_sum_integral(
     Omega_P: float, spec: QuadratureSpec
 ) -> Tuple[float, float]:
@@ -168,9 +174,7 @@ def _branch_sum_integral(
 
     return _run_labelled(
         f"surface-mode branch-sum integral at Omega_P={Omega_P:g}",
-        lambda: integrate_semi_infinite_with_estimate(
-            integrand, 0.0, spec, vectorized=True
-        ),
+        lambda: integrate(integrand, 0.0, math.inf, spec),
     )
 
 
@@ -184,9 +188,7 @@ def _continuation_integral(
 
     return _run_labelled(
         f"plus-branch continuation integral at Omega_P={Omega_P:g}",
-        lambda: integrate_finite_with_estimate(
-            integrand, 0.0, y_plus, spec, vectorized=True
-        ),
+        lambda: integrate(integrand, 0.0, y_plus, spec),
     )
 
 
@@ -204,9 +206,7 @@ def _reference_correction_integral(
 
     return _run_labelled(
         f"evanescent reference-correction integral at Omega_P={Omega_P:g}",
-        lambda: integrate_finite_with_estimate(
-            integrand, math.sqrt(depth), 0.0, spec, vectorized=True
-        ),
+        lambda: integrate(integrand, math.sqrt(depth), 0.0, spec),
     )
 
 
@@ -266,10 +266,10 @@ def _eta_plasmonic_regulated(
     # Beyond this wavevector the branch combination has decayed to ~1e-40;
     # extending further only adds round-off.
     cutoff = math.sqrt(1800.0 + 0.5 * Omega_P * Omega_P) + 5.0
-    value = _run_labelled(
+    value, _ = _run_labelled(
         f"regulated direct branch-frequency integral at Omega_P={Omega_P:g}",
-        lambda: integrate_finite(
-            lambda K: _direct_integrand(K, Omega_P, reg_epsilon, regulator),
+        lambda: integrate(
+            _per_node(lambda K: _direct_integrand(K, Omega_P, reg_epsilon, regulator)),
             0.0,
             cutoff,
             spec,
@@ -424,10 +424,11 @@ def propagative_part_identity(
             - invert_branch(CoupledBranch.ZERO, K, Omega_P)
         )
 
-    rhs = -_DIRECT_PREFACTOR * _run_labelled(
+    integral, _ = _run_labelled(
         f"propagative-part cross-check integral at Omega_P={Omega_P:g}",
-        lambda: integrate_finite(integrand, 0.0, k_p, inner_spec),
+        lambda: integrate(_per_node(integrand), 0.0, k_p, inner_spec),
     )
+    rhs = -_DIRECT_PREFACTOR * integral
     return lhs, rhs
 
 
@@ -454,7 +455,7 @@ def short_distance_alpha(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
 
     integral, _ = _run_labelled(
         "short-distance limit integral",
-        lambda: integrate_semi_infinite_with_estimate(integrand, 0.0, spec),
+        lambda: integrate(_per_node(integrand), 0.0, math.inf, spec),
     )
     return -(60.0 * math.sqrt(2.0) / math.pi**2) * integral
 
@@ -534,9 +535,7 @@ def _check_quadrature_gate(spec: QuadratureSpec) -> Tuple[bool, str]:
     # before the other checks mean anything; a tolerance it cannot certify is
     # a convergence failure, not a failed invariant.
     try:
-        reference = integrate_semi_infinite(
-            lambda x: math.exp(-math.sqrt(x)), 0.0, spec
-        )
+        reference, _ = integrate(lambda x: np.exp(-np.sqrt(x)), 0.0, math.inf, spec)
     except CONVERGENCE_ERRORS as exc:
         raise type(exc)(
             "verification check 'quadrature-tolerance-gate' (integral of "
@@ -579,7 +578,6 @@ def _check_error_estimates(spec: QuadratureSpec) -> Tuple[bool, str]:
     tight = QuadratureSpec(
         abs_tol=spec.abs_tol / 100.0,
         rel_tol=max(spec.rel_tol / 100.0, 1e-12),
-        max_subdivisions=spec.max_subdivisions,
     )
     loose = compute_eta_breakdown(2.0 * math.pi, spec)
     reference = compute_eta_breakdown(2.0 * math.pi, tight)

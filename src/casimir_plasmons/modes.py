@@ -58,9 +58,9 @@ __all__ = [
 ]
 
 # The scalar real-arithmetic continuation below the light cone routes its
-# tangent evaluations through this module attribute so the self-check
-# battery can inject a fault and prove the continuation-consistency check
-# has teeth.
+# tangent evaluations through this module attribute so that a test can
+# inject a fault and show that the self-check "propagative-identity", whose
+# direct integral inverts the plus branch below the light cone, catches it.
 _tan = math.tan
 
 # Above this size a product of four arguments can overflow, below the lower
@@ -313,9 +313,14 @@ def f_branch(kind: Union[CoupledBranch, str], z, Omega_P: float):
     Strictly increasing in ``z`` on its domain; the branch frequency at
     wavevector ``K`` solves ``f(z) = K**2``.  The minus and zero branches are
     defined for ``z >= 0``; the plus branch extends down to ``-z_plus0``.
-    ``z`` may be a numpy array.
+    ``z`` may be a numpy array.  Raises :class:`DomainError` where
+    ``f`` overflows.
     """
-    return z + _g_squared_checked(_coerce_branch(kind), z, Omega_P)
+    with np.errstate(over="ignore"):
+        f = z + _g_squared_checked(_coerce_branch(kind), z, Omega_P)
+    if not np.isfinite(f).all():
+        raise DomainError(f"f(z) = z + g(z)**2 overflows at Omega_P={Omega_P:g}")
+    return f
 
 
 def g_branch(kind: Union[CoupledBranch, str], z, Omega_P: float):
@@ -455,7 +460,7 @@ def invert_branch(
             lo, hi = 0.0, target
         else:
             lo, hi = -constants.z_plus0, 0.0
-            if f_branch(branch, lo, Omega_P) - target >= 0.0:
+            if lo + _g_squared(branch, lo, Omega_P) - target >= 0.0:
                 # K is so small that the root sits within the endpoint's own
                 # root-finding residual; the endpoint is the answer.
                 return math.sqrt(target + constants.z_plus0)

@@ -15,7 +15,7 @@ reach).
   integrable square-root endpoint singularities need no special treatment;
   on ``[a, inf)`` the exp-sinh rule does the same towards ``a`` and spreads
   its nodes out to about ``a + 7e6``.  The integrand is evaluated on a numpy
-  array of nodes per level; scalar callables go through one adapter.
+  array of nodes per level.  :func:`integrate` is the checked entry point.
 * The two-dimensional rule is the trapezoidal rule in ``log x`` and
   ``log y`` on a box.
 
@@ -50,10 +50,7 @@ __all__ = [
     "DEFAULT_QUADRATURE",
     "DEFAULT_ROOT",
     "quad",
-    "integrate_finite",
-    "integrate_finite_with_estimate",
-    "integrate_semi_infinite",
-    "integrate_semi_infinite_with_estimate",
+    "integrate",
     "integrate_log_box",
     "brentq",
     "find_root_bracketed",
@@ -91,10 +88,9 @@ class QuadratureSpec:
 
     ``abs_tol``/``rel_tol``: the returned value carries an estimated error of
     at most ``max(abs_tol, rel_tol * |result|)``; at least one of the two must
-    be strictly positive.  ``max_subdivisions`` caps the step halvings of
-    the one-dimensional rules, which stop at 8 in any case (each halving
-    doubles their nodes: at most about 4100 per integral); the log-box rule
-    always allows 6.  A tolerance below what a routine can certify raises
+    be strictly positive.  The one-dimensional rules allow 8 step halvings
+    (each doubles their nodes: at most about 4100 per integral), the log-box
+    rule 6.  A tolerance below what a routine can certify raises
     :class:`ConvergenceFailure`: no rule certifies ``rel_tol`` below its
     rounding allowance of 64 ulp, and ``eta_total`` none below about 3e-13
     for ``Omega_P`` above about 0.5, because the strip
@@ -104,15 +100,12 @@ class QuadratureSpec:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_subdivisions: int = 500
 
     def __post_init__(self) -> None:
         if not (self.abs_tol >= 0.0) or not (self.rel_tol >= 0.0):
             raise DomainError("tolerances must be non-negative numbers")
         if self.abs_tol == 0.0 and self.rel_tol == 0.0:
             raise DomainError("at least one of abs_tol, rel_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -317,7 +310,7 @@ def quad(
 
     value, error, halvings, failure = _refine(
         level_value,
-        min(_DE_LEVELS, spec.max_subdivisions),
+        _DE_LEVELS,
         lambda v: max(spec.abs_tol, spec.rel_tol * abs(v)),
         tail,
     )
@@ -325,106 +318,63 @@ def quad(
     return (value, error, info, failure) if failure else (value, error, info)
 
 
-def _quad_checked(
+def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    spec: QuadratureSpec,
-    tail_bound: Optional[Callable[[float], float]] = None,
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> Tuple[float, float]:
-    """:func:`quad`, with a missed tolerance raised as :class:`ConvergenceFailure`."""
+    """Integrate a vectorised ``f`` over ``[a, b]``; returns ``(value, error)``.
+
+    ``f`` maps an array of nodes to the array of its values.  Finite bounds
+    take the tanh-sinh rule and are signed: when ``a > b`` the result is the
+    negative of the integral over ``[b, a]``, and ``a == b`` gives
+    ``(0.0, 0.0)``.  The rule never evaluates ``f`` at ``0`` (an endpoint
+    there is approached through representable nodes), so an integrable
+    singularity there, up to ``x**-0.5``, needs no special care; at another
+    endpoint the nearest nodes round onto it, and ``f`` must be finite there.
+    An interior kink slows convergence down to that of a plain trapezoidal
+    rule; split the interval at it.
+
+    ``b = inf`` takes the exp-sinh rule, for integrands that decay at least
+    as fast as ``C * exp(-sqrt(x))`` beyond ``x = 50``.  Six probes beyond
+    that point fix ``C``; the part beyond the rule's reach is bounded through
+    that envelope and added to the error estimate.  Raises
+    :class:`TailBoundViolated` when the probe samples fail to decrease.
+
+    Raises :class:`ConvergenceFailure` when the tolerance is missed,
+    :class:`NonFiniteIntegrand` when ``f`` returns NaN or infinity and
+    :class:`DomainError` for a non-finite bound (other than ``b = inf``).
+    """
+    tail_bound = None
+    if b == math.inf:
+        if not math.isfinite(a):
+            raise DomainError("lower bound must be finite")
+        tail_bound = _envelope_tail_bound(f, a)
+    elif not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError("integration bounds must be finite")
+    elif a == b:
+        return 0.0, 0.0
+    elif a > b:
+        value, error = integrate(f, b, a, spec)
+        return -value, error
     out = quad(f, a, b, spec, tail_bound)
     if len(out) > 3:
         raise ConvergenceFailure(f"quadrature on [{a:g}, {b:g}]: {out[3]}")
     return out[0], out[1]
 
 
-def _on_arrays(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt a scalar integrand to the array form the rules evaluate."""
+def _envelope_tail_bound(
+    f: Callable[[np.ndarray], np.ndarray], a: float
+) -> Callable[[float], float]:
+    """Probe ``f`` beyond ``x = 50`` against the ``exp(-sqrt(x))`` envelope.
 
-    def on_arrays(x: np.ndarray) -> np.ndarray:
-        return np.array([f(node) for node in x.tolist()], dtype=float)
-
-    return on_arrays
-
-
-def integrate_finite(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Integrate ``f`` over ``[a, b]`` within the spec's tolerances.
-
-    Bounds are signed: when ``a > b`` the result is the negative of the
-    integral over ``[b, a]``.  The tanh-sinh rule never evaluates ``f`` at
-    ``0`` (an endpoint there is approached through representable nodes), so
-    an integrable singularity there, up to ``x**-0.5``, needs no special
-    care; at another endpoint the nearest nodes round onto it, and ``f``
-    must be finite there.  An interior kink slows convergence down to that
-    of a plain trapezoidal rule; split the interval at it.
+    Returns the bound on what lies beyond a reach ``X`` of the exp-sinh rule.
     """
-    return integrate_finite_with_estimate(f, a, b, spec)[0]
-
-
-def integrate_finite_with_estimate(
-    f: Callable,
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    *,
-    vectorized: bool = False,
-) -> Tuple[float, float]:
-    """Like :func:`integrate_finite` but also returns the error estimate.
-
-    With ``vectorized=True``, ``f`` takes and returns numpy arrays.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration bounds must be finite")
-    if a == b:
-        return 0.0, 0.0
-    if a > b:
-        value, err = integrate_finite_with_estimate(f, b, a, spec, vectorized=vectorized)
-        return -value, err
-    return _quad_checked(f if vectorized else _on_arrays(f), a, b, spec)
-
-
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    a: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Integrate ``f`` over ``[a, inf)`` for integrands with exp(-sqrt(x)) tails.
-
-    The integrand must decay at least as fast as ``C * exp(-sqrt(x))`` beyond
-    ``x = 50``.  Six probes beyond that point fix ``C``; the part beyond the
-    exp-sinh rule's reach is bounded through that envelope and added to the
-    error estimate.  Raises :class:`TailBoundViolated` when the probe samples
-    fail to decrease.
-    """
-    return integrate_semi_infinite_with_estimate(f, a, spec)[0]
-
-
-def integrate_semi_infinite_with_estimate(
-    f: Callable,
-    a: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    *,
-    vectorized: bool = False,
-) -> Tuple[float, float]:
-    """Like :func:`integrate_semi_infinite` with an error estimate.
-
-    With ``vectorized=True``, ``f`` takes and returns numpy arrays.
-    """
-    if not math.isfinite(a):
-        raise DomainError("lower bound must be finite")
-    g = f if vectorized else _on_arrays(f)
-
-    # Probe the tail region against the exp(-sqrt(x)) envelope.
     t0 = max(a, _TAIL_THRESHOLD)
     step = max(1.0, 0.1 * abs(t0))
     probes = [t0 + step * (1.7**j - 1.0) for j in range(6)]
-    magnitudes = np.abs(np.asarray(g(np.array(probes)), dtype=float)).tolist()
+    magnitudes = np.abs(np.asarray(f(np.array(probes)), dtype=float)).tolist()
     for t, v in zip(probes, magnitudes):
         if not math.isfinite(v):
             raise NonFiniteIntegrand(f"integrand returned {v!r} at x={t!r}")
@@ -448,7 +398,7 @@ def integrate_semi_infinite_with_estimate(
         s = math.sqrt(reach)
         return math.exp(min(700.0, log_c + math.log(2.0 * (s + 1.0)) - s))
 
-    return _quad_checked(g, a, math.inf, spec, tail_bound)
+    return tail_bound
 
 
 def _log_axis(lo: float, hi: float, steps: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -567,7 +517,9 @@ def brentq(
     if fcur == 0.0:
         return xcur, RootInfo(True, 0, calls)
     if (fpre < 0.0) == (fcur < 0.0):
-        raise InvalidBracket(f"no sign change on bracket [{a:g}, {b:g}]")
+        raise InvalidBracket(
+            f"no sign change on bracket: f({a:g})={fpre:.6g}, f({b:g})={fcur:.6g}"
+        )
     for iteration in range(1, maxiter + 1):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
@@ -621,16 +573,6 @@ def find_root_bracketed(
         raise DomainError("bracket endpoints must be finite")
     if lo > hi:
         raise DomainError("bracket must satisfy lo <= hi")
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if (g_lo < 0.0) == (g_hi < 0.0):
-        raise InvalidBracket(
-            f"no sign change on bracket: g({lo:g})={g_lo:.6g}, g({hi:g})={g_hi:.6g}"
-        )
     root, info = brentq(g, lo, hi, spec.x_tol, _MIN_BRENT_RTOL, spec.max_iterations)
     if not info.converged:
         raise ConvergenceFailure(

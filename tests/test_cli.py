@@ -323,7 +323,8 @@ class TestDispersion:
 # digests were pinned again when the surface-mode integrals moved to the
 # double-exponential rules: eta_pl, eta_ph, eta_ev and their error estimates
 # moved in the last digits (each value by under 0.2% of its error estimate),
-# eta_total kept every bit.
+# eta_total kept every bit.  The constants digest guards the scalar
+# integrand of alpha, evaluated node by node with libm.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -361,6 +362,10 @@ class TestDispersion:
             ],
             "4064753e0da3c12e3c5c228d12d253b7c11b49cc7ba710ad138711ac56661bec",
         ),
+        (
+            ["constants"],
+            "66d9c288ca5d26c385ba84d917f6b772e6a774bd228f93f9625a46a32dfd73fb",
+        ),
     ],
     ids=[
         "dispersion-1e-3",
@@ -370,6 +375,7 @@ class TestDispersion:
         "eta-json",
         "sweep-csv",
         "sweep-physical-json",
+        "constants",
     ],
 )
 def test_table_bytes_are_pinned(argv, digest, capsys) -> None:

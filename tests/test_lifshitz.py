@@ -31,7 +31,7 @@ from casimir_plasmons.lifshitz import (
     energy_breakdown,
     eta_total,
 )
-from casimir_plasmons.numerics import QuadratureSpec, integrate_finite_with_estimate
+from casimir_plasmons.numerics import QuadratureSpec, integrate
 from casimir_plasmons.optics import PlasmaMirror, reflection_sq_imag_axis
 
 
@@ -53,19 +53,24 @@ def _eta_polar_oracle(omega_p: float) -> tuple:
     def radial(theta: float) -> float:
         cos_t, sin_t = math.cos(theta), math.sin(theta)
 
-        def integrand(rho: float) -> float:
+        def integrand(rho: np.ndarray) -> np.ndarray:
             big_k, xi = rho * cos_t, rho * sin_t
             total = 0.0
             for pol in ("te", "tm"):
                 r_sq = reflection_sq_imag_axis(pol, big_k, xi, omega_p)
-                total += math.log1p(-r_sq * math.exp(-2.0 * rho))
+                total += np.log1p(-r_sq * np.exp(-2.0 * rho))
             return rho * rho * total
 
-        value, error = integrate_finite_with_estimate(integrand, 0.0, 45.0, inner_spec)
+        value, error = integrate(integrand, 0.0, 45.0, inner_spec)
         inner_errors.append(cos_t * error)
         return cos_t * value
 
-    value, error = integrate_finite_with_estimate(radial, 0.0, math.pi / 2.0, outer_spec)
+    value, error = integrate(
+        lambda thetas: np.array([radial(theta) for theta in thetas.tolist()]),
+        0.0,
+        math.pi / 2.0,
+        outer_spec,
+    )
     scale = 180.0 / math.pi**4
     return -scale * value, scale * (error + 0.5 * math.pi * max(inner_errors))
 

@@ -670,6 +670,21 @@ class TestHugePlasmaParameter:
             assert g_branch_combination(0.0, 1e308) == pytest.approx(oracle, rel=1e-14)
 
     @pytest.mark.parametrize(
+        "z, omega_p",
+        [(1e300, 1e160), (1e20, 1e300), (1e200, 1e300), (1e300, 1e300), (1e300, 1e200)],
+    )
+    def test_f_overflow_raises_domain_error(self, z: float, omega_p: float) -> None:
+        # There g is finite but f = z + g**2 is not: a typed error, no warning,
+        # for a scalar and for an array holding one such z.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for branch in CoupledBranch:
+                with pytest.raises(DomainError, match="overflows"):
+                    f_branch(branch, z, omega_p)
+                with pytest.raises(DomainError, match="overflows"):
+                    f_branch(branch, np.array([1.0, z]), omega_p)
+
+    @pytest.mark.parametrize(
         "branch, z, omega_p, f_bits, g_bits",
         [
             ("plus", -0.25, 2 * math.pi, "0x1.24e4645c41782p+3", "0x1.88802c962b6e0p+1"),
