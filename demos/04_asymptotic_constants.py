@@ -42,9 +42,9 @@ print(f"predicted 1.5*alpha:                         {1.5 * alpha:.6f}")
 gamma = fit_gamma()
 beta = fit_beta_ev()
 print(f"\ngamma   = {gamma.value:.6f}  (expected 29.752,"
-      f" fit residual {gamma.fit.relative_residual:.2e})")
+      f" fit residual {gamma.relative_residual:.2e})")
 print(f"beta_ev = {beta.value:.6f}   (expected 1.62399,"
-      f" fit residual {beta.fit.relative_residual:.2e})")
+      f" fit residual {beta.relative_residual:.2e})")
 
 print("\nfit window samples")
 print(f"{'Omega_P':>10} {'eta_pl':>14} {'-gamma*sqrt':>14} {'eta_ev':>12} {'beta*sqrt':>12}")

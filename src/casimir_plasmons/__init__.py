@@ -8,7 +8,7 @@ plasmon branches (``eta_pl``) and that of the propagative cavity resonances
 Layering, bottom to top:
 
 * :mod:`casimir_plasmons.errors` — exception taxonomy.
-* :mod:`casimir_plasmons.numerics` — quadrature, root finding, scaling fits.
+* :mod:`casimir_plasmons.numerics` — quadrature, root finding.
 * :mod:`casimir_plasmons.optics` — imaginary-axis reflection amplitudes,
   light-cone sectors and the physical mirror record.
 * :mod:`casimir_plasmons.lifshitz` — the total reduction factor ``eta_E``
@@ -24,7 +24,6 @@ from .errors import (
     CasimirModelError,
     ContinuationError,
     ConvergenceFailure,
-    DegenerateFit,
     DomainError,
     ExtrapolationUnstable,
     InvalidBracket,
@@ -35,11 +34,9 @@ from .errors import (
 from .numerics import (
     DEFAULT_QUADRATURE,
     DEFAULT_ROOT,
-    FitResult,
     QuadratureSpec,
     RootSpec,
     find_root_bracketed,
-    fit_scaling_coefficient,
     integrate,
 )
 from .optics import (
@@ -107,17 +104,14 @@ __all__ = [
     "InvalidBracket",
     "ContinuationError",
     "ExtrapolationUnstable",
-    "DegenerateFit",
     "NoSolution",
     # numerics
     "QuadratureSpec",
     "RootSpec",
-    "FitResult",
     "DEFAULT_QUADRATURE",
     "DEFAULT_ROOT",
     "integrate",
     "find_root_bracketed",
-    "fit_scaling_coefficient",
     # optics
     "Polarization",
     "Sector",

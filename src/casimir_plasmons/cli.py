@@ -56,10 +56,6 @@ DISPERSION_HEADER = "branch,pol,m,K,Omega,sector"
 VERIFY_HEADER = "status,name,detail"
 
 
-class _ArgumentError(Exception):
-    """Invalid command-line input detected after parsing (exit code 2)."""
-
-
 def _fmt(value: float) -> str:
     """Scientific notation with 12 significant digits."""
     return f"{value:.11e}"
@@ -240,7 +236,7 @@ def _resolve_spec(args: argparse.Namespace) -> QuadratureSpec:
             try:
                 tolerance = float(raw)
             except ValueError:
-                raise _ArgumentError(
+                raise DomainError(
                     f"{TOLERANCE_ENV_VAR} must be a number, got {raw!r}"
                 ) from None
     tolerance = require_positive_finite("tolerance", tolerance)
@@ -254,13 +250,13 @@ def _resolve_omega_p(args: argparse.Namespace) -> float:
     ]
     physical = args.lambda_p is not None or args.separation is not None
     if len(dimensionless) + (1 if physical else 0) > 1:
-        raise _ArgumentError(
+        raise DomainError(
             "choose exactly one parameterization: --omega-p-l, "
             "--l-over-lambda-p, or --lambda-p together with --separation"
         )
     if physical:
         if args.lambda_p is None or args.separation is None:
-            raise _ArgumentError(
+            raise DomainError(
                 "the physical parameterization needs both --lambda-p and "
                 "--separation"
             )
@@ -273,7 +269,7 @@ def _resolve_omega_p(args: argparse.Namespace) -> float:
         l_over_lambda = require_positive_finite("L/lambda_p", args.l_over_lambda_p)
         Omega_P = 2.0 * math.pi * l_over_lambda
     else:
-        raise _ArgumentError(
+        raise DomainError(
             "one of --omega-p-l, --l-over-lambda-p, or --lambda-p with "
             "--separation is required"
         )
@@ -284,13 +280,13 @@ def _resolve_omega_p(args: argparse.Namespace) -> float:
 def _parse_range(text: str) -> Tuple[float, float]:
     parts = text.split(":")
     if len(parts) != 2:
-        raise _ArgumentError("--range must have the form lo:hi")
+        raise DomainError("--range must have the form lo:hi")
     try:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
-        raise _ArgumentError("--range endpoints must be numbers") from None
+        raise DomainError("--range endpoints must be numbers") from None
     if not (0.0 < lo < hi) or not math.isfinite(hi):
-        raise _ArgumentError(
+        raise DomainError(
             "--range must satisfy 0 < lo < hi (the range must not be empty)"
         )
     return lo, hi
@@ -346,7 +342,7 @@ def cmd_sweep(args: argparse.Namespace, spec: QuadratureSpec) -> int:
         lambda_p = require_positive_finite("--lambda-p", args.lambda_p)
         lo, hi = lo / lambda_p, hi / lambda_p
     if args.points < 2:
-        raise _ArgumentError("--points must be at least 2 for a sweep")
+        raise DomainError("--points must be at least 2 for a sweep")
     if args.spacing == "log":
         grid = np.geomspace(lo, hi, args.points)
     else:
@@ -385,9 +381,9 @@ def _dispersion_branches(max_m: int) -> List[BranchId]:
 def cmd_dispersion(args: argparse.Namespace, spec: QuadratureSpec) -> int:
     Omega_P = _resolve_omega_p(args)
     if args.points < 2:
-        raise _ArgumentError("--points must be at least 2")
+        raise DomainError("--points must be at least 2")
     if args.max_photonic_m < 0:
-        raise _ArgumentError("--max-photonic-m must be non-negative")
+        raise DomainError("--max-photonic-m must be non-negative")
     grid = default_dispersion_grid(Omega_P, args.points)
     sampled = sample_dispersion(
         Omega_P, grid, _dispersion_branches(args.max_photonic_m)
@@ -438,7 +434,7 @@ def cmd_dispersion(args: argparse.Namespace, spec: QuadratureSpec) -> int:
 
 def cmd_constants(args: argparse.Namespace, spec: QuadratureSpec) -> int:
     if args.format == "csv":
-        raise _ArgumentError("constants output is a JSON object; use --format json")
+        raise DomainError("constants output is a JSON object; use --format json")
     report = asymptotic_report(spec)
     text = _json_text(
         {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(report)}
@@ -511,7 +507,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         spec = _resolve_spec(args)
         return _COMMANDS[args.command](args, spec)
-    except (_ArgumentError, DomainError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CONVERGENCE_ERRORS as exc:

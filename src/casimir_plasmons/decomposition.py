@@ -25,7 +25,7 @@ invariants an installed package can check at run time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -49,11 +49,9 @@ from .modes import (
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
-    FitResult,
     QuadratureSpec,
     RootSpec,
     find_root_bracketed,
-    fit_scaling_coefficient,
     integrate,
 )
 
@@ -125,10 +123,10 @@ class EtaBreakdown:
 
 @dataclass(frozen=True)
 class AsymptoticFit:
-    """A fitted asymptotic coefficient together with its diagnostics."""
+    """A fitted square-root coefficient, its relative residual and its samples."""
 
     value: float
-    fit: FitResult
+    relative_residual: float
     samples: Tuple[Tuple[float, float], ...]
 
 
@@ -460,12 +458,19 @@ def short_distance_alpha(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     return -(60.0 * math.sqrt(2.0) / math.pi**2) * integral
 
 
-def _fit_sqrt_asymptote(values) -> AsymptoticFit:
-    samples = tuple(values)
-    # The offset term absorbs the O(1) correction to the sqrt growth; without
-    # it the fit window would bias the leading coefficient by ~1%.
-    fit = fit_scaling_coefficient(samples, power=0.5, include_offset=True)
-    return AsymptoticFit(value=fit.coefficient, fit=fit, samples=samples)
+def _fit_sqrt_law(samples) -> AsymptoticFit:
+    """Least-squares fit of ``y = c * sqrt(x) + d`` to ``(x, y)`` samples.
+
+    The value is ``c``.  The offset ``d`` absorbs the O(1) correction to the
+    square-root growth; without it the fit window would bias ``c`` by ~1%.
+    """
+    samples = tuple(samples)
+    x, y = np.array(samples, dtype=float).T
+    basis = x**0.5
+    design = np.column_stack([basis, np.ones_like(basis)])
+    solution = np.linalg.lstsq(design, y, rcond=None)[0]
+    residual = np.linalg.norm(y - design @ solution) / np.linalg.norm(y)
+    return AsymptoticFit(float(solution[0]), float(residual), samples)
 
 
 def fit_gamma(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> AsymptoticFit:
@@ -475,11 +480,8 @@ def fit_gamma(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> AsymptoticFit:
     magnitude of the fitted square-root coefficient (value near 29.75),
     together with the fit diagnostics.
     """
-    samples = [(w, eta_plasmonic(w, spec)) for w in ASYMPTOTIC_FIT_WINDOW]
-    fitted = _fit_sqrt_asymptote(samples)
-    return AsymptoticFit(
-        value=abs(fitted.value), fit=fitted.fit, samples=fitted.samples
-    )
+    fit = _fit_sqrt_law((w, eta_plasmonic(w, spec)) for w in ASYMPTOTIC_FIT_WINDOW)
+    return replace(fit, value=abs(fit.value))
 
 
 def fit_beta_ev(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> AsymptoticFit:
@@ -488,8 +490,7 @@ def fit_beta_ev(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> AsymptoticFit:
     Same fit window and model as :func:`fit_gamma`; the value lands near
     1.624.
     """
-    samples = [(w, eta_evanescent(w, spec)) for w in ASYMPTOTIC_FIT_WINDOW]
-    return _fit_sqrt_asymptote(samples)
+    return _fit_sqrt_law((w, eta_evanescent(w, spec)) for w in ASYMPTOTIC_FIT_WINDOW)
 
 
 def locate_sign_change(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
@@ -520,8 +521,8 @@ def asymptotic_report(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> AsymptoticRe
         beta_ev=beta.value,
         sign_change_L_over_lambdaP=crossing,
         fit_residuals={
-            "gamma": gamma.fit.relative_residual,
-            "beta_ev": beta.fit.relative_residual,
+            "gamma": gamma.relative_residual,
+            "beta_ev": beta.relative_residual,
         },
     )
 

@@ -41,10 +41,6 @@ class ExtrapolationUnstable(CasimirModelError):
     """A regulator-removal ladder did not contract toward a limit."""
 
 
-class DegenerateFit(CasimirModelError, ValueError):
-    """A least-squares fit has no unique solution (e.g. identical abscissae)."""
-
-
 class NoSolution(CasimirModelError):
     """A mode equation has no solution for the requested parameters."""
 

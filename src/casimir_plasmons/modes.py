@@ -547,9 +547,10 @@ def photonic_mode(
     approach the ideal-cavity value ``sqrt(K^2 + (pi*m)^2)`` as
     ``Omega_P -> inf``.  The first sign change of the phase defect on a
     200-point geometric grid up to ``q_hi = min(pi*m, Omega_P)*(1 - 1e-12)``
-    brackets the root; when ``pi*m < Omega_P`` the cell ``[q_hi, pi*m]``
-    closes the scan.  Raises :class:`NoSolution` when the branch does not
-    exist at this ``(K, m)``.
+    brackets the root.  When the defect is still negative at ``q_hi``, the
+    cell ``[q_hi, min(pi*m, Omega_P)]`` closes the scan if ``pi*m < Omega_P``
+    or the defect at ``Omega_P`` is strictly positive.  Raises
+    :class:`NoSolution` when the branch does not exist at this ``(K, m)``.
     """
     pol = _coerce_polarization(pol)
     # Range first, so that a non-finite m never reaches int().
@@ -563,6 +564,7 @@ def photonic_mode(
     q_hi = min(pi_m, Omega_P) * (1.0 - 1e-12)
     grid = _scan_grid(q_hi)
     values = _phase_defect(pol, m, K, Omega_P, _ARRAY_OPS)(grid)
+    defect = _phase_defect(pol, m, K, Omega_P, _SCALAR_OPS)
     negative = values < 0.0
     cells = np.flatnonzero((values[:-1] == 0.0) | (negative[:-1] != negative[1:]))
     if cells.size:
@@ -572,18 +574,18 @@ def photonic_mode(
         lo, hi = float(grid[i]), float(grid[i + 1])
     elif values[-1] == 0.0:
         return math.hypot(K, float(grid[-1]))
-    elif pi_m < Omega_P and negative[-1]:
-        # A nearly ideal mirror (Omega_P above about 2e12) puts the root,
-        # about pi*m*(1 - 2/Omega_P), above q_hi; at pi*m the defect is the
-        # mirror phase itself, which is not negative.
-        lo, hi = q_hi, pi_m
+    elif negative[-1] and (pi_m < Omega_P or defect(Omega_P) > 0.0):
+        # The root lies above q_hi: near pi*m*(1 - 2/Omega_P) for a nearly
+        # ideal mirror (Omega_P above about 2e12; the defect at pi*m is the
+        # mirror phase, not negative), or near Omega_P just above a cut-off.
+        # A defect of exactly 0 at Omega_P is the cut-off itself: no mode.
+        lo, hi = q_hi, min(pi_m, Omega_P)
     else:
         raise NoSolution(
             f"no propagative cavity mode for pol={pol.value}, m={m}, K={K:g}, "
             f"Omega_P={Omega_P:g}"
         )
-    Q = find_root_bracketed(_phase_defect(pol, m, K, Omega_P, _SCALAR_OPS), lo, hi)
-    return math.hypot(K, Q)
+    return math.hypot(K, find_root_bracketed(defect, lo, hi))
 
 
 def default_dispersion_grid(Omega_P: float, points: int = 400) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Reusable numeric kernel: quadrature, root finding, asymptote fitting.
+"""Reusable numeric kernel: quadrature and root finding.
 
 All physics modules funnel their numerical work through this layer so that
 tolerance handling, failure modes and determinism live in one place.
@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import (
     ConvergenceFailure,
-    DegenerateFit,
     DomainError,
     InvalidBracket,
     NonFiniteIntegrand,
@@ -46,7 +45,6 @@ __all__ = [
     "QuadratureSpec",
     "RootSpec",
     "RootInfo",
-    "FitResult",
     "DEFAULT_QUADRATURE",
     "DEFAULT_ROOT",
     "quad",
@@ -54,7 +52,6 @@ __all__ = [
     "integrate_log_box",
     "brentq",
     "find_root_bracketed",
-    "fit_scaling_coefficient",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -129,22 +126,6 @@ class RootInfo:
     converged: bool
     iterations: int
     function_calls: int
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares outcome of :func:`fit_scaling_coefficient`.
-
-    ``coefficient`` multiplies ``x**power``; ``offset`` is the fitted constant
-    term (0.0 when no offset was requested).  ``residual_norm`` is the
-    Euclidean norm of the fit residuals and ``relative_residual`` that norm
-    divided by the norm of the data.
-    """
-
-    coefficient: float
-    offset: float
-    residual_norm: float
-    relative_residual: float
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -580,44 +561,3 @@ def find_root_bracketed(
             f"{spec.max_iterations} iterations"
         )
     return float(root)
-
-
-def fit_scaling_coefficient(
-    samples: Iterable[Tuple[float, float]],
-    power: float,
-    include_offset: bool = False,
-) -> FitResult:
-    """Least-squares fit of ``y = c * x**power`` (optionally ``+ d``).
-
-    ``samples`` is an iterable of ``(x, y)`` pairs with ``x > 0``; at least
-    two are required.  Returns the fitted coefficient together with residual
-    diagnostics so callers can gate on fit quality.  Raises
-    :class:`DegenerateFit` when all abscissae coincide.
-    """
-    pts = [(float(x), float(y)) for x, y in samples]
-    if len(pts) < 2:
-        raise DomainError("need at least two samples to fit a scaling law")
-    x = np.array([p[0] for p in pts], dtype=float)
-    y = np.array([p[1] for p in pts], dtype=float)
-    if np.any(x <= 0.0):
-        raise DomainError("sample abscissae must be positive")
-    if np.all(x == x[0]):
-        raise DegenerateFit("all sample abscissae are identical")
-    basis = x**power
-    if include_offset:
-        design = np.column_stack([basis, np.ones_like(basis)])
-    else:
-        design = basis[:, np.newaxis]
-    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        raise DegenerateFit("design matrix is rank deficient")
-    prediction = design @ solution
-    residual_norm = float(np.linalg.norm(y - prediction))
-    data_norm = float(np.linalg.norm(y))
-    if data_norm > 0.0:
-        relative = residual_norm / data_norm
-    else:
-        relative = 0.0 if residual_norm == 0.0 else math.inf
-    coefficient = float(solution[0])
-    offset = float(solution[1]) if include_offset else 0.0
-    return FitResult(coefficient, offset, residual_norm, relative)

@@ -76,7 +76,7 @@ def test_04_large_separation_plasmonic_coefficient_gamma() -> None:
     start = time.perf_counter()
     result = fit_gamma()
     assert result.value == pytest.approx(29.752, rel=0.005)
-    assert result.fit.relative_residual < 0.01
+    assert result.relative_residual < 0.01
     assert time.perf_counter() - start < 60.0
 
 

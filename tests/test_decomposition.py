@@ -30,6 +30,7 @@ from casimir_plasmons.decomposition import (
     _branch_sum_integral,
     _continuation_integral,
     _direct_integrand,
+    _fit_sqrt_law,
     _reference_correction_integral,
     asymptotic_report,
     compute_eta_breakdown,
@@ -45,7 +46,7 @@ from casimir_plasmons.decomposition import (
 from casimir_plasmons.errors import DomainError, ExtrapolationUnstable
 from casimir_plasmons.lifshitz import eta_total
 from casimir_plasmons.modes import branch_constants
-from casimir_plasmons.numerics import DEFAULT_QUADRATURE, fit_scaling_coefficient
+from casimir_plasmons.numerics import DEFAULT_QUADRATURE
 
 
 # ----------------------------------------------------------------------
@@ -315,25 +316,57 @@ class TestSignChange:
 # ----------------------------------------------------------------------
 
 
+def _sqrt_law_normal_equations(samples):
+    """Least squares of ``y = c*sqrt(x) + d`` from its 2x2 normal equations.
+
+    Solved by Cramer's rule with compensated sums, independently of the
+    library's ``lstsq`` path.  Returns ``(c, d, relative_residual)``.
+    """
+    n = len(samples)
+    s = [math.sqrt(x) for x, _ in samples]
+    y = [v for _, v in samples]
+    s_ss, s_s = math.fsum(t * t for t in s), math.fsum(s)
+    s_sy, s_y = math.fsum(t * v for t, v in zip(s, y)), math.fsum(y)
+    det = n * s_ss - s_s * s_s
+    c = (n * s_sy - s_s * s_y) / det
+    d = (s_ss * s_y - s_s * s_sy) / det
+    residual = math.sqrt(math.fsum((v - c * t - d) ** 2 for t, v in zip(s, y)))
+    return c, d, residual / math.sqrt(math.fsum(v * v for v in y))
+
+
 class TestAsymptoticFits:
     def test_gamma(self) -> None:
         result = fit_gamma()
         assert result.value == pytest.approx(29.752, rel=5e-3)
         assert result.value == pytest.approx(29.75469613119935, rel=1e-6)
-        assert result.fit.relative_residual < 0.01
+        assert result.relative_residual < 0.01
         assert tuple(w for w, _ in result.samples) == ASYMPTOTIC_FIT_WINDOW
 
     def test_beta_ev(self) -> None:
         result = fit_beta_ev()
         assert result.value == pytest.approx(1.62399, rel=1e-3)
         assert result.value == pytest.approx(1.6244872815088551, rel=1e-6)
-        assert result.fit.relative_residual < 0.01
+        assert result.relative_residual < 0.01
+
+    def test_fits_match_the_normal_equations(self) -> None:
+        # gamma is the magnitude of a negative slope, beta_ev a positive one.
+        for result, sign in ((fit_gamma(), -1.0), (fit_beta_ev(), 1.0)):
+            c, _, residual = _sqrt_law_normal_equations(result.samples)
+            assert sign * c == pytest.approx(result.value, rel=1e-12)
+            assert residual == pytest.approx(result.relative_residual, rel=1e-12)
+
+    def test_fit_with_offset_recovers_both_terms(self) -> None:
+        samples = [(x, 2.0 * math.sqrt(x) + 5.0) for x in (1.0, 4.0, 16.0, 25.0)]
+        fit = _fit_sqrt_law(samples)
+        assert fit.value == pytest.approx(2.0, rel=1e-10)
+        assert fit.relative_residual < 1e-12
+        assert fit.samples == tuple(samples)
 
     def test_gamma_is_stable_against_a_wider_window(self) -> None:
         window = [10.0**e for e in (3.0, 3.5, 4.0, 4.5, 5.0)]
         samples = [(w, eta_plasmonic(w)) for w in window]
-        fit = fit_scaling_coefficient(samples, power=0.5, include_offset=True)
-        assert abs(fit.coefficient) == pytest.approx(fit_gamma().value, rel=1e-3)
+        c, _, _ = _sqrt_law_normal_equations(samples)
+        assert abs(c) == pytest.approx(fit_gamma().value, rel=1e-3)
 
     def test_report_bundles_everything(self) -> None:
         report = asymptotic_report()

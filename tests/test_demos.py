@@ -1,20 +1,24 @@
-"""The demos import only public names.
+"""The demos run, and import only public names.
 
-The test suite does not run ``demos/``, so a name removed from the package would
-break a demo without failing any test.  This parses each demo and checks
-that every name it imports from ``casimir_plasmons`` (or one of its
-modules) is in that module's ``__all__``.
+Each demo runs to completion in a subprocess with ``src`` on its path, so an
+attribute or name removed from the package fails here rather than in front
+of a reader.  Each is also parsed to check that every name it imports from
+``casimir_plasmons`` (or one of its modules) is in that module's ``__all__``.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found() -> None:
@@ -38,3 +42,16 @@ def test_demo_imports_are_public(demo: Path) -> None:
         if name not in importlib.import_module(module).__all__
     ]
     assert not private
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    completed = subprocess.run(
+        [sys.executable, str(demo)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

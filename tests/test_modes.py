@@ -530,6 +530,36 @@ class TestPhotonicModes:
         with pytest.raises(NoSolution):
             photonic_mode(Polarization.TE, 2, 0.5, 1.0)
 
+    def test_root_above_the_scan_grid_next_to_the_plasma_edge(self) -> None:
+        # Just above the TE m=2 cut-off the defect is -2.8e-6 at the grid's
+        # top q_hi and +1e-7 at Omega_P: the root lies in (q_hi, Omega_P].
+        omega_p = math.pi + 1e-7
+        with mp.workdps(50):
+            w = mp.mpf(omega_p)
+            q = mp.findroot(
+                lambda x: x + 2 * mp.asin(x / w) - 2 * mp.pi,
+                (w * (1 - mp.mpf("1e-12")), w),
+                solver="illinois",
+            )
+            oracle = float(mp.sqrt(1 + q * q))
+        value = photonic_mode(Polarization.TE, 2, 1.0, omega_p)
+        assert value == pytest.approx(3.29690840476466, rel=1e-14)
+        assert value == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("pol", list(Polarization))
+    def test_first_mode_at_tiny_plasma_parameter(self, pol: Polarization) -> None:
+        # The m=1 root sits within about Omega_P**3 / 8 of Omega_P, far above
+        # q_hi = Omega_P * (1 - 1e-12), where the defect is still -2.8e-6.
+        omega_p = 1e-8
+        q_hi = omega_p * (1.0 - 1e-12)
+        assert q_hi <= photonic_mode(pol, 1, 0.0, omega_p) <= omega_p
+
+    @pytest.mark.parametrize("pol, m", [(Polarization.TE, 4), (Polarization.TM, 5)])
+    def test_no_mode_at_its_cut_off(self, pol: Polarization, m: int) -> None:
+        # At Omega_P = 3*pi the defect at Omega_P is exactly 0: the cut-off.
+        with pytest.raises(NoSolution):
+            photonic_mode(pol, m, 1.0, 3 * math.pi)
+
     def test_validation(self) -> None:
         with pytest.raises(DomainError):
             photonic_mode(Polarization.TE, 0, 1.0, 1.0)
@@ -551,6 +581,9 @@ def _photonic_mode_reference(pol: Polarization, m: int, big_k: float, omega_p: f
     """The scalar 200-point bracket scan that photonic_mode vectorised.
 
     Returns the frequency, or ``None`` where it raised :class:`NoSolution`.
+    Without a sign change on the grid it closes the scan with the cell
+    ``[q_hi, min(pi*m, omega_p)]``, as photonic_mode does: there the root
+    can lie above ``q_hi``.
     """
 
     def phase_defect(q: float) -> float:
@@ -574,6 +607,10 @@ def _photonic_mode_reference(pol: Polarization, m: int, big_k: float, omega_p: f
             return math.hypot(big_k, q)
     if values[-1] == 0.0:
         return math.hypot(big_k, float(grid[-1]))
+    pi_m = math.pi * m
+    if values[-1] < 0.0 and (pi_m < omega_p or phase_defect(omega_p) > 0.0):
+        q = find_root_bracketed(phase_defect, q_hi, min(pi_m, omega_p))
+        return math.hypot(big_k, q)
     return None
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from casimir_plasmons import numerics
 from casimir_plasmons.errors import (
     ConvergenceFailure,
-    DegenerateFit,
     DomainError,
     InvalidBracket,
     NonFiniteIntegrand,
@@ -27,7 +26,6 @@ from casimir_plasmons.numerics import (
     RootSpec,
     brentq,
     find_root_bracketed,
-    fit_scaling_coefficient,
     integrate,
     integrate_log_box,
     quad,
@@ -401,51 +399,3 @@ def test_root_recovers_known_crossing(r, scale):
         lambda x: scale * (x - r), 0.0, 1.0, RootSpec(x_tol=1e-13)
     )
     assert abs(root - r) < 1e-10
-
-
-# ---------------------------------------------------------------------------
-# Scaling-law fits
-# ---------------------------------------------------------------------------
-
-
-def test_fit_exact_square_root_law():
-    fit = fit_scaling_coefficient([(1.0, 2.0), (4.0, 4.0), (9.0, 6.0)], power=0.5)
-    assert fit.coefficient == pytest.approx(2.0, rel=1e-13)
-    assert fit.offset == 0.0
-    assert fit.residual_norm < 1e-12
-
-
-def test_fit_accepts_two_samples():
-    fit = fit_scaling_coefficient([(1.0, 3.0), (2.0, 6.0)], power=1.0)
-    assert fit.coefficient == pytest.approx(3.0, rel=1e-13)
-
-
-def test_fit_with_offset_recovers_both_terms():
-    samples = [(x, 2.0 * math.sqrt(x) + 5.0) for x in (1.0, 4.0, 16.0, 25.0)]
-    fit = fit_scaling_coefficient(samples, power=0.5, include_offset=True)
-    assert fit.coefficient == pytest.approx(2.0, rel=1e-10)
-    assert fit.offset == pytest.approx(5.0, rel=1e-10)
-    assert fit.relative_residual < 1e-12
-
-
-def test_fit_reports_residual_for_imperfect_model():
-    fit = fit_scaling_coefficient(
-        [(1.0, 1.0), (4.0, 2.5), (9.0, 2.8)], power=0.5
-    )
-    assert fit.residual_norm > 0.01
-    assert 0.0 < fit.relative_residual < 1.0
-
-
-def test_fit_error_paths():
-    with pytest.raises(DomainError):
-        fit_scaling_coefficient([(1.0, 1.0)], power=1.0)
-    with pytest.raises(DomainError):
-        fit_scaling_coefficient([(0.0, 1.0), (1.0, 2.0)], power=0.5)
-    with pytest.raises(DomainError):
-        fit_scaling_coefficient([(-2.0, 1.0), (1.0, 2.0)], power=0.5)
-    with pytest.raises(DegenerateFit):
-        fit_scaling_coefficient([(2.0, 1.0), (2.0, 3.0)], power=1.0)
-    with pytest.raises(DegenerateFit):
-        fit_scaling_coefficient(
-            [(3.0, 1.0), (3.0, 1.0), (3.0, 1.0)], power=0.5, include_offset=True
-        )
