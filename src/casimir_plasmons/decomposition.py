@@ -575,7 +575,7 @@ def _check_propagative_identity(spec: QuadratureSpec) -> Tuple[bool, str]:
 def _check_error_estimates(spec: QuadratureSpec) -> Tuple[bool, str]:
     # Each factor at spec must lie within its reported error of the same
     # factor at a spec 100 times tighter (no tighter than 1e-12 relative,
-    # about the most eta_total certifies).
+    # which every rule certifies well above its 64-ulp rounding allowance).
     tight = QuadratureSpec(
         abs_tol=spec.abs_tol / 100.0,
         rel_tol=max(spec.rel_tol / 100.0, 1e-12),

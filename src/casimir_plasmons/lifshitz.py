@@ -15,27 +15,27 @@ with ``kappa = sqrt(Xi**2 + K**2)`` and the squared reflection amplitudes of
 :func:`casimir_plasmons.optics.reflection_sq_imag_axis`.  On the imaginary
 axis the integrand is smooth and strictly negative.  It is evaluated on
 blocks of nodes, a column of ``K`` against a row of ``Xi``, with one call of
-the optics kernel per block: that validates the block once and returns
-``kappa`` and both squared amplitudes, and the damping, the two logarithms
-and the weight ``K`` are applied in place, in the operations (and so to the
-bits) of one amplitude call per polarization.
+the optics kernel per block, which validates the block once and returns the
+decay constants ``kappa``, ``kappa_t`` and ``kappa_t/eps``.  Near the origin
+the DE nodes reach ``r**2 e^(-2 kappa)`` within an ulp of 1, so each
+logarithm is taken of ``1 - r**2 e^(-2 kappa)`` formed without cancellation
+there (see :func:`_mode_sum_integrand`).
 
-Quadrature.  In the variables ``ln K`` and ``ln Xi`` (weight ``K**2 Xi``) the
-integrand has no narrow feature at any ``Omega_P``: the TM amplitude's step
-at ``Xi ~ Omega_P`` has width of order 1 in ``ln Xi``, and the integrand
-falls off like ``K**2`` and ``Xi`` at the lower edges and like
-``e^(-2 kappa)`` at the upper ones.  One trapezoidal rule in these variables,
-:func:`casimir_plasmons.numerics.integrate_log_box`, therefore covers the
-box ``K in [1e-7, 45]``, ``Xi in [1e-13 min(Omega_P, 1), 45]`` with no
-breakpoint.  It halves both steps until two levels agree and evaluates only
-the new nodes of each level.
+Quadrature.  The integral runs over the whole quadrant with
+:func:`casimir_plasmons.numerics.integrate_quadrant`, the product of two
+double-exponential (exp-sinh) rules, with ``Xi`` in units of
+``min(1, Omega_P)``: below ``Omega_P ~ 1`` the TM amplitude's step sits at
+``Xi ~ Omega_P``, and in those units every feature is of order 1 on both
+axes.  The rule crowds its nodes double-exponentially towards both lower
+edges and reaches ``7e6`` on both axes, dropping only nodes whose terms are
+below machine epsilon: there is no box and no strip to bound.  It halves
+both steps, evaluating only the new nodes, until two levels agree within
+``rel_tol`` of the value itself (so 1e-9 is resolved as finely as 1).
 
-Error estimate.  The reported error covers both axes: the difference of the
-last two levels (an estimate of the coarser level's error; the finer level is
-returned), plus analytic bounds on the four strips outside the box, plus a
-rounding allowance.  Refinement stops when that sum is within ``rel_tol`` of
-the value itself, so a reduction factor of 1e-9 is resolved as finely as one
-of order 1.
+Error estimate.  The finer level is returned, with the last difference (the
+coarser level's error) scaled by the rate at which the differences fell,
+plus a rounding allowance: about 3e-14 relative at the default tolerance,
+where the value meets the tests' polar oracle within about 1e-15.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Tuple
 
 import numpy as np
@@ -54,8 +53,8 @@ from .errors import (
     NonFiniteIntegrand,
     require_positive_finite,
 )
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_log_box
-from .optics import SPEED_OF_LIGHT, PlasmaMirror, _reflection_sq_both
+from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_quadrant
+from .optics import SPEED_OF_LIGHT, PlasmaMirror, _decay_constants
 from .optics import reflection_sq_imag_axis  # unused; perfbench/tracing.py patches it by name
 
 __all__ = [
@@ -69,15 +68,6 @@ __all__ = [
 ]
 
 REDUCED_PLANCK = 1.054_571_817e-34  # J * s
-
-# Beyond kappa ~ 45 the factor e^{-2 kappa} puts the integrand at ~1e-40,
-# far below any achievable double-precision tolerance, so both axes can be
-# truncated there without touching the error budget.
-_AXIS_CUTOFF = 45.0
-# Quadrature box in K: with the weight K**2 of the log variable, the strip
-# below 1e-7 is at most ~1e-13 of the value.
-_K_RANGE = (1e-7, _AXIS_CUTOFF)
-_ZETA_3 = 1.2020569031595942
 
 
 @dataclass(frozen=True)
@@ -135,38 +125,40 @@ def casimir_ideal_energy(setup: PhysicalSetup) -> float:
     )
 
 
-def _tail_bound(Omega_P: float, Xi_min: float) -> float:
-    """Bound on the integral ``Int K F dK dXi`` outside the quadrature box.
+def _log_one_minus(kappa: np.ndarray, x: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    """``ln(1 - r^2 e^(-2 kappa))`` for one polarization, in a new array.
 
-    ``F = -sum_pol ln(1 - r^2 e^(-2 kappa))`` is positive, ``kappa >= K, Xi``,
-    and for every ``K`` both amplitudes obey
-    ``r <= rho(Xi) = Omega_P^2 / (Omega_P^2 + 2 Xi^2) <= 1``.  Hence
-    ``Int F dXi <= min(pi^2/6, sqrt(2) pi Omega_P)`` at any ``K``,
-    ``Int K F dK <= zeta(3)/2`` at any ``Xi``, and beyond the cutoff
-    ``F <= 2 rho(Xi) e^(-K - Xi)``.  Those bound the strips ``K < K_min``,
-    ``Xi < Xi_min``, ``K > 45`` and ``Xi > 45`` in turn.
+    With ``x`` the transverse decay constant of the polarization
+    (``kappa_t`` for TE, ``kappa_t/eps`` for TM), ``r = (kappa - x)/(kappa + x)``
+    and ``1 - r^2 = 4 (kappa/(kappa + x)) (x/(kappa + x))``, in which nothing
+    overflows.  Where ``p = r^2 e^(-2 kappa)`` exceeds 1/2 the logarithm is
+    ``ln(-expm1(-2 kappa) + e^(-2 kappa) (1 - r^2))``, which stays finite
+    and accurate as ``p`` tends to 1; elsewhere it is ``log1p(-p)``, the
+    more accurate of the two there.
     """
-    K_min, cut = _K_RANGE
-    small_K = 0.5 * K_min**2 * min(math.pi**2 / 6.0, math.sqrt(2.0) * math.pi * Omega_P)
-    small_Xi = 0.5 * _ZETA_3 * Xi_min
-    rho_integral = min(1.0, 0.5 * math.pi * Omega_P / math.sqrt(2.0))
-    # rho_cut rounds to 1 long before Omega_P**2 overflows (about 1e154).
-    rho_cut = 1.0 if Omega_P > 1e75 else Omega_P**2 / (Omega_P**2 + 2.0 * cut**2)
-    beyond = 2.0 * math.exp(-cut) * ((cut + 1.0) * rho_integral + rho_cut)
-    return small_K + small_Xi + beyond
+    width = kappa + x
+    p = kappa - x
+    p /= width
+    p *= p
+    p *= damping
+    near = p > 0.5
+    np.negative(p, out=p)
+    np.log1p(p, out=p, where=~near)
+    if near.any():
+        k, width = kappa[near], width[near]
+        one_minus_r_sq = 4.0 * (k / width) * (x[near] / width)
+        p[near] = np.log(damping[near] * one_minus_r_sq - np.expm1(-2.0 * k))
+    return p
 
 
 def _mode_sum_integrand(K: np.ndarray, Xi: np.ndarray, Omega_P: float) -> np.ndarray:
-    """``K * sum_pol ln(1 - r_pol^2 e^(-2 kappa))`` on a block of nodes, in place."""
-    kappa, total, tm = _reflection_sq_both(K, Xi, Omega_P)
-    damping = np.exp(np.multiply(kappa, -2.0, out=kappa), out=kappa)
-    np.negative(damping, out=damping)
-    total *= damping
-    tm *= damping
-    np.log1p(total, out=total)
-    total += np.log1p(tm, out=tm)
+    """``K * sum_pol ln(1 - r_pol^2 e^(-2 kappa))`` on a block of nodes."""
+    kappa, kappa_t, reduced = _decay_constants(K, Xi, Omega_P)
+    damping = np.exp(-2.0 * kappa)
+    total = _log_one_minus(kappa, kappa_t, damping)
+    total += _log_one_minus(kappa, reduced, damping)
     # Strictly negative and finite wherever the mirror is imperfect; any
-    # other value signals a broken reflection amplitude.
+    # other value signals a broken decay constant.
     if not (-math.inf < total.min() and total.max() <= 0.0):
         raise NonFiniteIntegrand(
             f"mode-sum integrand invalid in the block K in [{K.min():g}, {K.max():g}], "
@@ -181,20 +173,22 @@ def _eta_total_detailed(
 ) -> Tuple[float, float]:
     """Reduction factor plus a propagated quadrature error estimate."""
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    # The strip below Xi_min is at most ~1e-12 of the value (see _tail_bound).
-    xi_range = (1e-13 * min(Omega_P, 1.0), _AXIS_CUTOFF)
-    integrand = partial(_mode_sum_integrand, Omega_P=Omega_P)
+    xi_unit = min(1.0, Omega_P)
+
+    def integrand(K: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return _mode_sum_integrand(K, xi_unit * u, Omega_P)
+
     try:
-        value, error = integrate_log_box(
-            integrand, _K_RANGE, xi_range, spec, _tail_bound(Omega_P, xi_range[0])
-        )
+        value, error = integrate_quadrant(integrand, spec)
     except ConvergenceFailure as exc:
         raise ConvergenceFailure(
             "reduction-factor double integral over the (K, Xi) quarter-plane "
             f"at Omega_P={Omega_P:g}: {exc}"
         ) from exc
-    scale = 180.0 / math.pi**4
-    return -scale * value, scale * error
+    scale = 180.0 / math.pi**4 * xi_unit
+    # r^2 <= 1 at every node, so the exact factor is at most 1; near the
+    # ideal mirror the rule's rounding can put it an ulp above.
+    return min(1.0, -scale * value), scale * error
 
 
 def eta_total(Omega_P: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
@@ -203,10 +197,7 @@ def eta_total(Omega_P: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> floa
     Lies in ``(0, 1]``: finite plasma frequency only weakens the attraction.
     Rises monotonically with ``Omega_P`` from the surface-mode-dominated
     short-distance behaviour (``eta_E ~ 1.7895 * Omega_P / 2 pi``) to the
-    ideal-mirror limit 1.  ``spec.rel_tol`` below about 3e-13 raises
-    :class:`ConvergenceFailure` for ``Omega_P`` above about 0.5: the strip
-    ``Xi < 1e-13 * min(Omega_P, 1)`` outside the quadrature box holds about
-    1e-13 of the value there, and its bound alone exceeds such a target.
+    ideal-mirror limit 1.
     """
     return _eta_total_detailed(Omega_P, spec)[0]
 

@@ -73,6 +73,9 @@ _RATIO_FORM_BELOW = 1e-75
 # Largest plasma parameter whose plus-branch endpoint lies inside the
 # endpoint's root bracket (which stops 1e-15 short of pi).
 _MAX_SURFACE_OMEGA_P = 1e15
+# Below this (Omega_P - u)(Omega_P + u) in the endpoint equation underflows,
+# and the endpoint would round onto its bracket's lower end.
+_MIN_SURFACE_OMEGA_P = 1.5e-154
 
 
 @unique
@@ -393,6 +396,11 @@ def _branch_constants_cached(Omega_P: float) -> BranchConstants:
             "endpoint, about pi*(1 - 2/Omega_P), lies closer to pi than its "
             "root bracket resolves"
         )
+    if Omega_P < _MIN_SURFACE_OMEGA_P:
+        raise DomainError(
+            f"Omega_P={Omega_P:g} is below {_MIN_SURFACE_OMEGA_P:g}: the plus-branch "
+            "endpoint equation underflows"
+        )
     k_p = Omega_P / math.sqrt(1.0 + 0.5 * Omega_P)
     u_max = min(Omega_P, math.pi)
 
@@ -429,7 +437,8 @@ def _branch_constants_cached(Omega_P: float) -> BranchConstants:
 def branch_constants(Omega_P: float) -> BranchConstants:
     """Derived branch scalars (light-cone crossing, endpoints) for ``Omega_P``.
 
-    Defined up to ``Omega_P = 1e15`` (:class:`DomainError` beyond).
+    Defined from ``Omega_P = 1.5e-154`` up to ``1e15`` (:class:`DomainError`
+    outside).
     """
     return _branch_constants_cached(require_positive_finite("Omega_P", Omega_P))
 
@@ -585,7 +594,12 @@ def photonic_mode(
             f"no propagative cavity mode for pol={pol.value}, m={m}, K={K:g}, "
             f"Omega_P={Omega_P:g}"
         )
-    return math.hypot(K, find_root_bracketed(defect, lo, hi))
+    # Q is at most about q_hi: a tolerance scaled by it keeps about 12
+    # significant digits of Q at every Omega_P.  It stays a few ulps above 0
+    # where q_hi is subnormal.
+    x_tol = max(1e-12 * min(1.0, q_hi), 4.0 * math.ulp(0.0))
+    root = find_root_bracketed(defect, lo, hi, RootSpec(x_tol=x_tol))
+    return math.hypot(K, root)
 
 
 def default_dispersion_grid(Omega_P: float, points: int = 400) -> np.ndarray:

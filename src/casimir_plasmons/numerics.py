@@ -5,9 +5,10 @@ tolerance handling, failure modes and determinism live in one place.
 
 Every quadrature is a trapezoidal rule after a change of variable, refined
 by step halving on one shared loop: each level evaluates only its new
-nodes, and the error estimate is the difference of the last two levels plus
+nodes, and refinement stops once the difference of the last two levels plus
 a rounding allowance (and the caller's bound on anything outside the rule's
-reach).
+reach) is within the tolerance.  That sum is the error reported, except by
+the quadrant rule, which scales the difference by its rate of fall.
 
 * One-dimensional integrals use the double-exponential rules of Takahashi
   and Mori (Publ. RIMS 9, 721 (1974)).  On a finite interval the tanh-sinh
@@ -16,8 +17,8 @@ reach).
   on ``[a, inf)`` the exp-sinh rule does the same towards ``a`` and spreads
   its nodes out to about ``a + 7e6``.  The integrand is evaluated on a numpy
   array of nodes per level.  :func:`integrate` is the checked entry point.
-* The two-dimensional rule is the trapezoidal rule in ``log x`` and
-  ``log y`` on a box.
+* On the quadrant ``[0, inf)**2`` the rule is the product of two exp-sinh
+  rules: each level adds the nodes new on either axis.
 
 Roots come from Brent's bracketing hybrid (Brent 1973, *Algorithms for
 Minimization without Derivatives*, ch. 4).  Everything is deterministic for
@@ -49,7 +50,7 @@ __all__ = [
     "DEFAULT_ROOT",
     "quad",
     "integrate",
-    "integrate_log_box",
+    "integrate_quadrant",
     "brentq",
     "find_root_bracketed",
 ]
@@ -63,11 +64,6 @@ _MIN_BRENT_RTOL = 4.0 * _EPS * (1.0 + 1e-7)
 _TAIL_THRESHOLD = 50.0
 # Rounding allowance of every rule, relative to the sum of |weight * f|.
 _ROUNDING = 64.0 * _EPS
-# integrate_log_box: first step in log x and log y, number of step halvings,
-# and the most nodes evaluated in one numpy block.
-_LOG_BOX_STEP = 0.3
-_LOG_BOX_LEVELS = 6
-_LOG_BOX_BLOCK = 8192
 # Double-exponential rules: first step in t, the widest window of t they
 # sum over, the part of it always evaluated, and the most step halvings.
 # The widest windows reach within 6e-38 * (b - a) of both ends (tanh-sinh)
@@ -77,6 +73,10 @@ _DE_STEP = 0.5
 _DE_WINDOWS = {"tanh-sinh": (-4.0, 4.0), "exp-sinh": (-4.5, 3.0)}
 _DE_CORE = 3.0
 _DE_LEVELS = 8
+# integrate_quadrant: the most step halvings (level 3 meets rel_tol 1e-9 and
+# level 4 1e-13 on eta_total), and the most nodes evaluated in one block.
+_QUADRANT_LEVELS = 5
+_QUADRANT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,11 @@ class QuadratureSpec:
     ``abs_tol``/``rel_tol``: the returned value carries an estimated error of
     at most ``max(abs_tol, rel_tol * |result|)``; at least one of the two must
     be strictly positive.  The one-dimensional rules allow 8 step halvings
-    (each doubles their nodes: at most about 4100 per integral), the log-box
-    rule 6.  A tolerance below what a routine can certify raises
+    (each doubles their nodes: at most about 4100 per integral), the
+    quadrant rule 5 (each about quadruples them: at most 481**2).  A
+    tolerance below what a routine can certify raises
     :class:`ConvergenceFailure`: no rule certifies ``rel_tol`` below its
-    rounding allowance of 64 ulp, and ``eta_total`` none below about 3e-13
-    for ``Omega_P`` above about 0.5, because the strip
-    ``Xi < 1e-13 * min(Omega_P, 1)`` left out of its box holds about 1e-13 of
-    the value.
+    rounding allowance of 64 ulp.
     """
 
     abs_tol: float = 1e-10
@@ -382,18 +380,6 @@ def _envelope_tail_bound(
     return tail_bound
 
 
-def _log_axis(lo: float, hi: float, steps: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes ``x`` of a uniform grid in ``log x`` and their trapezoid weights.
-
-    The weights carry the Jacobian ``dx = x d(log x)`` but not the step.
-    """
-    a = np.linspace(math.log(lo), math.log(hi), steps + 1)
-    x = np.exp(a)
-    weights = x.copy()
-    weights[[0, -1]] *= 0.5
-    return x, weights
-
-
 def _tensor_sum(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x: np.ndarray,
@@ -402,7 +388,7 @@ def _tensor_sum(
     wy: np.ndarray,
 ) -> float:
     """``sum_ij wx_i wy_j f(x_i, y_j)``, evaluated in blocks of bounded size."""
-    rows = max(1, _LOG_BOX_BLOCK // y.size)
+    rows = max(1, _QUADRANT_BLOCK // y.size)
     total = 0.0
     for start in range(0, x.size, rows):
         block = f(x[start : start + rows, np.newaxis], y[np.newaxis, :])
@@ -410,65 +396,71 @@ def _tensor_sum(
     return total
 
 
-def integrate_log_box(
+def integrate_quadrant(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x_bounds: Tuple[float, float],
-    y_bounds: Tuple[float, float],
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    tail_error: float = 0.0,
 ) -> Tuple[float, float]:
-    """Integrate ``f(x, y)`` over a box in the positive quadrant.
+    """Integrate ``f(x, y)`` over the quadrant ``[0, inf)**2``.
 
-    The rule is the trapezoidal rule in ``log x`` and ``log y`` (weight
-    ``x * y``), which suits integrands that vary on every scale from the
-    lower bounds up and decay at least like a power at both lower edges.
-    ``f`` is vectorised: it receives a column of ``x`` and a row of ``y``
-    (at most about 8192 nodes together) and returns their broadcast block;
-    its values must not be negative.  Each level halves both steps and
-    evaluates only the new nodes.
+    The rule is the product of two exp-sinh rules (see :func:`quad`), for
+    integrands that keep one sign.  ``f`` is vectorised: it receives a
+    column of ``x`` and a row of ``y`` (at most about 8192 nodes together)
+    and returns their broadcast block.  Level 0 is the tensor grid over the
+    whole window, ``2e-31`` to ``7e6`` on each axis; on each side of each
+    axis the finer levels reach out to its first row (column) whose
+    ``|w f|`` is below machine epsilon times the total, as in :func:`quad`.
+    Each level evaluates only its new nodes: new ``x`` against every ``y``,
+    old ``x`` against new ``y``.
 
-    Returns ``(value, error_estimate)``.  The estimate is the difference of
-    the last two levels, plus ``tail_error`` (the caller's bound on what lies
-    outside the box), plus a rounding allowance; refinement stops once it is
-    at most ``rel_tol * |value|`` (``abs_tol`` when ``rel_tol`` is 0), which
-    also meets ``max(abs_tol, rel_tol * |value|)``.  The relative test keeps
-    an integral far smaller than ``abs_tol`` from stopping unresolved.
-    Raises :class:`ConvergenceFailure` when the finest level misses it (at
-    once when the tail bound and rounding allowance alone do) and
-    :class:`NonFiniteIntegrand` when a level sums to NaN or infinity.
+    Returns ``(value, error_estimate)``.  Refinement stops once the last two
+    levels differ, plus a rounding allowance, by at most ``rel_tol * |value|``
+    (``abs_tol`` when ``rel_tol`` is 0), so an integral far below
+    ``abs_tol`` is still resolved.  That difference is the coarser level's
+    error; a double-exponential rule's error falls faster at each halving
+    than at the one before, so the finer level's reported error is the
+    difference times the ratio of the last two differences (if below 1),
+    plus the allowance.  Raises :class:`ConvergenceFailure` when the finest
+    level misses the target and :class:`NonFiniteIntegrand` when a level
+    sums to NaN or infinity.
     """
-    for lo, hi in (x_bounds, y_bounds):
-        if not (0.0 < lo < hi and hi / lo < math.inf):
-            raise DomainError(
-                f"log-box bounds must satisfy 0 < lo < hi with a finite ratio hi/lo, "
-                f"got {(lo, hi)}"
-            )
-    widths = [math.log(hi / lo) for lo, hi in (x_bounds, y_bounds)]
-    first_steps = [max(1, math.ceil(width / _LOG_BOX_STEP)) for width in widths]
-    weighted_sum = 0.0
+    offset, weight = _de_nodes("exp-sinh", 0)
+    terms = weight[:, np.newaxis] * f(offset[:, np.newaxis], offset[np.newaxis, :]) * weight
+    floor = _EPS * float(np.abs(terms).sum())
+    if not math.isfinite(floor):
+        raise NonFiniteIntegrand(f"integrand summed to {float(terms.sum())!r}")
+    reach = []
+    for axis in (1, 0):
+        kept = np.flatnonzero(np.abs(terms).sum(axis) >= floor)
+        reach.append((max(kept[0] - 1, 0), min(kept[-1] + 1, offset.size - 1)))
+    weighted_sum = float(terms[tuple(slice(lo, hi + 1) for lo, hi in reach)].sum())
+    done = [(offset[lo : hi + 1], weight[lo : hi + 1]) for lo, hi in reach]
+    values = []
 
     def level_value(level: int) -> Tuple[float, float]:
         nonlocal weighted_sum
-        steps = [n * 2**level for n in first_steps]
-        x, wx = _log_axis(*x_bounds, steps[0])
-        y, wy = _log_axis(*y_bounds, steps[1])
-        if level == 0:
-            weighted_sum = _tensor_sum(f, x, wx, y, wy)
-        else:
-            # Only the new nodes: odd x with every y, then even x with odd y.
-            weighted_sum += _tensor_sum(f, x[1::2], wx[1::2], y, wy)
-            weighted_sum += _tensor_sum(f, x[::2], wx[::2], y[1::2], wy[1::2])
-        value = weighted_sum * (widths[0] / steps[0]) * (widths[1] / steps[1])
-        return value, abs(value)
+        if level:
+            shift, nodes = level - 1, _de_nodes("exp-sinh", level)
+            new = [tuple(a[lo << shift : hi << shift] for a in nodes) for lo, hi in reach]
+            every = [tuple(map(np.concatenate, zip(d, n))) for d, n in zip(done, new)]
+            weighted_sum += _tensor_sum(f, *new[0], *every[1])
+            weighted_sum += _tensor_sum(f, *done[0], *new[1])
+            done[:] = every
+        step = _DE_STEP / 2**level
+        values.append(weighted_sum * step * step)
+        return values[-1], abs(values[-1])
 
     value, error, _, failure = _refine(
         level_value,
-        _LOG_BOX_LEVELS,
+        _QUADRANT_LEVELS,
         lambda v: spec.rel_tol * abs(v) if spec.rel_tol > 0.0 else spec.abs_tol,
-        tail_error,
+        0.0,
     )
     if failure:
-        raise ConvergenceFailure(f"log-box trapezoid rule: {failure}")
+        raise ConvergenceFailure(f"product exp-sinh rule: {failure}")
+    if len(values) > 2:
+        last, before = (abs(values[i] - values[i - 1]) for i in (-1, -2))
+        if last < before:
+            error -= last * (1.0 - last / before)
     return value, error
 
 

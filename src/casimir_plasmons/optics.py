@@ -115,11 +115,14 @@ def classify(K: float, Omega: float) -> Sector:
     return Sector.PROPAGATIVE if Omega > K else Sector.EVANESCENT
 
 
-def _reflection_sq_both(K: ArrayOrFloat, Xi: ArrayOrFloat, Omega_P: float):
-    """``(kappa, r_TE^2, r_TM^2)`` from one ``kappa`` and ``kappa_t``.
+def _decay_constants(K: ArrayOrFloat, Xi: ArrayOrFloat, Omega_P: float):
+    """``(kappa, kappa_t, kappa_t / eps(i Xi))``: the three decay constants.
 
-    The one amplitude formula behind :func:`reflection_sq_imag_axis`.  Its
-    arrays are new, so callers may overwrite them.
+    The one formula behind every imaginary-axis amplitude: the TE amplitude
+    is ``(kappa - x)/(kappa + x)`` with ``x = kappa_t``, the TM one the same
+    with ``x = kappa_t / eps``.  ``Xi = 0`` is accepted here (there
+    ``kappa_t / eps`` is 0); :func:`reflection_sq_imag_axis` rejects it.
+    Its arrays are new, so callers may overwrite them.
     """
     # Inline rather than require_positive_finite: this runs at every block.
     if not (0.0 < Omega_P < math.inf):
@@ -129,29 +132,21 @@ def _reflection_sq_both(K: ArrayOrFloat, Xi: ArrayOrFloat, Omega_P: float):
     Xi_lo, Xi_hi = (Xi.min(), Xi.max()) if Xi_block else (Xi, Xi)
     if not (0.0 <= K_lo and K_hi < math.inf):
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
-    if not (0.0 < Xi_lo and Xi_hi < math.inf):
-        raise DomainError(f"Xi must be positive and finite, got {Xi!r}")
+    if not (0.0 <= Xi_lo and Xi_hi < math.inf):
+        raise DomainError(f"Xi must be non-negative and finite, got {Xi!r}")
     hypot = np.hypot if K_block or Xi_block else math.hypot
     kappa = hypot(K, Xi)
     kappa_t = hypot(kappa, Omega_P)
-    # Augmented assignments work in place on arrays and rebind floats.
-    te = kappa - kappa_t
-    te /= kappa + kappa_t
-    te *= te
     # kappa_t / eps(i Xi) written so that neither factor can overflow;
     # where (Omega_P / Xi)**2 itself could, through its reciprocal.
-    if Xi_lo < 1e-150 * Omega_P:
+    if Xi_lo <= 1e-150 * Omega_P:
         q_sq = (Xi / Omega_P) ** 2
-        kappa_t *= q_sq
-        kappa_t /= 1.0 + q_sq
+        reduced = kappa_t * q_sq
+        reduced /= 1.0 + q_sq
     else:
         ratio = Omega_P / Xi
-        kappa_t /= 1.0 + ratio * ratio
-    tm = kappa - kappa_t
-    kappa_t += kappa
-    tm /= kappa_t
-    tm *= tm
-    return kappa, te, tm
+        reduced = kappa_t / (1.0 + ratio * ratio)
+    return kappa, kappa_t, reduced
 
 
 def reflection_sq_imag_axis(
@@ -170,5 +165,12 @@ def reflection_sq_imag_axis(
     arbitrarily small ``Xi``.  The result lies in [0, 1].
     """
     pol = _coerce_polarization(pol)
-    _, te, tm = _reflection_sq_both(K, Xi, Omega_P)
-    return te if pol is Polarization.TE else tm
+    if not (np.min(Xi) > 0.0):
+        raise DomainError(f"Xi must be positive and finite, got {Xi!r}")
+    kappa, kappa_t, reduced = _decay_constants(K, Xi, Omega_P)
+    x = kappa_t if pol is Polarization.TE else reduced
+    # Augmented assignments work in place on arrays and rebind floats.
+    r_sq = kappa - x
+    r_sq /= kappa + x
+    r_sq *= r_sq
+    return r_sq

@@ -320,11 +320,13 @@ class TestDispersion:
 # SHA-256 of the CLI outputs whose bytes must not change.  The dispersion
 # digests (400 points, m <= 5) were pinned from the scalar bracket scan that
 # photonic_mode used before its scan was vectorised.  The eta and sweep
-# digests were pinned again when the surface-mode integrals moved to the
-# double-exponential rules: eta_pl, eta_ph, eta_ev and their error estimates
-# moved in the last digits (each value by under 0.2% of its error estimate),
-# eta_total kept every bit.  The constants digest guards the scalar
-# integrand of alpha, evaluated node by node with libm.
+# digests were pinned from the product exp-sinh rule of eta_total, which
+# agrees with the polar-coordinate oracle to about 1e-15: eta_total moved by
+# at most 3e-13 relative and eta_ph = eta_total - eta_pl by as much in
+# absolute terms (up to 4 units of its 12th printed digit), and
+# err_eta_total fell to about 3e-14 relative (the last level difference
+# scaled by its rate of fall, plus 64 ulp).  The constants digest guards the
+# scalar integrand of alpha, evaluated node by node with libm.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -345,22 +347,22 @@ class TestDispersion:
         ),
         (
             ["eta", "--l-over-lambda-p", "1"],
-            "fd20e71e67a617f004fde28d0b477cb0c3ce8b7f7e4a5b7f4667166701c8cceb",
+            "7446a6137f239d05827fb26a68191c5273785ef9f164414f6649fc417e380b8d",
         ),
         (
             ["eta", "--l-over-lambda-p", "0.25", "--format", "json"],
-            "f7e2483129646d177924c9856a573eff92968678825c4e8a0ab089cbb4523ce7",
+            "9a4b3691d003fd2028a413b6a4c144c4304ff81a71c3454bf98548aba65507c1",
         ),
         (
             ["sweep", "--range", "0.01:10", "--points", "20"],
-            "4ef5e23c016ae1ebbc2dfce632470567cc9e75ad983326dc8e98d1a21e10bf92",
+            "55ecd8550f8fc78014375898c7b8451a665445655613b368a5eb84e5fa0e3224",
         ),
         (
             [
                 "sweep", "--range", "1e-8:1e-6", "--lambda-p", "137e-9",
                 "--points", "7", "--format", "json",
             ],
-            "4064753e0da3c12e3c5c228d12d253b7c11b49cc7ba710ad138711ac56661bec",
+            "82147bfcd20eb10260342c56da707c99958b83120dd5f97a2d159076ee25d8ea",
         ),
         (
             ["constants"],

@@ -104,8 +104,8 @@ def test_non_finite_argument_raises_domain_error(entry, value) -> None:
 def test_tiny_plasma_parameter_gives_a_typed_error(capsys) -> None:
     # At Omega_P = 1e-300 every term of omega0's rationalised form underflows
     # (it divided 0 by 0); its ratio form does not.  The command then stops
-    # at eta_total's box, whose Xi range no longer fits the float range, with
-    # a one-line typed message instead of a traceback.
+    # at branch_constants, whose endpoint equation underflows there, with a
+    # one-line typed message instead of a traceback.
     tiny = 1e-300
     expected = tiny * math.sqrt(2.0 / (3.0 + math.sqrt(5.0)))
     assert omega0(tiny, tiny) == pytest.approx(expected, rel=1e-15)

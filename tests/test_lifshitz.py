@@ -1,9 +1,9 @@
 """Tests for the reduction-factor and physical-energy layer.
 
-The production code evaluates the reduction factor with a trapezoidal rule
-in the logarithms of the wavevector and the imaginary frequency.  The main
-oracle here re-evaluates it with nested adaptive quadrature in polar
-coordinates — a genuinely different rule and integration geometry whose only
+The production code evaluates the reduction factor with a product of two
+exp-sinh rules over the wavevector / imaginary-frequency quadrant.  The main
+oracle here re-evaluates it with nested double-exponential quadrature in
+polar coordinates — a genuinely different rule and integration geometry whose only
 shared ingredient is the reflection coefficient — and demands agreement far
 below the advertised tolerance, and within the two reported error estimates.
 """
@@ -15,11 +15,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_plasmons.decomposition import short_distance_alpha
-from casimir_plasmons.errors import CasimirModelError, DomainError, NonFiniteIntegrand
+from casimir_plasmons import lifshitz
+from casimir_plasmons.errors import DomainError
 from casimir_plasmons.lifshitz import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
@@ -117,25 +118,53 @@ class TestReductionFactor:
                 _eta_polar_oracle(omega_p)[0], abs=1e-8
             )
 
-    @pytest.mark.parametrize("omega_p", [1e-3, 0.5, 2.0 * math.pi, 1e3])
+    @pytest.mark.parametrize("omega_p", [1e-4, 1e-3, 0.5, 2.0 * math.pi, 1e3, 1e4])
     def test_error_estimate_covers_distance_to_polar_oracle(self, omega_p) -> None:
+        # The estimate is also sharp: the finest level is within about 1e-15
+        # of the oracle, and the error it reports stays below 1e-13.
         value, error = _eta_total_detailed(omega_p)
         reference, reference_error = _eta_polar_oracle(omega_p)
-        assert 0.0 <= error <= 1e-9 * value
+        assert 0.0 <= error <= 1e-13 * value
         assert abs(value - reference) <= error + reference_error
 
-    @given(log_omega=st.floats(-10.0, 300.0))
+    @pytest.mark.parametrize("omega_p", [2.0 * math.pi, 1e3, 1e4])
+    def test_certifies_a_tight_tolerance_against_polar_oracle(self, omega_p) -> None:
+        # Nothing outside the rule's reach puts a floor under rel_tol: 1e-13
+        # is certified, and the value meets the polar oracle within the two
+        # estimates.
+        tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
+        value, error = _eta_total_detailed(omega_p, tight)
+        reference, reference_error = _eta_polar_oracle(omega_p)
+        assert 0.0 <= error <= 1e-13 * value
+        assert abs(value - reference) <= error + reference_error
+
+    @given(log_omega=st.floats(-300.0, 300.0))
+    @example(log_omega=200.0)  # the rule's rounding put 1 + 2.2e-16 here
+    @example(log_omega=300.0)
     @settings(max_examples=40, deadline=None)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_value_with_honest_estimate_or_typed_error(self, log_omega) -> None:
+        # Every positive finite Omega_P in this range gives a value: the
+        # quadrant rule has no box whose bounds could leave the float range.
         omega_p = 10.0**log_omega
-        try:
-            value, error = _eta_total_detailed(omega_p)
-        except CasimirModelError:
-            return
+        value, error = _eta_total_detailed(omega_p)
         assert 0.0 < value <= 1.0
-        assert math.isfinite(error) and error >= 0.0
+        assert 0.0 <= error <= 1e-9 * value
         assert _eta_total_detailed(omega_p) == (value, error)
+
+    @pytest.mark.parametrize("omega_p", [1e-8, 2.0 * math.pi, 1e5])
+    def test_default_tolerance_takes_at_most_three_halvings(self, omega_p, monkeypatch) -> None:
+        # Level 3 of the product rule has 121 nodes per axis.
+        nodes = []
+
+        def counted(K, Xi, Omega_P):
+            nodes.append(np.broadcast(K, Xi).size)
+            return _mode_sum_integrand(K, Xi, Omega_P)
+
+        monkeypatch.setattr(lifshitz, "_mode_sum_integrand", counted)
+        eta_total(omega_p)
+        assert 0 < sum(nodes) <= 121**2
+        assert max(nodes) <= 8192
 
     @pytest.mark.parametrize("omega_p", [5e-5, 1e-4, 3e-4])
     def test_converges_where_nested_quadrature_failed(self, omega_p) -> None:
@@ -143,7 +172,7 @@ class TestReductionFactor:
         assert 0.0 < value < 1.0
         assert error <= 1e-9 * value
 
-    @pytest.mark.parametrize("omega_p", [1e-8, 1e-6, 1e-5])
+    @pytest.mark.parametrize("omega_p", [1e-300, 1e-8, 1e-6, 1e-5])
     def test_short_distance_slope_reaches_one_and_a_half_alpha(self, omega_p) -> None:
         slope = eta_total(omega_p) / (omega_p / (2.0 * math.pi))
         assert slope == pytest.approx(1.5 * short_distance_alpha(), rel=1e-6)
@@ -177,7 +206,7 @@ class TestReductionFactor:
 
 
 class TestModeSumIntegrand:
-    """The integrand's one kernel call per block keeps every bit."""
+    """The integrand against one amplitude call per polarization."""
 
     @pytest.mark.parametrize("omega_p", [1e-8, 0.1, 2.0 * math.pi, 1e12, 1e200])
     def test_matches_one_amplitude_call_per_polarization(self, omega_p) -> None:
@@ -190,47 +219,55 @@ class TestModeSumIntegrand:
         )
 
         def reference(k, xi):
+            """``k * sum_pol log1p(-p)`` with ``p = r^2 e^(-2 kappa)``, and its
+            rounding amplification ``k * sum_pol p / (1 - p)``."""
             damping = np.exp(-2.0 * np.hypot(k, xi))
-            te = reflection_sq_imag_axis("TE", k, xi, omega_p)
-            tm = reflection_sq_imag_axis("TM", k, xi, omega_p)
-            return k * (np.log1p(-te * damping) + np.log1p(-tm * damping))
+            logs = conditioning = 0.0
+            for pol in ("TE", "TM"):
+                p = reflection_sq_imag_axis(pol, k, xi, omega_p) * damping
+                logs = logs + np.log1p(-p)
+                conditioning = conditioning + p / (1.0 - p)
+            return k * logs, k * conditioning
 
-        compared = 0
+        eps = np.finfo(float).eps
+        compared = saturated = 0
         for Xi in rows:
             blocks = [(K, Xi)] + [(K[i : i + 1], Xi) for i in range(K.shape[0])]
             blocks += [(K[i : i + 1], Xi[:, j : j + 1]) for i, j in np.ndindex(5, 6)]
             for k, xi in blocks:
-                # Where r^2 e^(-2 kappa) rounds to 1 (K = 0, tiny Xi) the log is
-                # -inf: the reference shows it, the integrand must refuse.
+                value = _mode_sum_integrand(k, xi, omega_p)
+                assert np.isfinite(value).all() and value.max() <= 0.0
+                # Where p rounds to 1 (K = 0, tiny Xi) the reference is -inf;
+                # elsewhere its own rounding of p grows by p / (1 - p).
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    expected = reference(k, xi)
-                    if np.isfinite(expected).all() and expected.max() <= 0.0:
-                        assert np.array_equal(_mode_sum_integrand(k, xi, omega_p), expected)
-                        compared += expected.size
-                    else:
-                        with pytest.raises(NonFiniteIntegrand):
-                            _mode_sum_integrand(k, xi, omega_p)
-        assert compared >= 100
+                    expected, conditioning = reference(k, xi)
+                    finite = np.isfinite(expected)
+                    bound = 8.0 * eps * (np.abs(expected) + conditioning)
+                assert (np.abs(value - expected) <= bound)[finite].all()
+                compared += int(finite.sum())
+                saturated += int((~finite).sum())
+        assert compared >= 100 and saturated > 0
 
     @pytest.mark.parametrize(
         "omega_p, value_bits, error_bits",
         [
-            (1e-10, "0x1.f52f020890144p-36", "0x1.d924816d9c99cp-75"),
-            (1e-08, "0x1.878cb996b08dbp-29", "0x1.580b065f4a370p-68"),
-            (1e-06, "0x1.31e5f0fd83c0bp-22", "0x1.15e553a140350p-61"),
-            (3e-05, "0x1.1ec7917020bddp-17", "0x1.18ae440abb110p-56"),
-            (1e-03, "0x1.2ab9481ab59a8p-12", "0x1.164e0e46b73a2p-51"),
-            (0.05, "0x1.cd9f2baa070b3p-7", "0x1.bd857b2b2746ep-46"),
-            (0.5, "0x1.e5b8f3d362725p-4", "0x1.f4310645c2006p-43"),
-            (2.0 * math.pi, "0x1.3549e9e69da51p-1", "0x1.40bd66d1ef165p-40"),
-            (40.0, "0x1.d11458dd30de9p-1", "0x1.aa04d54aff390p-39"),
-            (1e3, "0x1.fdf597ff5ad92p-1", "0x1.67f5469cc0fddp-40"),
-            (1e5, "0x1.fffac1defbff3p-1", "0x1.44ec06c4340d0p-40"),
-            (1e12, "0x1.fffffffff6eccp-1", "0x1.44a226fe498acp-40"),
+            (1e-10, "0x1.f52f02089097ap-36", "0x1.4145aaa9f322fp-81"),
+            (1e-08, "0x1.878cb996b0f40p-29", "0x1.f5fcdaa98be69p-75"),
+            (1e-06, "0x1.31e5f0fd840bep-22", "0x1.882e025a26bd4p-68"),
+            (3e-05, "0x1.1ec791702104ap-17", "0x1.6b37d2e919308p-63"),
+            (1e-03, "0x1.2ab9481ab5e3fp-12", "0x1.341ebe14193dfp-58"),
+            (0.05, "0x1.cd9f2baa077d9p-7", "0x1.2b5990e3a87d7p-52"),
+            (0.5, "0x1.e5b8f3d363032p-4", "0x1.44149b783da11p-49"),
+            (2.0 * math.pi, "0x1.3549e9e69ddd2p-1", "0x1.2951cb39be600p-46"),
+            (40.0, "0x1.d11458dd3122bp-1", "0x1.7c7665873f343p-46"),
+            (1e3, "0x1.fdf597ff5b20ap-1", "0x1.206a6addd7bc2p-45"),
+            (1e5, "0x1.fffac1defc46ap-1", "0x1.24e6af45fe153p-45"),
+            (1e12, "0x1.fffffffff7347p-1", "0x1.24f2463f6d908p-45"),
         ],
     )
     def test_value_and_error_keep_their_bits(self, omega_p, value_bits, error_bits) -> None:
-        # Pinned from the evaluation with one amplitude call per polarization.
+        # Pinned from the product exp-sinh rule; each value is within 1.3e-15
+        # of the polar oracle where that was checked (1e-4 to 1e4).
         value, error = _eta_total_detailed(omega_p)
         assert (value.hex(), error.hex()) == (value_bits, error_bits)
 

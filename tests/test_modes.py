@@ -50,7 +50,7 @@ from casimir_plasmons.modes import (
     photonic_mode,
     sample_dispersion,
 )
-from casimir_plasmons.numerics import DEFAULT_ROOT, find_root_bracketed
+from casimir_plasmons.numerics import DEFAULT_ROOT, RootSpec, find_root_bracketed
 from casimir_plasmons.optics import Polarization, Sector
 
 
@@ -306,6 +306,11 @@ class TestBranchConstants:
         for omega_p in (2e15, 1e200):
             with pytest.raises(DomainError):
                 branch_constants(omega_p)
+        # below 1.5e-154 its endpoint equation underflows (the root would
+        # round onto the bracket's lower end, 1e-15 * Omega_P)
+        for omega_p in (1e-155, 1e-200, 1e-300):
+            with pytest.raises(DomainError):
+                branch_constants(omega_p)
 
 
 # ----------------------------------------------------------------------
@@ -554,6 +559,28 @@ class TestPhotonicModes:
         q_hi = omega_p * (1.0 - 1e-12)
         assert q_hi <= photonic_mode(pol, 1, 0.0, omega_p) <= omega_p
 
+    @pytest.mark.parametrize("omega_p", [1e-5, 1e-4])
+    def test_small_root_keeps_its_relative_accuracy(self, omega_p: float) -> None:
+        # The TE m=1 root is Q ~ Omega_P (1 - Omega_P**2 / 8): an absolute
+        # root tolerance of 1e-12 would leave up to 1e-8 of it unresolved.
+        with mp.workdps(50):
+            w = mp.mpf(omega_p)
+            oracle = float(
+                mp.findroot(
+                    lambda x: x + 2 * mp.asin(x / w) - mp.pi,
+                    (w * (1 - mp.mpf("1e-6")), w),
+                    solver="illinois",
+                )
+            )
+        value = photonic_mode(Polarization.TE, 1, 0.0, omega_p)
+        assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_subnormal_plasma_parameter_keeps_a_positive_root_tolerance(self) -> None:
+        # 1e-12 * q_hi underflows to 0 here; the mode still lies at Omega_P.
+        omega_p = 1e-312
+        assert photonic_mode(Polarization.TE, 1, 0.0, omega_p) == omega_p
+        assert photonic_mode(Polarization.TE, 1, 1.0, omega_p) == 1.0
+
     @pytest.mark.parametrize("pol, m", [(Polarization.TE, 4), (Polarization.TM, 5)])
     def test_no_mode_at_its_cut_off(self, pol: Polarization, m: int) -> None:
         # At Omega_P = 3*pi the defect at Omega_P is exactly 0: the cut-off.
@@ -597,19 +624,20 @@ def _photonic_mode_reference(pol: Polarization, m: int, big_k: float, omega_p: f
         return q + shift - math.pi * m
 
     q_hi = min(math.pi * m, omega_p) * (1.0 - 1e-12)
+    spec = RootSpec(x_tol=max(1e-12 * min(1.0, q_hi), 4.0 * math.ulp(0.0)))
     grid = np.geomspace(q_hi * 1e-8, q_hi, 200)
     values = [phase_defect(q) for q in grid]
     for i in range(len(grid) - 1):
         if values[i] == 0.0:
             return math.hypot(big_k, float(grid[i]))
         if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            q = find_root_bracketed(phase_defect, float(grid[i]), float(grid[i + 1]))
+            q = find_root_bracketed(phase_defect, float(grid[i]), float(grid[i + 1]), spec)
             return math.hypot(big_k, q)
     if values[-1] == 0.0:
         return math.hypot(big_k, float(grid[-1]))
     pi_m = math.pi * m
     if values[-1] < 0.0 and (pi_m < omega_p or phase_defect(omega_p) > 0.0):
-        q = find_root_bracketed(phase_defect, q_hi, min(pi_m, omega_p))
+        q = find_root_bracketed(phase_defect, q_hi, min(pi_m, omega_p), spec)
         return math.hypot(big_k, q)
     return None
 

@@ -27,7 +27,7 @@ from casimir_plasmons.numerics import (
     brentq,
     find_root_bracketed,
     integrate,
-    integrate_log_box,
+    integrate_quadrant,
     quad,
 )
 
@@ -176,59 +176,72 @@ def test_integrate_goes_through_the_module_quad(b, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Two-dimensional log-box rule
+# Two-dimensional quadrant rule
 # ---------------------------------------------------------------------------
 
 
 def _gamma_product(x, y):
-    # Int_0^inf Int_0^inf x y e^(-x-y) dx dy = 1; outside [1e-8, 60]^2 lies
-    # about 1e-16 of it.
+    # Int_0^inf Int_0^inf x y e^(-x-y) dx dy = 1.
     return x * y * np.exp(-x - y)
 
 
-def test_log_box_matches_closed_form_within_its_estimate():
-    value, estimate = integrate_log_box(_gamma_product, (1e-8, 60.0), (1e-8, 60.0))
+def test_quadrant_matches_closed_form_within_its_estimate():
+    value, estimate = integrate_quadrant(_gamma_product)
     assert 0.0 <= estimate <= 1e-9
     assert abs(value - 1.0) <= estimate + 1e-16
+    # For e^(-x-y) levels 2 and 3 differ by 8e-10 and level 3 is exact to
+    # rounding: the error reported shrinks that difference by its rate of
+    # fall (1.5e-5 from levels 1 and 2) and still covers the true error.
+    value, estimate = integrate_quadrant(lambda x, y: np.exp(-x - y))
+    assert abs(value - 1.0) <= estimate <= 1e-13
 
 
-def test_log_box_resolves_an_integral_far_below_abs_tol():
-    # A Gaussian of width 0.1 in log x and log y needs four levels; an
+def test_quadrant_resolves_an_integral_far_below_abs_tol():
+    # A Gaussian of width 0.2 in log x and log y needs three halvings; an
     # integral of 1e-20 is below abs_tol from the first level on, so only the
-    # relative stopping test keeps the rule from stopping at the second level,
-    # 6e-4 off.
-    sigma = 0.1
+    # relative stopping test keeps the rule from stopping after the first,
+    # 2% off.
+    sigma = 0.2
 
     def narrow(x, y):
         exponent = (np.log(x) ** 2 + np.log(y) ** 2) / (2.0 * sigma**2)
         return 1e-20 * np.exp(-exponent) / (x * y)
 
-    bounds = (math.exp(-3.0), math.exp(3.0))
-    value, estimate = integrate_log_box(narrow, bounds, bounds)
+    value, estimate = integrate_quadrant(narrow)
     exact = 1e-20 * 2.0 * math.pi * sigma**2
     assert abs(value - exact) <= estimate <= 1e-9 * exact
 
 
-def test_log_box_adds_the_tail_bound_and_is_deterministic():
-    first = integrate_log_box(_gamma_product, (1e-8, 60.0), (1e-8, 60.0), tail_error=1e-12)
-    second = integrate_log_box(_gamma_product, (1e-8, 60.0), (1e-8, 60.0), tail_error=1e-12)
-    assert first == second
-    assert first[1] >= 1e-12
+def test_quadrant_skips_nodes_below_machine_epsilon():
+    # e^(-x-y) drops below 1e-16 of its integral beyond x or y ~ 37 and its
+    # terms |w f| below x ~ 1e-16, so the finer levels never reach the
+    # window's ends: fewer than the 121**2 nodes of level 3 over the whole
+    # window.
+    nodes = []
+
+    def f(x, y):
+        nodes.append(np.broadcast(x, y).size)
+        return np.exp(-x - y)
+
+    value, estimate = integrate_quadrant(f)
+    assert abs(value - 1.0) <= estimate
+    assert sum(nodes) <= 100**2
 
 
-def test_log_box_failure_modes():
-    # A tail bound alone above the tolerance fails at once; an integrand the
+def test_quadrant_is_deterministic():
+    assert integrate_quadrant(_gamma_product) == integrate_quadrant(_gamma_product)
+
+
+def test_quadrant_failure_modes():
+    # A target below the rounding allowance fails at once; an integrand the
     # finest level cannot resolve fails after the last halving.
-    with pytest.raises(ConvergenceFailure, match="tail bound"):
-        integrate_log_box(_gamma_product, (1.0, math.e), (1.0, math.e), tail_error=1.0)
-    ripple = lambda x, y: (2.0 + np.sin(1e4 * np.log(x))) * y
+    with pytest.raises(ConvergenceFailure, match="rounding allowance"):
+        integrate_quadrant(_gamma_product, QuadratureSpec(abs_tol=1e-20, rel_tol=1e-16))
+    ripple = lambda x, y: (2.0 + np.sin(1e4 * x)) * np.exp(-x - y)
     with pytest.raises(ConvergenceFailure, match="halvings"):
-        integrate_log_box(ripple, (1.0, math.e), (1.0, math.e))
+        integrate_quadrant(ripple)
     with pytest.raises(NonFiniteIntegrand):
-        integrate_log_box(lambda x, y: x * y * np.nan, (1.0, 2.0), (1.0, 2.0))
-    for bad in ((0.0, 1.0), (2.0, 1.0), (1.0, math.inf), (math.nan, 1.0)):
-        with pytest.raises(DomainError):
-            integrate_log_box(_gamma_product, bad, (1.0, 2.0))
+        integrate_quadrant(lambda x, y: x * y * np.nan)
 
 
 # ---------------------------------------------------------------------------
