@@ -33,9 +33,7 @@ from .errors import (
 )
 from .numerics import (
     DEFAULT_QUADRATURE,
-    DEFAULT_ROOT,
     QuadratureSpec,
-    RootSpec,
     find_root_bracketed,
     integrate,
 )
@@ -107,9 +105,7 @@ __all__ = [
     "NoSolution",
     # numerics
     "QuadratureSpec",
-    "RootSpec",
     "DEFAULT_QUADRATURE",
-    "DEFAULT_ROOT",
     "integrate",
     "find_root_bracketed",
     # optics

@@ -50,7 +50,6 @@ from .modes import (
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    RootSpec,
     find_root_bracketed,
     integrate,
 )
@@ -506,7 +505,7 @@ def locate_sign_change(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
         return eta_plasmonic(2.0 * math.pi * l_over_lambda, spec)
 
     lo, hi = SIGN_CHANGE_BRACKET
-    return find_root_bracketed(eta_at, lo, hi, RootSpec(x_tol=1e-10))
+    return find_root_bracketed(eta_at, lo, hi)
 
 
 def asymptotic_report(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> AsymptoticReport:

@@ -37,7 +37,7 @@ from .errors import (
     NoSolution,
     require_positive_finite,
 )
-from .numerics import RootSpec, find_root_bracketed
+from .numerics import find_root_bracketed
 from .optics import Polarization, Sector, _coerce_polarization, classify
 
 __all__ = [
@@ -70,11 +70,12 @@ _tan = math.tan
 _RATIO_FORM_ABOVE = 1e75
 _RATIO_FORM_BELOW = 1e-75
 
-# Largest plasma parameter whose plus-branch endpoint lies inside the
-# endpoint's root bracket (which stops 1e-15 short of pi).
+# Largest plasma parameter whose plus-branch endpoint, about
+# pi*(1 - 2/Omega_P), lies more than a few ulp below pi, so that its root find
+# resolves it (and tan(pi/2), which rounds to 1.6e16, still brackets it).
 _MAX_SURFACE_OMEGA_P = 1e15
-# Below this (Omega_P - u)(Omega_P + u) in the endpoint equation underflows,
-# and the endpoint would round onto its bracket's lower end.
+# Below this Omega_P**2 underflows, so the endpoint equation's value at u = 0
+# rounds to 0 and its root find would return y_plus = 0.
 _MIN_SURFACE_OMEGA_P = 1.5e-154
 
 
@@ -210,13 +211,14 @@ def _evanescent_g_squared(branch: CoupledBranch, root_z, Omega_P: float, ops, ro
         coupling = one_minus_decay / (1.0 + decay)
     else:
         coupling = (1.0 + decay) / one_minus_decay
-    denominator = root_z + root_sum * coupling
     if Omega_P > _RATIO_FORM_ABOVE:
-        # scaled is at most Omega_P, so scaled * Omega_P overflows only where
-        # g^2 itself does; g, the product of the roots, is finite wherever g is.
-        scaled = Omega_P / denominator * root_z
+        # Divided through by root_sum, which root_sum * coth(sqrt(z)/2) could
+        # overflow at small z.  scaled is at most Omega_P, so scaled * Omega_P
+        # overflows only where g^2 itself does; g, the product of the roots,
+        # is finite wherever g is.
+        scaled = Omega_P / root_sum * (root_z / (root_z / root_sum + coupling))
         return ops.sqrt(scaled) * math.sqrt(Omega_P) if root else scaled * Omega_P
-    g_sq = Omega_P * Omega_P * root_z / denominator
+    g_sq = Omega_P * Omega_P * root_z / (root_z + root_sum * coupling)
     return ops.sqrt(g_sq) if root else g_sq
 
 
@@ -238,10 +240,12 @@ def _check_continuation(branch: CoupledBranch, u: float, Omega_P: float) -> None
     """Raise unless ``z = -u**2`` lies in the plus branch's continuation window."""
     if branch is not CoupledBranch.PLUS:
         raise DomainError("only the plus branch continues below the light cone (z < 0)")
-    if u >= min(Omega_P, math.pi):
+    # u = Omega_P is the endpoint itself wherever y_plus rounds to Omega_P
+    # (Omega_P below about 4e-8).
+    if u > Omega_P or u >= math.pi:
         raise ContinuationError(
             f"continuation parameter u={u:.6g} outside the principal "
-            f"window [0, min(Omega_P, pi)) for Omega_P={Omega_P:.6g}"
+            f"window [0, Omega_P] and [0, pi) for Omega_P={Omega_P:.6g}"
         )
 
 
@@ -253,7 +257,7 @@ def _g_squared(branch: CoupledBranch, z, Omega_P: float, root: bool = False):
     coupling factor ``h`` equal to ``tanh(sqrt(z)/2)`` (plus),
     ``coth(sqrt(z)/2)`` (minus) or 1 (zero reference).  For ``z < 0`` only the
     plus branch continues, via ``u = sqrt(-z)`` and the tangent analogue of
-    the hyperbolic form; the window ``u < min(Omega_P, pi)`` keeps that
+    the hyperbolic form; the window ``u <= Omega_P``, ``u < pi`` keeps that
     continuation single-valued.  Above ``Omega_P = 1e75`` the form is
     reordered so that only a ``g^2`` beyond the float range overflows, and
     ``g`` is taken without forming ``g^2``.
@@ -393,8 +397,7 @@ def _branch_constants_cached(Omega_P: float) -> BranchConstants:
     if Omega_P > _MAX_SURFACE_OMEGA_P:
         raise DomainError(
             f"Omega_P={Omega_P:g} exceeds {_MAX_SURFACE_OMEGA_P:g}: the plus-branch "
-            "endpoint, about pi*(1 - 2/Omega_P), lies closer to pi than its "
-            "root bracket resolves"
+            "endpoint, about pi*(1 - 2/Omega_P), lies within a few ulp of pi"
         )
     if Omega_P < _MIN_SURFACE_OMEGA_P:
         raise DomainError(
@@ -406,18 +409,14 @@ def _branch_constants_cached(Omega_P: float) -> BranchConstants:
 
     # The endpoint of the plus branch solves f_plus(-u^2) = 0, which after
     # clearing denominators becomes u*tan(u/2) = sqrt(Omega_P^2 - u^2): a
-    # strictly monotone crossing on (0, u_max) with no spurious endpoint zero.
+    # strictly monotone crossing on [0, u_max], -Omega_P at 0 and not
+    # negative at u_max.
     def endpoint_equation(u: float) -> float:
         return u * math.tan(0.5 * u) - math.sqrt(
             max((Omega_P - u) * (Omega_P + u), 0.0)
         )
 
-    y_plus = find_root_bracketed(
-        endpoint_equation,
-        u_max * 1e-15,
-        u_max * (1.0 - 1e-15),
-        RootSpec(x_tol=1e-14, max_iterations=300),
-    )
+    y_plus = find_root_bracketed(endpoint_equation, 0.0, u_max)
     z_plus0 = y_plus * y_plus
     crossing_frequency = omega0(k_p, Omega_P)
     evanescent_depth = k_p * k_p - crossing_frequency * crossing_frequency
@@ -438,7 +437,9 @@ def branch_constants(Omega_P: float) -> BranchConstants:
     """Derived branch scalars (light-cone crossing, endpoints) for ``Omega_P``.
 
     Defined from ``Omega_P = 1.5e-154`` up to ``1e15`` (:class:`DomainError`
-    outside).
+    outside), over which ``y_plus`` comes from a root find relative to its
+    own size: it is within an ulp or two of the true endpoint everywhere,
+    also where it rounds to ``Omega_P`` (below about ``4e-8``).
     """
     return _branch_constants_cached(require_positive_finite("Omega_P", Omega_P))
 
@@ -448,43 +449,40 @@ def invert_branch(
     K: float,
     Omega_P: float,
 ) -> float:
-    """Branch frequency ``Omega[K]``: solves ``f(z*) = K**2``, returns ``sqrt(K**2 - z*)``.
+    """Branch frequency ``Omega[K]``, the root of ``f(K**2 - Omega**2) = K**2``.
 
-    The root bracket follows from the monotonicity of ``f``: the minus and
-    zero branches always have ``z* in [0, K**2]``; the plus branch has
-    ``z* in [0, K**2]`` for ``K >= k_P`` and a negative root in
-    ``[-z_plus0, 0]`` below the light-cone crossing.  Each bracket holds a
-    sign change by construction: ``f(0) - K**2 <= 0 <= f(K**2) - K**2``, and
-    the sign at ``-z_plus0`` is tested before the solve.
+    Solves for ``w = Omega**2`` itself, where ``g(K**2 - w)**2 - w`` falls
+    through 0 (``f`` is increasing), so ``Omega`` keeps its relative accuracy
+    also where ``Omega**2`` is far below ``K**2``.  The minus and zero
+    branches, and the plus branch for ``K >= k_P``, have ``z = K**2 - w`` in
+    ``[0, K**2]``; below the light-cone crossing the plus branch has ``z`` in
+    ``[-z_plus0, 0]``, whose lower end is tested before the solve.  The plus
+    branch is defined where :func:`branch_constants` is, for ``Omega_P`` from
+    ``1.5e-154`` to ``1e15``.
     """
     branch = _coerce_branch(kind)
     if not (0.0 <= K < math.inf):
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     target = K * K
+    z_min = w_lo = 0.0
     if branch is CoupledBranch.PLUS:
-        constants = branch_constants(Omega_P)
-        f_at_zero = Omega_P * Omega_P / (1.0 + 0.5 * Omega_P)
-        if target >= f_at_zero:
-            lo, hi = 0.0, target
-        else:
-            lo, hi = -constants.z_plus0, 0.0
-            if lo + _g_squared(branch, lo, Omega_P) - target >= 0.0:
+        z_plus0 = branch_constants(Omega_P).z_plus0
+        if target < Omega_P * Omega_P / (1.0 + 0.5 * Omega_P):
+            z_min, w_lo = -z_plus0, target
+            if _g_squared(branch, z_min, Omega_P) - z_plus0 - target >= 0.0:
                 # K is so small that the root sits within the endpoint's own
                 # root-finding residual; the endpoint is the answer.
-                return math.sqrt(target + constants.z_plus0)
-    else:
-        if target == 0.0:
-            return 0.0
-        lo, hi = 0.0, target
+                return math.sqrt(target + z_plus0)
+    elif target == 0.0:
+        return 0.0
 
-    # The bracket lies inside the domain of f, so the solve skips its gate.
-    def objective(z: float) -> float:
-        return z + _g_squared(branch, z, Omega_P) - target
+    # The bracket lies inside the domain of f, so the solve skips its gate;
+    # the clamp keeps K**2 - w from rounding below the plus-branch endpoint.
+    def objective(w: float) -> float:
+        return _g_squared(branch, max(target - w, z_min), Omega_P) - w
 
-    z_star = find_root_bracketed(objective, lo, hi)
-    remainder = target - z_star
-    return math.sqrt(remainder) if remainder > 0.0 else 0.0
+    return math.sqrt(find_root_bracketed(objective, w_lo, target - z_min))
 
 
 # The phase formula is written once and evaluated with one of two function
@@ -559,7 +557,9 @@ def photonic_mode(
     brackets the root.  When the defect is still negative at ``q_hi``, the
     cell ``[q_hi, min(pi*m, Omega_P)]`` closes the scan if ``pi*m < Omega_P``
     or the defect at ``Omega_P`` is strictly positive.  Raises
-    :class:`NoSolution` when the branch does not exist at this ``(K, m)``.
+    :class:`NoSolution` when the branch does not exist at this ``(K, m)``,
+    and :class:`DomainError` below ``Omega_P`` of about ``5e-316``, where the
+    grid's first point underflows.
     """
     pol = _coerce_polarization(pol)
     # Range first, so that a non-finite m never reaches int().
@@ -571,6 +571,11 @@ def photonic_mode(
 
     pi_m = math.pi * m
     q_hi = min(pi_m, Omega_P) * (1.0 - 1e-12)
+    if q_hi * 1e-8 == 0.0:
+        raise DomainError(
+            f"Omega_P={Omega_P!r} is too small for the bracket scan, whose "
+            "first point q_hi*1e-8 underflows to 0"
+        )
     grid = _scan_grid(q_hi)
     values = _phase_defect(pol, m, K, Omega_P, _ARRAY_OPS)(grid)
     defect = _phase_defect(pol, m, K, Omega_P, _SCALAR_OPS)
@@ -594,12 +599,7 @@ def photonic_mode(
             f"no propagative cavity mode for pol={pol.value}, m={m}, K={K:g}, "
             f"Omega_P={Omega_P:g}"
         )
-    # Q is at most about q_hi: a tolerance scaled by it keeps about 12
-    # significant digits of Q at every Omega_P.  It stays a few ulps above 0
-    # where q_hi is subnormal.
-    x_tol = max(1e-12 * min(1.0, q_hi), 4.0 * math.ulp(0.0))
-    root = find_root_bracketed(defect, lo, hi, RootSpec(x_tol=x_tol))
-    return math.hypot(K, root)
+    return math.hypot(K, find_root_bracketed(defect, lo, hi))
 
 
 def default_dispersion_grid(Omega_P: float, points: int = 400) -> np.ndarray:

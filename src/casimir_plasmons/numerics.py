@@ -44,10 +44,8 @@ from .errors import (
 
 __all__ = [
     "QuadratureSpec",
-    "RootSpec",
     "RootInfo",
     "DEFAULT_QUADRATURE",
-    "DEFAULT_ROOT",
     "quad",
     "integrate",
     "integrate_quadrant",
@@ -56,9 +54,12 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-# Relative x-tolerance of Brent's method: 4 ulp, below which its steps stall
-# in rounding.
+# The one convergence contract of find_root_bracketed: 4 ulp relative to the
+# root (below which Brent's steps stall in rounding), 4 subnormal ulp absolute
+# (for a root at or next to 0), and at most 200 iterations.
 _MIN_BRENT_RTOL = 4.0 * _EPS * (1.0 + 1e-7)
+_BRENT_XTOL = 4.0 * math.ulp(0.0)
+_BRENT_ITERATIONS = 200
 # Abscissa beyond which the semi-infinite integrator trusts (and checks) the
 # exp(-sqrt(x)) decay envelope of the integrand.
 _TAIL_THRESHOLD = 50.0
@@ -104,20 +105,6 @@ class QuadratureSpec:
 
 
 @dataclass(frozen=True)
-class RootSpec:
-    """Tolerance contract for bracketed root finding."""
-
-    x_tol: float = 1e-12
-    max_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.x_tol > 0.0):
-            raise DomainError("x_tol must be positive")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be at least 1")
-
-
-@dataclass(frozen=True)
 class RootInfo:
     """What one :func:`brentq` solve did."""
 
@@ -127,7 +114,6 @@ class RootInfo:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
-DEFAULT_ROOT = RootSpec()
 
 
 def _refine(
@@ -507,12 +493,17 @@ def brentq(
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                numerator, denominator = -fcur * (xcur - xpre), fcur - fpre
             else:
                 # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                numerator = -fcur * (fblk * dblk - fpre * dpre)
+                denominator = dblk * dpre * (fblk - fpre)
+            # An underflowed product bisects: a zero denominator, as the C
+            # original does through its inf/NaN comparisons, and a zero
+            # numerator, whose step of 0 would only creep on by delta.
+            stry = numerator / denominator if numerator and denominator else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre, scur = scur, stry
@@ -530,26 +521,24 @@ def brentq(
     return xcur, RootInfo(False, maxiter, calls)
 
 
-def find_root_bracketed(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    spec: RootSpec = DEFAULT_ROOT,
-) -> float:
+def find_root_bracketed(g: Callable[[float], float], lo: float, hi: float) -> float:
     """Find a root of ``g`` on ``[lo, hi]`` by Brent's bracketing hybrid.
 
     Requires a sign change across the bracket (:class:`InvalidBracket`
-    otherwise).  The result always lies within ``[lo, hi]``; convergence is to
-    a bracket of width ``x_tol`` (up to a few ulp of relative slack).
+    otherwise).  The result lies within ``[lo, hi]`` and converges relative
+    to the root itself: to within about 4 ulp of it, with an absolute floor
+    of 4 subnormal ulp, so a root of any size keeps its significant digits.
+    A caller states which unknown it solves for, never how finely.  Raises
+    :class:`ConvergenceFailure` if 200 iterations do not get there.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("bracket endpoints must be finite")
     if lo > hi:
         raise DomainError("bracket must satisfy lo <= hi")
-    root, info = brentq(g, lo, hi, spec.x_tol, _MIN_BRENT_RTOL, spec.max_iterations)
+    root, info = brentq(g, lo, hi, _BRENT_XTOL, _MIN_BRENT_RTOL, _BRENT_ITERATIONS)
     if not info.converged:
         raise ConvergenceFailure(
             f"root search on [{lo:g}, {hi:g}] did not converge within "
-            f"{spec.max_iterations} iterations"
+            f"{_BRENT_ITERATIONS} iterations"
         )
     return float(root)

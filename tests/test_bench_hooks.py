@@ -4,14 +4,20 @@
 module attributes, one ``self._patch(module, "name", wrapper)`` call each.
 A renamed or moved function would fail only the traced benchmark run and the
 benchmark's own tests.  This reads those calls with ``ast`` and checks that
-each attribute they name still exists.
+each attribute they name still exists, and that the two results whose
+fields the counters read keep their shapes.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import math
 from pathlib import Path
+
+import numpy as np
+
+from casimir_plasmons import numerics
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -51,3 +57,21 @@ def test_every_patched_attribute_exists() -> None:
         if not hasattr(importlib.import_module(f"casimir_plasmons.{name}"), attribute)
     ]
     assert missing == []
+
+
+def test_counted_results_keep_their_shapes() -> None:
+    # The brentq wrapper unpacks (root, info) from the positional call
+    # brentq(f, a, b, xtol, rtol, maxiter) and adds info.iterations and
+    # info.function_calls; the quad wrapper reads out[2]["neval"] and
+    # out[2]["last"], and counts a failure by a fourth element.
+    root, info = numerics.brentq(math.cos, 1.0, 2.0, 1e-12, 4.0 * 2.0**-52, 100)
+    assert abs(root - math.pi / 2) < 1e-12
+    assert isinstance(info.iterations, int) and isinstance(info.function_calls, int)
+    assert info.function_calls >= info.iterations >= 1
+    out = numerics.quad(np.exp, 0.0, 1.0, numerics.DEFAULT_QUADRATURE)
+    assert len(out) == 3
+    assert isinstance(out[2]["neval"], int) and out[2]["neval"] > 0
+    assert isinstance(out[2]["last"], int) and out[2]["last"] >= 0
+    unreachable = numerics.QuadratureSpec(abs_tol=0.0, rel_tol=1e-20)
+    failed = numerics.quad(np.exp, 0.0, 1.0, unreachable)
+    assert len(failed) == 4 and isinstance(failed[3], str) and failed[3]

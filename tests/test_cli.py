@@ -318,32 +318,38 @@ class TestDispersion:
 
 
 # SHA-256 of the CLI outputs whose bytes must not change.  The dispersion
-# digests (400 points, m <= 5) were pinned from the scalar bracket scan that
-# photonic_mode used before its scan was vectorised.  The eta and sweep
-# digests were pinned from the product exp-sinh rule of eta_total, which
+# digests (400 points, m <= 5) were pinned once every root find converged to
+# about 4 ulp of its root: every plus and minus frequency agrees with a
+# 50-digit mpmath bisection to within 2 ulp (see
+# test_modes.test_dispersion_table_frequencies_match_mpmath), and the three
+# photonic rows that moved now print mpmath's root rounded to 12 digits.
+# The eta and sweep digests were pinned from the product exp-sinh rule of eta_total, which
 # agrees with the polar-coordinate oracle to about 1e-15: eta_total moved by
 # at most 3e-13 relative and eta_ph = eta_total - eta_pl by as much in
 # absolute terms (up to 4 units of its 12th printed digit), and
 # err_eta_total fell to about 3e-14 relative (the last level difference
-# scaled by its rate of fall, plus 64 ulp).  The constants digest guards the
-# scalar integrand of alpha, evaluated node by node with libm.
+# scaled by its rate of fall, plus 64 ulp); sweep-physical-json's second
+# eta_pl then moved by 6e-16 relative (its estimate is 2e-10) with a 1-ulp
+# change of y_plus.  The constants digest guards the scalar integrand of
+# alpha, evaluated node by node with libm, and the sign change, where
+# eta_pl is now 8e-17 (1.9e-12 before, within its estimate of 4.9e-11).
 @pytest.mark.parametrize(
     "argv, digest",
     [
         (
             ["dispersion", "--omega-p-l", "1e-3", "--points", "400", "--max-photonic-m", "5"],
-            "a85caa4da661f81ca11d0ada4e883d32a935dd63ae6f12da7272fc33751d5f6e",
+            "fc44a7ac84fac9fed7bce6553487865c00ee88dfa88534f5b69af7f6738a69e1",
         ),
         (
             [
                 "dispersion", "--omega-p-l", "9.42477796076938",
                 "--points", "400", "--max-photonic-m", "5",
             ],
-            "1c090a8e32d3ec5c7ea42c14dc3226f98d2ad6fb944262d03e413050df5cf4cd",
+            "e811a8efb17ae428fad0f8b9425c13109e4009bd8d7632a41208aa706571432e",
         ),
         (
             ["dispersion", "--omega-p-l", "1e4", "--points", "400", "--max-photonic-m", "5"],
-            "9508b38cbe0ce973e27a70a713d5e0809f162b787efb5bda678c6491970199ce",
+            "06741dc99458ffac2ef1c6e778e50a397394ee0b9ee33e518f3440d0bfc5df9c",
         ),
         (
             ["eta", "--l-over-lambda-p", "1"],
@@ -362,11 +368,11 @@ class TestDispersion:
                 "sweep", "--range", "1e-8:1e-6", "--lambda-p", "137e-9",
                 "--points", "7", "--format", "json",
             ],
-            "82147bfcd20eb10260342c56da707c99958b83120dd5f97a2d159076ee25d8ea",
+            "e4c08e3e3f2140d744da8206a3665c3d2f10da2fc61b2f01cac8be176300803b",
         ),
         (
             ["constants"],
-            "66d9c288ca5d26c385ba84d917f6b772e6a774bd228f93f9625a46a32dfd73fb",
+            "f1c6bf45ee21132e268b71c2b5e860f4a93bd5f3e5096c84be7f2137574dbc75",
         ),
     ],
     ids=[

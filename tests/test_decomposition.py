@@ -264,6 +264,20 @@ class TestBreakdown:
         }
         assert all(v >= 0.0 for v in breakdown.error_estimates.values())
 
+    def test_short_distance_breakdown_lies_on_the_slope(self) -> None:
+        # Below Omega_P = 9.05e-8 the plus-branch endpoint once raised
+        # InvalidBracket.  At 1e-8 each part is 1.5 * alpha * L/lambda_p up
+        # to O(L/lambda_p) = 1.6e-9 and its own error estimate.
+        omega_p = 1e-8
+        ratio = omega_p / (2.0 * math.pi)
+        slope = 1.5 * short_distance_alpha()
+        breakdown = compute_eta_breakdown(omega_p)
+        assert breakdown.eta_total / ratio == pytest.approx(slope, rel=1e-12)
+        for name in ("eta_pl", "eta_ev"):
+            value = getattr(breakdown, name)
+            assert value / ratio == pytest.approx(slope, rel=1e-5)
+            assert abs(value - slope * ratio) <= breakdown.error_estimates[name]
+
     def test_matches_individual_functions(self) -> None:
         omega_p = 2.0 * math.pi
         breakdown = compute_eta_breakdown(omega_p)

@@ -10,14 +10,14 @@ Oracle strategy
   principal square root turns ``tanh`` into ``tan`` automatically), again at
   40 digits.  The implementation uses the explicitly real rewritten form, so
   this is a genuinely independent route.
-* The endpoint of the continuation window is re-derived by scanning the
-  complex-form defect for its sign change and bisecting with ``mpmath``,
-  without using the implementation's root equation.
+* The endpoint of the continuation window is re-derived by a 50-digit
+  ``mpmath`` bisection of the complex-form defect, without using the
+  implementation's root equation; so are the branch frequencies, by a
+  bisection in ``Omega**2``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 import warnings
@@ -25,9 +25,14 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from casimir_plasmons.decomposition import (
+    compute_eta_breakdown,
+    eta_evanescent,
+    eta_plasmonic,
+)
 from casimir_plasmons.errors import (
     CasimirModelError,
     ContinuationError,
@@ -50,7 +55,7 @@ from casimir_plasmons.modes import (
     photonic_mode,
     sample_dispersion,
 )
-from casimir_plasmons.numerics import DEFAULT_ROOT, RootSpec, find_root_bracketed
+from casimir_plasmons.numerics import QuadratureSpec, find_root_bracketed
 from casimir_plasmons.optics import Polarization, Sector
 
 
@@ -89,43 +94,57 @@ def _g_squared_oracle_complex(z: float, omega_p: float) -> complex:
         return complex(val)
 
 
-def _endpoint_defect_float(u: float, omega_p: float) -> float:
-    """Continuation-window defect -u^2 + Re g_+^2(-u^2) via plain cmath."""
-    z = -u * u
-    root = cmath.sqrt(complex(z))
-    val = omega_p**2 * root / (root + cmath.sqrt(complex(z + omega_p**2)) * cmath.tanh(root / 2))
-    return -u * u + val.real
+def _g_squared_mp(branch: CoupledBranch, z, omega_p):
+    """``g(z)^2`` of the hyperbolic form at the working precision.
 
-
-def _endpoint_defect_mp(u: float, omega_p: float) -> float:
-    with mp.workdps(40):
-        z = mp.mpc(-(mp.mpf(u) ** 2))
-        root = mp.sqrt(z)
-        val = mp.mpf(omega_p) ** 2 * root / (root + mp.sqrt(z + mp.mpf(omega_p) ** 2) * mp.tanh(root / 2))
-        return float(-(u * u) + mp.re(val))
+    Below ``z = 0`` (plus branch) it is the real part of the same formula in
+    complex arithmetic, as in :func:`_g_squared_oracle_complex`.
+    """
+    if z == 0:
+        return omega_p**2 / (1 + omega_p / 2) if branch is CoupledBranch.PLUS else mp.mpf(0)
+    s = mp.sqrt(mp.mpc(z))
+    coupling = _HYPERBOLIC[branch](s)
+    return mp.re(omega_p**2 * s / (s + mp.sqrt(z + omega_p**2) * coupling))
 
 
 def _endpoint_oracle(omega_p: float) -> float:
-    """Locate the zero of the continuation defect by scan + mpmath bisection."""
-    u_max = min(omega_p, math.pi)
-    grid = np.linspace(u_max * 1e-6, u_max * (1.0 - 1e-6), 1201)
-    values = [_endpoint_defect_float(u, omega_p) for u in grid]
-    bracket = None
-    for i in range(len(grid) - 1):
-        if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            bracket = (float(grid[i]), float(grid[i + 1]))
-            break
-    assert bracket is not None, "endpoint defect never changed sign"
-    lo, hi = bracket
-    f_lo = _endpoint_defect_mp(lo, omega_p)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        f_mid = _endpoint_defect_mp(mid, omega_p)
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """``y_plus`` from a 50-digit bisection of the complex-form ``f_+(-u^2)``.
+
+    The defect ``g_+(-u^2)^2 - u^2`` is positive below the endpoint and
+    negative above it, up to ``u = min(Omega_P, pi)``.
+    """
+    with mp.workdps(50):
+        w = mp.mpf(omega_p)
+        lo, hi = mp.mpf(0), min(w, mp.pi)
+        while hi - lo > mp.mpf("1e-25") * hi:
+            mid = (lo + hi) / 2
+            if _g_squared_mp(CoupledBranch.PLUS, -mid * mid, w) - mid * mid > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
+def _frequency_oracle(branch: CoupledBranch, big_k: float, omega_p: float) -> float:
+    """Branch frequency from a 50-digit bisection of ``g(K^2 - w)^2 - w`` in ``w``.
+
+    The defect falls through 0 at ``w = Omega^2``; below the light-cone
+    crossing the plus branch's root lies in ``[K^2, K^2 + min(Omega_P, pi)^2]``.
+    """
+    with mp.workdps(50):
+        k_sq, w_p = mp.mpf(big_k) ** 2, mp.mpf(omega_p)
+        lo, hi = mp.mpf(0), k_sq
+        if branch is CoupledBranch.PLUS and k_sq < w_p**2 / (1 + w_p / 2):
+            lo, hi = k_sq, k_sq + min(w_p, mp.pi) ** 2
+        for _ in range(400):
+            if hi - lo <= mp.mpf("1e-16") * hi:
+                break
+            mid = (lo + hi) / 2
+            if _g_squared_mp(branch, k_sq - mid, w_p) - mid > 0:
+                lo = mid
+            else:
+                hi = mid
+        return float(mp.sqrt((lo + hi) / 2))
 
 
 def _omega0_oracle(big_k: float, omega_p: float) -> float:
@@ -272,12 +291,14 @@ class TestBranchConstants:
         assert constants.k_P == pytest.approx(expected, rel=1e-14)
 
     def test_endpoint_against_independent_bisection(self) -> None:
-        for omega_p in (0.5, 2 * math.pi, 3 * math.pi, 50.0):
+        # Below 9.05e-8 the endpoint once lay inside a bracket margin of
+        # 1e-15 (InvalidBracket); below 4e-8 it rounds to Omega_P itself.
+        for omega_p in (1e-150, 1e-50, 1e-8, 1e-3, 0.5, 2 * math.pi, 3 * math.pi, 50.0, 1e15):
             constants = branch_constants(omega_p)
             oracle = _endpoint_oracle(omega_p)
             assert constants.z_plus0 > 0.0
-            assert constants.y_plus == pytest.approx(oracle, abs=1e-10)
-            assert constants.z_plus0 == pytest.approx(oracle**2, rel=1e-9)
+            assert constants.y_plus == pytest.approx(oracle, rel=2.3e-16, abs=0.0)
+            assert constants.z_plus0 == pytest.approx(oracle**2, rel=5e-16, abs=0.0)
 
     def test_endpoint_annihilates_plus_branch_frequency(self) -> None:
         omega_p = 2 * math.pi
@@ -412,17 +433,17 @@ class TestBranchCombination:
 
 class TestInversion:
     def test_frequencies_match_independent_bisection(self) -> None:
-        omega_p = 3 * math.pi
-        for branch in CoupledBranch:
-            for big_k in (0.05, 0.5, 2.0, 8.0, 30.0):
-                reference = {
-                    CoupledBranch.PLUS: _plus_frequency,
-                    CoupledBranch.MINUS: _minus_frequency,
-                    CoupledBranch.ZERO: _zero_frequency,
-                }[branch](big_k, omega_p)
-                assert invert_branch(branch, big_k, omega_p) == pytest.approx(
-                    reference, rel=1e-9
-                )
+        # Every 20th wavevector of the three pinned 400-point dispersion
+        # tables, and a few more.  Where Omega**2 is far below K**2 (the minus
+        # branch at 1e-3) a root find in z = K**2 - Omega**2 to an absolute
+        # tolerance loses Omega's digits.
+        for omega_p in (1e-3, 3 * math.pi, 1e4):
+            grid = default_dispersion_grid(omega_p, 400)[::20].tolist()
+            for big_k in grid + [0.05, 0.5, 2.0, 8.0, 30.0]:
+                for branch in CoupledBranch:
+                    assert invert_branch(branch, big_k, omega_p) == pytest.approx(
+                        _frequency_oracle(branch, big_k, omega_p), rel=1e-13, abs=0.0
+                    ), (branch, big_k, omega_p)
 
     def test_implicit_equation_round_trip(self) -> None:
         # at the returned frequency, z = K^2 - Omega^2 satisfies f(z) = K^2,
@@ -451,6 +472,14 @@ class TestInversion:
             constants.y_plus, rel=1e-9
         )
 
+    def test_tiny_wavevector_at_small_plasma_parameter(self) -> None:
+        # Omega**2 is about Omega_P * K**2 / 2 = 5e-261 here, and Brent's
+        # interpolation products underflow to 0 on the way to it.
+        big_k, omega_p = 1e-120, 1e-20
+        assert invert_branch(CoupledBranch.MINUS, big_k, omega_p) == pytest.approx(
+            _frequency_oracle(CoupledBranch.MINUS, big_k, omega_p), rel=1e-13, abs=0.0
+        )
+
     def test_zero_wavevector_shortcuts(self) -> None:
         assert invert_branch(CoupledBranch.MINUS, 0.0, 2.0) == 0.0
         assert invert_branch(CoupledBranch.ZERO, 0.0, 2.0) == 0.0
@@ -460,42 +489,6 @@ class TestInversion:
             invert_branch(CoupledBranch.MINUS, -1.0, 2.0)
         with pytest.raises(DomainError):
             invert_branch(CoupledBranch.PLUS, 1.0, 0.0)
-
-
-def _bisect_frequency(
-    branch: CoupledBranch, big_k: float, omega_p: float, hi: float
-) -> float:
-    """Independent reference: bisect omega^2 = g^2(K^2 - omega^2) directly."""
-
-    def defect(omega: float) -> float:
-        return omega**2 - g_branch(branch, big_k**2 - omega**2, omega_p) ** 2
-
-    lo = 0.0
-    f_lo = defect(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        try:
-            f_mid = defect(mid)
-        except (DomainError, ContinuationError):
-            hi = mid
-            continue
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _plus_frequency(big_k: float, omega_p: float) -> float:
-    return _bisect_frequency(CoupledBranch.PLUS, big_k, omega_p, hi=omega_p)
-
-
-def _minus_frequency(big_k: float, omega_p: float) -> float:
-    return _bisect_frequency(CoupledBranch.MINUS, big_k, omega_p, hi=min(big_k, omega_p))
-
-
-def _zero_frequency(big_k: float, omega_p: float) -> float:
-    return _bisect_frequency(CoupledBranch.ZERO, big_k, omega_p, hi=min(big_k, omega_p))
 
 
 # ----------------------------------------------------------------------
@@ -576,10 +569,17 @@ class TestPhotonicModes:
         assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_subnormal_plasma_parameter_keeps_a_positive_root_tolerance(self) -> None:
-        # 1e-12 * q_hi underflows to 0 here; the mode still lies at Omega_P.
+        # q_hi is subnormal here; the root find's absolute floor of 4
+        # subnormal ulp still resolves the mode, which lies at Omega_P.
         omega_p = 1e-312
         assert photonic_mode(Polarization.TE, 1, 0.0, omega_p) == omega_p
         assert photonic_mode(Polarization.TE, 1, 1.0, omega_p) == 1.0
+
+    @pytest.mark.parametrize("pol", list(Polarization))
+    def test_scan_grid_underflow_is_a_domain_error(self, pol: Polarization) -> None:
+        # The scan grid starts at q_hi * 1e-8, which is 0 below about 5e-316.
+        with pytest.raises(DomainError, match="Omega_P=1e-318"):
+            photonic_mode(pol, 1, 1.0, 1e-318)
 
     @pytest.mark.parametrize("pol, m", [(Polarization.TE, 4), (Polarization.TM, 5)])
     def test_no_mode_at_its_cut_off(self, pol: Polarization, m: int) -> None:
@@ -624,20 +624,19 @@ def _photonic_mode_reference(pol: Polarization, m: int, big_k: float, omega_p: f
         return q + shift - math.pi * m
 
     q_hi = min(math.pi * m, omega_p) * (1.0 - 1e-12)
-    spec = RootSpec(x_tol=max(1e-12 * min(1.0, q_hi), 4.0 * math.ulp(0.0)))
     grid = np.geomspace(q_hi * 1e-8, q_hi, 200)
     values = [phase_defect(q) for q in grid]
     for i in range(len(grid) - 1):
         if values[i] == 0.0:
             return math.hypot(big_k, float(grid[i]))
         if (values[i] < 0.0) != (values[i + 1] < 0.0):
-            q = find_root_bracketed(phase_defect, float(grid[i]), float(grid[i + 1]), spec)
+            q = find_root_bracketed(phase_defect, float(grid[i]), float(grid[i + 1]))
             return math.hypot(big_k, q)
     if values[-1] == 0.0:
         return math.hypot(big_k, float(grid[-1]))
     pi_m = math.pi * m
     if values[-1] < 0.0 and (pi_m < omega_p or phase_defect(omega_p) > 0.0):
-        q = find_root_bracketed(phase_defect, q_hi, min(pi_m, omega_p), spec)
+        q = find_root_bracketed(phase_defect, q_hi, min(pi_m, omega_p))
         return math.hypot(big_k, q)
     return None
 
@@ -672,7 +671,9 @@ class TestPhotonicModeScan:
                 for omega_p in (3e12, 1e13, 1e16, 1e100, 1e155, 1e300):
                     value = photonic_mode(pol, m, 1.0, omega_p)
                     ideal = math.hypot(1.0, math.pi * m)
-                    assert abs(value / ideal - 1.0) <= 4.0 * m / omega_p
+                    # Plus the same rounding allowance as the property below:
+                    # at 1e16 the physical bound is below 2 ulp.
+                    assert abs(value / ideal - 1.0) <= 4.0 * m / omega_p + 8.0 * 2.0**-52
 
 
 class TestHugePlasmaParameter:
@@ -700,16 +701,27 @@ class TestHugePlasmaParameter:
     @pytest.mark.parametrize("omega_p", [1e75, 1e76, 1e154, 1e160, 1e200, 1e300])
     def test_branch_functions_match_high_precision_oracle(self, omega_p: float) -> None:
         # Where g**2 is representable the ratio form keeps both functions finite
-        # and accurate, although Omega_P**2 overflows from about 1.3e154.
+        # and accurate, although Omega_P**2 overflows from about 1.3e154 (and
+        # Omega_P * coth(sqrt(z)/2) at z = 1e-306 from about 1e155).
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for z in (1e-6, 1.0, 1e4):
+            for z in (1e-306, 1e-6, 1.0, 1e4):
                 for branch in CoupledBranch:
                     oracle = _g_squared_oracle_positive(branch, z, omega_p)
                     assert g_branch(branch, z, omega_p) == pytest.approx(
-                        math.sqrt(oracle), rel=1e-14
+                        math.sqrt(oracle), rel=1e-14, abs=0.0
                     )
-                    assert f_branch(branch, z, omega_p) == pytest.approx(z + oracle, rel=1e-14)
+                    assert f_branch(branch, z, omega_p) == pytest.approx(
+                        z + oracle, rel=1e-14, abs=0.0
+                    )
+
+    def test_minus_branch_frequency_next_to_the_light_cone(self) -> None:
+        # Omega = K (1 - O(1/Omega_P)); with g_minus 0 for z below about 1e-150
+        # the solve in w stopped 6e-11 short of K at 1e300.
+        for omega_p in (1e200, 1e300):
+            assert invert_branch(CoupledBranch.MINUS, 1e-3, omega_p) == pytest.approx(
+                1e-3, rel=4e-16
+            )
 
     @pytest.mark.parametrize(
         "z, omega_p",
@@ -784,15 +796,52 @@ class TestHugePlasmaParameter:
             g_branch(CoupledBranch.PLUS, np.array([-16.0, 1.0]), 10.0)
 
 
+# The surface-mode entries raise DomainError above this (documented) bound.
+_MAX_SURFACE_OMEGA_P = 1e15
+_TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)
+
+
+def _surface_entries(omega_p: float, m: int, big_k: float, z: float, fraction: float):
+    """Calls of every public surface-mode entry, each returning floats."""
+    branches = [
+        BranchId(BranchKind.PLASMONIC_PLUS, Polarization.TM),
+        BranchId(BranchKind.PLASMONIC_MINUS, Polarization.TM),
+        BranchId(BranchKind.INTERFACE_REFERENCE, Polarization.TM),
+        BranchId(BranchKind.PHOTONIC, Polarization.TM, m=m),
+    ]
+    grid = default_dispersion_grid(omega_p, 8)
+    calls = [
+        lambda: branch_constants(omega_p).y_plus,
+        lambda: f_branch(CoupledBranch.PLUS, -fraction * branch_constants(omega_p).z_plus0, omega_p),
+        lambda: eta_plasmonic(omega_p),
+        lambda: eta_evanescent(omega_p),
+        lambda: [p.Omega for _, points in sample_dispersion(omega_p, grid, branches) for p in points],
+    ]
+    for branch in CoupledBranch:
+        calls += [
+            lambda branch=branch: invert_branch(branch, big_k, omega_p),
+            lambda branch=branch: f_branch(branch, z, omega_p),
+            lambda branch=branch: g_branch(branch, z, omega_p),
+        ]
+    return calls
+
+
 @given(
-    log_omega=st.floats(-10.0, 300.0),
+    # Half the draws where the surface-mode entries are defined.
+    log_omega=st.one_of(st.floats(-10.0, 15.0), st.floats(-10.0, 300.0)),
     m=st.integers(1, 5),
     big_k=st.floats(0.0, 1e3),
     z=st.floats(0.0, 1e6),
+    fraction=st.floats(0.0, 1.0),
 )
+# Below 9.05e-8 every surface-mode entry once raised InvalidBracket.
+@example(log_omega=-10.0, m=1, big_k=1e-3, z=1.0, fraction=1.0)
+@example(log_omega=-7.5, m=2, big_k=0.0, z=0.0, fraction=0.5)
+@example(log_omega=15.0, m=5, big_k=1e3, z=1e6, fraction=1.0)
 @settings(max_examples=150, deadline=None)
-def test_finite_value_or_typed_error_up_to_huge_omega_p(log_omega, m, big_k, z) -> None:
+def test_finite_value_or_typed_error_up_to_huge_omega_p(log_omega, m, big_k, z, fraction) -> None:
     omega_p = 10.0**log_omega
+    surface = omega_p <= _MAX_SURFACE_OMEGA_P
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for call in (
@@ -808,11 +857,28 @@ def test_finite_value_or_typed_error_up_to_huge_omega_p(log_omega, m, big_k, z) 
                 continue
             assert math.isfinite(value)
             if omega_p >= 100.0 * math.pi * m and big_k <= 10.0 * m:
-                # Physical deviation 4m/Omega_P, plus the root finder's x_tol
-                # in Q (Q > pi*m/2 here) and a few roundings.
-                allowance = 2.0 * DEFAULT_ROOT.x_tol / (math.pi * m) + 8.0 * 2.0**-52
+                # Physical deviation 4m/Omega_P, plus the root finder's 4 ulp
+                # in Q and a few roundings.
                 deviation = abs(value / math.hypot(big_k, math.pi * m) - 1.0)
-                assert deviation <= 4.0 * m / omega_p + allowance
+                assert deviation <= 4.0 * m / omega_p + 8.0 * 2.0**-52
+        for call in _surface_entries(omega_p, m, big_k, z, fraction):
+            try:
+                value = call()
+            except DomainError:
+                assert not surface
+                continue
+            assert np.isfinite(value).all()
+        try:
+            breakdown = compute_eta_breakdown(omega_p)
+        except DomainError:
+            assert not surface
+            return
+        # Honest estimates: each covers the distance to a tighter solve.
+        tight = compute_eta_breakdown(omega_p, _TIGHT)
+        for name, error in breakdown.error_estimates.items():
+            assert 0.0 <= error < math.inf
+            distance = abs(getattr(breakdown, name) - getattr(tight, name))
+            assert distance <= error + tight.error_estimates[name], name
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from casimir_plasmons.errors import (
 from casimir_plasmons.numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    RootSpec,
     brentq,
     find_root_bracketed,
     integrate,
@@ -332,12 +331,12 @@ def test_semi_infinite_growth_before_threshold_is_fine():
 def test_root_matches_bisection_oracle():
     g = lambda x: x**3 - 2.0 * x - 5.0
     oracle = _bisection_oracle(g, 2.0, 3.0)
-    root = find_root_bracketed(g, 2.0, 3.0, RootSpec(x_tol=1e-14))
+    root = find_root_bracketed(g, 2.0, 3.0)
     assert root == pytest.approx(oracle, abs=1e-12)
 
 
 def test_root_trigonometric_reference():
-    root = find_root_bracketed(math.cos, 1.0, 2.0, RootSpec(x_tol=1e-14))
+    root = find_root_bracketed(math.cos, 1.0, 2.0)
     assert root == pytest.approx(0.5 * math.pi, abs=1e-13)
 
 
@@ -355,13 +354,6 @@ def test_root_invalid_bracket_and_bad_bounds():
         find_root_bracketed(lambda x: x, 0.0, math.inf)
 
 
-def test_root_spec_validation():
-    with pytest.raises(DomainError):
-        RootSpec(x_tol=0.0)
-    with pytest.raises(DomainError):
-        RootSpec(max_iterations=0)
-
-
 def test_brent_reports_iterations_and_calls():
     root, info = brentq(math.cos, 1.0, 2.0, 1e-14, 4.0 * 2.0**-52, 100)
     assert root == pytest.approx(0.5 * math.pi, abs=1e-13)
@@ -372,6 +364,33 @@ def test_brent_reports_iterations_and_calls():
     assert not stalled.converged and stalled.iterations == 2
     with pytest.raises(InvalidBracket):
         brentq(math.cos, 0.0, 1.0, 1e-14, 4.0 * 2.0**-52, 100)
+
+
+def test_root_converges_relative_to_the_root():
+    root = find_root_bracketed(lambda x: x - 1e-300, 0.0, 1.0)
+    assert abs(root - 1e-300) <= 4.0 * math.ulp(1e-300)
+
+
+def test_brent_bisects_where_an_interpolation_denominator_underflows():
+    # The plus-branch endpoint equation in v = W - u at W = 1e-60: its root
+    # is W**3/8, and an extrapolation step's denominator underflows to 0 on
+    # the way there.  Brent's C original bisects through inf/NaN comparisons.
+    w = 1e-60
+
+    def f(v):
+        return v * (w + (w - v)) - ((w - v) * math.tan(0.5 * (w - v))) ** 2
+
+    root, info = brentq(f, 0.0, w, 4.0 * math.ulp(0.0), 4.0 * 2.0**-52, 200)
+    assert info.converged
+    assert root == pytest.approx(w**3 / 8.0, rel=1e-14)
+    assert find_root_bracketed(f, 0.0, w) == root
+
+
+def test_brent_bisects_where_an_interpolation_numerator_underflows():
+    # f * dx underflows to 0 at this scale; the step of 0 that the C original
+    # takes there only creeps on by delta, and 200 iterations ran out.
+    root = find_root_bracketed(lambda x: 5e-261 - x, 0.0, 1e-240)
+    assert root == pytest.approx(5e-261, rel=1e-15, abs=0.0)
 
 
 def test_root_find_evaluates_each_point_once(monkeypatch):
@@ -408,7 +427,5 @@ def test_root_is_deterministic():
 @given(r=st.floats(0.05, 0.95), scale=st.floats(0.1, 10.0))
 @settings(max_examples=40, deadline=None)
 def test_root_recovers_known_crossing(r, scale):
-    root = find_root_bracketed(
-        lambda x: scale * (x - r), 0.0, 1.0, RootSpec(x_tol=1e-13)
-    )
+    root = find_root_bracketed(lambda x: scale * (x - r), 0.0, 1.0)
     assert abs(root - r) < 1e-10
