@@ -265,7 +265,8 @@ def _g_squared(branch: CoupledBranch, z, Omega_P: float, root: bool = False):
     A scalar ``z`` is evaluated with libm (through math), whose bits the
     branch inversions follow; an array ``z`` with numpy, one call per array.
     """
-    if np.ndim(z):
+    # isinstance first: np.ndim costs more than a scalar Brent iterate's arithmetic.
+    if not isinstance(z, float) and np.ndim(z):
         return _g_squared_array(branch, np.asarray(z, dtype=float), Omega_P, root)
     if z < 0.0:
         u = math.sqrt(-z)
@@ -500,7 +501,8 @@ def _phase_defect(
     """Round-trip phase defect ``Q + shift(Q) - pi*m`` as a function of ``Q``.
 
     ``shift`` is twice the single-mirror reflection phase; ``ops`` is
-    ``_ARRAY_OPS`` or ``_SCALAR_OPS``.
+    ``_ARRAY_OPS`` (where ``K`` may be a column against a row of ``Q``) or
+    ``_SCALAR_OPS``.
     """
     asin, atan2, sqrt, hypot, minimum, maximum = ops
     pi_m = math.pi * m
@@ -540,6 +542,52 @@ def _scan_grid(q_hi: float) -> np.ndarray:
     return grid
 
 
+def _photonic_branch(
+    pol: Polarization, m: int, Ks: Sequence[float], Omega_P: float
+) -> List[Optional[float]]:
+    """:func:`photonic_mode` at each of ``Ks``, or ``None`` where it has no mode."""
+    pi_m = math.pi * m
+    q_hi = min(pi_m, Omega_P) * (1.0 - 1e-12)
+    if q_hi * 1e-8 == 0.0:
+        raise DomainError(
+            f"Omega_P={Omega_P!r} is too small for the bracket scan, whose "
+            "first point q_hi*1e-8 underflows to 0"
+        )
+    grid = _scan_grid(q_hi)
+    te = pol is Polarization.TE
+    # The TE defect has no K in it: one scan and one root serve every K.
+    scan_ks = np.zeros((1, 1)) if te else np.asarray(Ks, dtype=float)[:, np.newaxis]
+    rows = 8192 // grid.size  # K per block of the 2-D scan: at most 8192 nodes
+    roots: List[Optional[float]] = []
+    for start in range(0, len(scan_ks), rows):
+        block = scan_ks[start : start + rows]
+        values = _phase_defect(pol, m, block, Omega_P, _ARRAY_OPS)(grid[np.newaxis])
+        negative = values < 0.0
+        cells = (values[:, :-1] == 0.0) | (negative[:, :-1] != negative[:, 1:])
+        for K, row, row_cells in zip(block[:, 0].tolist(), values, cells):
+            defect = _phase_defect(pol, m, K, Omega_P, _SCALAR_OPS)
+            hits = np.flatnonzero(row_cells)
+            i = hits[0] if hits.size else grid.size - 1
+            if row[i] == 0.0:
+                roots.append(float(grid[i]))
+            elif hits.size:
+                roots.append(find_root_bracketed(defect, *grid[i : i + 2].tolist()))
+            elif row[i] < 0.0 and (
+                pi_m < Omega_P
+                or (Omega_P - math.pi * (m - 1) if te else defect(Omega_P)) > 0.0
+            ):
+                # The root lies above q_hi: near pi*m for a nearly ideal
+                # mirror, or near Omega_P just above a cut-off, where a defect
+                # of exactly 0 at Omega_P is the cut-off itself.  The TE defect
+                # there is Omega_P - pi*(m - 1), which libm rounds to 0 for
+                # m = 1 below Omega_P ~ 2.2e-16.
+                roots.append(find_root_bracketed(defect, q_hi, min(pi_m, Omega_P)))
+            else:
+                roots.append(None)
+    roots *= len(Ks) if te else 1
+    return [None if Q is None else math.hypot(K, Q) for K, Q in zip(Ks, roots)]
+
+
 def photonic_mode(
     pol: Union[Polarization, str],
     m: int,
@@ -552,7 +600,9 @@ def photonic_mode(
     the longitudinal phase, ``Q`` plus the single-mirror reflection phase must
     equal ``pi * m``.  Solutions live in ``0 < Q < min(pi*m, Omega_P)`` and
     approach the ideal-cavity value ``sqrt(K^2 + (pi*m)^2)`` as
-    ``Omega_P -> inf``.  The first sign change of the phase defect on a
+    ``Omega_P -> inf``.  The TE phase has no ``K`` in it, so a TE mode is
+    ``hypot(K, Q_m)`` with one ``Q_m`` per ``(m, Omega_P)``, and exists for
+    every ``K`` or none.  The first sign change of the phase defect on a
     200-point geometric grid up to ``q_hi = min(pi*m, Omega_P)*(1 - 1e-12)``
     brackets the root.  When the defect is still negative at ``q_hi``, the
     cell ``[q_hi, min(pi*m, Omega_P)]`` closes the scan if ``pi*m < Omega_P``
@@ -568,38 +618,13 @@ def photonic_mode(
     if not (0.0 <= K < math.inf):
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-
-    pi_m = math.pi * m
-    q_hi = min(pi_m, Omega_P) * (1.0 - 1e-12)
-    if q_hi * 1e-8 == 0.0:
-        raise DomainError(
-            f"Omega_P={Omega_P!r} is too small for the bracket scan, whose "
-            "first point q_hi*1e-8 underflows to 0"
-        )
-    grid = _scan_grid(q_hi)
-    values = _phase_defect(pol, m, K, Omega_P, _ARRAY_OPS)(grid)
-    defect = _phase_defect(pol, m, K, Omega_P, _SCALAR_OPS)
-    negative = values < 0.0
-    cells = np.flatnonzero((values[:-1] == 0.0) | (negative[:-1] != negative[1:]))
-    if cells.size:
-        i = cells[0]
-        if values[i] == 0.0:
-            return math.hypot(K, float(grid[i]))
-        lo, hi = float(grid[i]), float(grid[i + 1])
-    elif values[-1] == 0.0:
-        return math.hypot(K, float(grid[-1]))
-    elif negative[-1] and (pi_m < Omega_P or defect(Omega_P) > 0.0):
-        # The root lies above q_hi: near pi*m*(1 - 2/Omega_P) for a nearly
-        # ideal mirror (Omega_P above about 2e12; the defect at pi*m is the
-        # mirror phase, not negative), or near Omega_P just above a cut-off.
-        # A defect of exactly 0 at Omega_P is the cut-off itself: no mode.
-        lo, hi = q_hi, min(pi_m, Omega_P)
-    else:
+    (Omega,) = _photonic_branch(pol, m, [K], Omega_P)
+    if Omega is None:
         raise NoSolution(
             f"no propagative cavity mode for pol={pol.value}, m={m}, K={K:g}, "
             f"Omega_P={Omega_P:g}"
         )
-    return math.hypot(K, find_root_bracketed(defect, lo, hi))
+    return Omega
 
 
 def default_dispersion_grid(Omega_P: float, points: int = 400) -> np.ndarray:
@@ -634,30 +659,32 @@ def sample_dispersion(
 
     Sector tags come from :func:`casimir_plasmons.optics.classify`, so the
     plus branch carries its propagative-to-evanescent transition at
-    ``K = k_P``.  Wavevectors where a photonic branch has no solution are
-    skipped.  Adjacent samples are checked for grid-commensurate continuity.
+    ``K = k_P``.  A photonic branch takes :func:`photonic_mode`'s values,
+    solved once per branch: one root for TE, one bracket scan over all of
+    ``K_grid`` for TM.  Wavevectors where it has no solution are skipped.
+    Adjacent samples are checked for grid-commensurate continuity.
     """
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     grid = [float(k) for k in K_grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise DomainError("K_grid must be sorted in ascending order")
-    if any(k < 0.0 for k in grid):
-        raise DomainError("K_grid entries must be non-negative")
+    if not all(0.0 <= k < math.inf for k in grid):
+        raise DomainError("K_grid entries must be non-negative and finite")
     result: List[Tuple[BranchId, Tuple[DispersionPoint, ...]]] = []
     for branch in branches:
-        points: List[DispersionPoint] = []
-        for K in grid:
-            if branch.kind is BranchKind.PHOTONIC:
-                try:
-                    Omega = photonic_mode(branch.pol, branch.m, K, Omega_P)
-                except NoSolution:
-                    continue
-            elif branch.kind is BranchKind.PLASMONIC_PLUS:
-                Omega = invert_branch(CoupledBranch.PLUS, K, Omega_P)
-            elif branch.kind is BranchKind.PLASMONIC_MINUS:
-                Omega = invert_branch(CoupledBranch.MINUS, K, Omega_P)
-            else:
-                Omega = omega0(K, Omega_P)
-            points.append(DispersionPoint(K=K, Omega=Omega, sector=classify(K, Omega)))
+        if branch.kind is BranchKind.PHOTONIC:
+            omegas = _photonic_branch(branch.pol, branch.m, grid, Omega_P)
+        elif branch.kind is BranchKind.PLASMONIC_PLUS:
+            omegas = [invert_branch(CoupledBranch.PLUS, K, Omega_P) for K in grid]
+        elif branch.kind is BranchKind.PLASMONIC_MINUS:
+            omegas = [invert_branch(CoupledBranch.MINUS, K, Omega_P) for K in grid]
+        else:
+            omegas = [omega0(K, Omega_P) for K in grid]
+        points = [
+            DispersionPoint(K=K, Omega=Omega, sector=classify(K, Omega))
+            for K, Omega in zip(grid, omegas)
+            if Omega is not None
+        ]
         _check_continuity(branch, points, Omega_P)
         result.append((branch, tuple(points)))
     return result

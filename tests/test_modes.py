@@ -28,6 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from casimir_plasmons import modes, numerics
 from casimir_plasmons.decomposition import (
     compute_eta_breakdown,
     eta_evanescent,
@@ -568,6 +569,14 @@ class TestPhotonicModes:
         value = photonic_mode(Polarization.TE, 1, 0.0, omega_p)
         assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("omega_p", [1e-16, 1e-50, 1e-300])
+    def test_first_te_mode_below_an_ulp_of_pi(self, omega_p: float) -> None:
+        # The defect at Omega_P, Omega_P + 2*asin(1) - pi, rounds to 0 here;
+        # exactly it is Omega_P > 0, and the root Omega_P*(1 - Omega_P**2/8)
+        # rounds to Omega_P.
+        assert photonic_mode(Polarization.TE, 1, 0.0, omega_p) == omega_p
+        assert photonic_mode(Polarization.TE, 1, 1.0, omega_p) == 1.0
+
     def test_subnormal_plasma_parameter_keeps_a_positive_root_tolerance(self) -> None:
         # q_hi is subnormal here; the root find's absolute floor of 4
         # subnormal ulp still resolves the mode, which lies at Omega_P.
@@ -610,17 +619,24 @@ def _photonic_mode_reference(pol: Polarization, m: int, big_k: float, omega_p: f
     Returns the frequency, or ``None`` where it raised :class:`NoSolution`.
     Without a sign change on the grid it closes the scan with the cell
     ``[q_hi, min(pi*m, omega_p)]``, as photonic_mode does: there the root
-    can lie above ``q_hi``.
+    can lie above ``q_hi``.  Above ``omega_p = 1e75`` the TM defect takes
+    its ratio form, whose squares cannot overflow.
     """
 
     def phase_defect(q: float) -> float:
         if pol is Polarization.TE:
             shift = 2.0 * math.asin(min(q / omega_p, 1.0))
-        else:
+        elif omega_p <= 1e75:
             transverse_decay = math.sqrt(max((omega_p - q) * (omega_p + q), 0.0))
             omega_sq = big_k * big_k + q * q
             eps = 1.0 - omega_p * omega_p / omega_sq
             shift = 2.0 * math.atan2(transverse_decay, -eps * q)
+        else:
+            # Both atan2 arguments divided by omega_p**2 / omega.
+            omega = math.hypot(big_k, q)
+            r, q_r = omega / omega_p, q / omega_p
+            transverse_decay = r * math.sqrt(max((1.0 - q_r) * (1.0 + q_r), 0.0))
+            shift = 2.0 * math.atan2(transverse_decay, q / omega * ((1.0 - r) * (1.0 + r)))
         return q + shift - math.pi * m
 
     q_hi = min(math.pi * m, omega_p) * (1.0 - 1e-12)
@@ -635,7 +651,9 @@ def _photonic_mode_reference(pol: Polarization, m: int, big_k: float, omega_p: f
     if values[-1] == 0.0:
         return math.hypot(big_k, float(grid[-1]))
     pi_m = math.pi * m
-    if values[-1] < 0.0 and (pi_m < omega_p or phase_defect(omega_p) > 0.0):
+    # The TE defect at omega_p is exactly omega_p - pi*(m - 1).
+    at_edge = omega_p - math.pi * (m - 1) if pol is Polarization.TE else phase_defect(omega_p)
+    if values[-1] < 0.0 and (pi_m < omega_p or at_edge > 0.0):
         q = find_root_bracketed(phase_defect, q_hi, min(pi_m, omega_p))
         return math.hypot(big_k, q)
     return None
@@ -646,22 +664,87 @@ class TestPhotonicModeScan:
         # The dense band is where numpy's arcsin/arctan2 in Brent's iterates
         # would change last bits; 3*pi puts the plasma edge exactly on
         # pi*(m-1) for TE m=4 and TM m=5.
+        # sample_dispersion solves each branch once for all five K (a TE root,
+        # a TM column of K against the scan grid) and must give the same
+        # rows, skipping exactly the K without a mode; 1e80 and 1e200 run
+        # the TM ratio form on that column.
         omega_ps = np.concatenate(
-            (np.geomspace(1e-8, 1e12, 41), np.geomspace(0.1, 100.0, 37), [3 * math.pi])
+            (
+                np.geomspace(1e-8, 1e12, 41),
+                np.geomspace(0.1, 100.0, 37),
+                [3 * math.pi, 1e80, 1e200],
+            )
         ).tolist()
         mismatches = []
         for omega_p in omega_ps:
             for pol in Polarization:
                 for m in range(1, 6):
-                    for big_k in (0.0, 1e-3, 1.0, math.pi * m, 100.0):
+                    ks = (0.0, 1e-3, 1.0, math.pi * m, 100.0)
+                    references = [
+                        _photonic_mode_reference(pol, m, big_k, omega_p) for big_k in ks
+                    ]
+                    for big_k, reference in zip(ks, references):
                         try:
                             value = photonic_mode(pol, m, big_k, omega_p)
                         except NoSolution:
                             value = None
-                        reference = _photonic_mode_reference(pol, m, big_k, omega_p)
                         if value != reference:
                             mismatches.append((pol, m, big_k, omega_p, value, reference))
+                    branch = BranchId(BranchKind.PHOTONIC, pol, m=m)
+                    ((_, points),) = sample_dispersion(omega_p, ks, [branch])
+                    rows = [(pt.K, pt.Omega) for pt in points]
+                    expected = [(k, r) for k, r in zip(ks, references) if r is not None]
+                    if rows != expected:
+                        mismatches.append((pol, m, omega_p, rows, expected))
         assert mismatches == []
+
+    def test_one_scan_per_branch_and_block(self, monkeypatch) -> None:
+        # 400 K and m <= 3 at 3*pi: a scan per point would evaluate the
+        # array defect 2,400 times, and solve every TE point anew.
+        omega_p = 3 * math.pi
+        grid = default_dispersion_grid(omega_p, points=400)
+        scans = {}  # (pol, m) -> shapes of the array evaluations
+        solves = {}  # (pol, m) -> Brent solves
+        branch_of = {}  # scalar defect -> (pol, m)
+        phase_defect, brentq = modes._phase_defect, numerics.brentq
+
+        def counted_phase_defect(pol, m, big_k, omega_p, ops):
+            defect = phase_defect(pol, m, big_k, omega_p, ops)
+            if ops is not modes._ARRAY_OPS:
+                branch_of[defect] = (pol, m)
+                return defect
+
+            def evaluate(q):
+                values = defect(q)
+                scans.setdefault((pol, m), []).append(values.shape)
+                return values
+
+            return evaluate
+
+        def counted_brentq(f, *args):
+            solves[branch_of[f]] = solves.get(branch_of[f], 0) + 1
+            return brentq(f, *args)
+
+        monkeypatch.setattr(modes, "_phase_defect", counted_phase_defect)
+        monkeypatch.setattr(numerics, "brentq", counted_brentq)
+        branches = [
+            BranchId(BranchKind.PHOTONIC, pol, m=m)
+            for pol in Polarization
+            for m in (1, 2, 3)
+        ]
+        rows_per_block = 8192 // 200
+        for branch, points in sample_dispersion(omega_p, grid, branches):
+            key = (branch.pol, branch.m)
+            if branch.pol is Polarization.TE:
+                # One 200-point scan and at most one root for every K.
+                assert scans[key] == [(1, 200)]
+                assert solves.get(key, 0) <= 1
+                assert len(points) in (0, len(grid))
+            else:
+                # One evaluation per block of at most 8192 nodes, one root
+                # per found point.
+                assert scans[key] == [(rows_per_block, 200)] * 10
+                assert solves.get(key, 0) == len(points) > 0
 
     def test_ideal_limit_beyond_the_scan_grid(self) -> None:
         # From Omega_P ~ 3e12 the root lies in the closing cell [q_hi, pi*m];
