@@ -288,6 +288,92 @@ class TestBreakdown:
             eta_total(omega_p) - eta_plasmonic(omega_p), rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "omega_p, bits",
+        [
+            (
+                1e-8,
+                {
+                    "eta_total": ("0x1.878cb996b0f40p-29", "0x1.f5fcdaa98be69p-75"),
+                    "eta_pl": ("0x1.878cfcd41f29bp-29", "0x1.2a8e7a328cf16p-37"),
+                    "eta_ph": ("-0x1.0cf5b8d6c0000p-47", "0x1.2a8e7a3294c95p-37"),
+                    "eta_ev": ("0x1.878cfcd41f29ep-29", "0x1.2a8e7a328cf16p-37"),
+                },
+            ),
+            (
+                1e-5,
+                {
+                    "eta_total": ("0x1.7e5f6d2800d05p-19", "0x1.e94644ea7bc0ep-65"),
+                    "eta_pl": ("0x1.7e5f6d234f933p-19", "0x1.06aaf1934b3ddp-37"),
+                    "eta_ph": ("0x1.2c4f480000000p-49", "0x1.06aaf1b1dfa22p-37"),
+                    "eta_ev": ("0x1.7e5f6d269d4abp-19", "0x1.06aaf1a9301cep-37"),
+                },
+            ),
+            (
+                1e-3,
+                {
+                    "eta_total": ("0x1.2ab9481ab5e3fp-12", "0x1.341ebe14193dfp-58"),
+                    "eta_pl": ("0x1.2ab8cd4fddbf4p-12", "0x1.882e23f6b1c25p-45"),
+                    "eta_ph": ("0x1.eb2b6092c0000p-30", "0x1.8837c4eca2632p-45"),
+                    "eta_ev": ("0x1.2ab9320f0279fp-12", "0x1.6af715a1790d0p-44"),
+                },
+            ),
+            (
+                0.5,
+                {
+                    "eta_total": ("0x1.e5b8f3d363032p-4", "0x1.44149b783da11p-49"),
+                    "eta_pl": ("-0x1.7018d1722a7efp-7", "0x1.d5dbcd526d10ep-35"),
+                    "eta_ph": ("0x1.09de0700d4298p-3", "0x1.d5e0dda4daf1dp-35"),
+                    "eta_ev": ("0x1.eed2820cde0e9p-4", "0x1.2cef01c161d1cp-36"),
+                },
+            ),
+            (
+                2.0 * math.pi,
+                {
+                    "eta_total": ("0x1.3549e9e69ddd2p-1", "0x1.2951cb39be600p-46"),
+                    "eta_pl": ("-0x1.57020cc539bcbp+4", "0x1.a4971beaa139cp-31"),
+                    "eta_ph": ("0x1.60ac5c146eabap+4", "0x1.a4996e8e37ad4p-31"),
+                    "eta_ev": ("0x1.2874d35115ae3p+1", "0x1.c39af22e7ec21p-32"),
+                },
+            ),
+            (
+                40.0,
+                {
+                    "eta_total": ("0x1.d11458dd3122bp-1", "0x1.7c7665873f343p-46"),
+                    "eta_pl": ("-0x1.fc3cf0533430ep+6", "0x1.58e383bff6eacp-24"),
+                    "eta_ph": ("0x1.ffdf1904ee932p+6", "0x1.58e389b1d080ep-24"),
+                    "eta_ev": ("0x1.2b896eeab5ea9p+3", "0x1.320447cc4e426p-30"),
+                },
+            ),
+            (
+                1e5,
+                {
+                    "eta_total": ("0x1.fffac1defc46ap-1", "0x1.24e6af45fe153p-45"),
+                    "eta_pl": ("-0x1.24249844f4440p+13", "0x1.79211d74d0762p-22"),
+                    "eta_ph": ("0x1.242c982ffbbffp+13", "0x1.79211fbe9dd4bp-22"),
+                    "eta_ev": ("0x1.00c3e0951c3bdp+9", "0x1.444b364f4f2dcp-22"),
+                },
+            ),
+            (
+                1e12,
+                {
+                    "eta_total": ("0x1.fffffffff7347p-1", "0x1.24f2463f6d908p-45"),
+                    "eta_pl": ("-0x1.c5fd992be9dabp+24", "0x1.37af19c3476f8p-10"),
+                    "eta_ph": ("0x1.c5fd9a2be9dabp+24", "0x1.37af19c36c0ddp-10"),
+                    "eta_ev": ("0x1.8c489e78833a9p+20", "0x1.f4e807f251bb9p-11"),
+                },
+            ),
+        ],
+    )
+    def test_every_value_and_error_keeps_its_bits(self, omega_p, bits) -> None:
+        # Pinned from the product exp-sinh rule for eta_total and the
+        # double-exponential rules of the three surface-mode integrals.
+        breakdown = compute_eta_breakdown(omega_p)
+        assert {
+            name: (getattr(breakdown, name).hex(), breakdown.error_estimates[name].hex())
+            for name in bits
+        } == bits
+
     def test_record_validation(self) -> None:
         with pytest.raises(DomainError):
             EtaBreakdown(
