@@ -41,8 +41,10 @@ from .errors import (
 from .lifshitz import _eta_total_detailed, eta_total
 from .modes import (
     CoupledBranch,
+    _check_continuation,
+    _continued_g_squared,
+    _evanescent_g_squared,
     branch_constants,
-    g_branch,
     g_branch_combination,
     invert_branch,
     omega0,
@@ -179,9 +181,10 @@ def _continuation_integral(
     Omega_P: float, y_plus: float, spec: QuadratureSpec
 ) -> Tuple[float, float]:
     """``Int_0^{y_plus} 2 u g_plus(-u**2) du``: the plus branch below the light cone."""
+    _check_continuation(CoupledBranch.PLUS, y_plus, Omega_P)  # once: no node exceeds y_plus
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        return 2.0 * u * g_branch(CoupledBranch.PLUS, -u * u, Omega_P)
+        return 2.0 * u * np.sqrt(_continued_g_squared(u, Omega_P, np.sqrt, np.tan))
 
     return _run_labelled(
         f"plus-branch continuation integral at Omega_P={Omega_P:g}",
@@ -199,7 +202,7 @@ def _reference_correction_integral(
     """
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        return 2.0 * s * g_branch(CoupledBranch.ZERO, s * s, Omega_P)
+        return 2.0 * s * _evanescent_g_squared(CoupledBranch.ZERO, s, Omega_P, np, True)
 
     return _run_labelled(
         f"evanescent reference-correction integral at Omega_P={Omega_P:g}",

@@ -14,12 +14,12 @@ wavevector ``K`` and the rotated frequency ``Xi`` (both scaled by ``L/c``):
 with ``kappa = sqrt(Xi**2 + K**2)`` and the squared reflection amplitudes of
 :func:`casimir_plasmons.optics.reflection_sq_imag_axis`.  On the imaginary
 axis the integrand is smooth and strictly negative.  It is evaluated on
-blocks of nodes, a column of ``K`` against a row of ``Xi``, with one call of
-the optics kernel per block, which validates the block once and returns the
-decay constants ``kappa``, ``kappa_t`` and ``kappa_t/eps``.  Near the origin
-the DE nodes reach ``r**2 e^(-2 kappa)`` within an ulp of 1, so each
-logarithm is taken of ``1 - r**2 e^(-2 kappa)`` formed without cancellation
-there (see :func:`_mode_sum_integrand`).
+the new nodes of a quadrature level, with one call of the optics kernel
+per level, which checks nothing (the nodes are positive and finite) and
+returns the decay constants ``kappa``, ``kappa_t`` and ``kappa_t/eps``.
+Near the origin the DE nodes reach ``r**2 e^(-2 kappa)`` within an ulp of
+1, so each logarithm is taken of ``1 - r**2 e^(-2 kappa)`` formed without
+cancellation there (see :func:`_mode_sum_integrand`).
 
 Quadrature.  The integral runs over the whole quadrant with
 :func:`casimir_plasmons.numerics.integrate_quadrant`, the product of two
@@ -141,13 +141,14 @@ def _log_one_minus(kappa: np.ndarray, x: np.ndarray, damping: np.ndarray) -> np.
     p /= width
     p *= p
     p *= damping
-    near = p > 0.5
+    near = np.nonzero(p > 0.5)
+    # Overwritten below; log1p(-p) would see -1 there when p rounds to 1.
+    p[near] = 0.0
     np.negative(p, out=p)
-    np.log1p(p, out=p, where=~near)
-    if near.any():
-        k, width = kappa[near], width[near]
-        one_minus_r_sq = 4.0 * (k / width) * (x[near] / width)
-        p[near] = np.log(damping[near] * one_minus_r_sq - np.expm1(-2.0 * k))
+    np.log1p(p, out=p)
+    k, width = kappa[near], width[near]
+    one_minus_r_sq = 4.0 * (k / width) * (x[near] / width)
+    p[near] = np.log(damping[near] * one_minus_r_sq - np.expm1(-2.0 * k))
     return p
 
 

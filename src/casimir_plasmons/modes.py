@@ -363,12 +363,10 @@ def g_branch_combination(z, Omega_P: float):
     # cannot overflow; np.where evaluates both forms, so the discarded one
     # may overflow or divide by zero (at z = 0) unseen.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        scaled = Omega_P / total
-        scaled_sq = np.where(
-            total <= _RATIO_FORM_ABOVE,
-            Omega_P * Omega_P / (total * total),
-            scaled * scaled,
-        )
+        scaled_sq = Omega_P * Omega_P / (total * total)
+        if total.max() > _RATIO_FORM_ABOVE:
+            scaled = Omega_P / total
+            scaled_sq = np.where(total <= _RATIO_FORM_ABOVE, scaled_sq, scaled * scaled)
         ratio = decay * scaled_sq
         one_minus_ratio = 2.0 * root_z / total + scaled_sq * one_minus_decay
         g_zero = Omega_P * np.sqrt(root_z / total)
@@ -511,13 +509,23 @@ def _phase_defect(
         def defect(Q):
             return Q + 2.0 * asin(minimum(Q / Omega_P, 1.0)) - pi_m
 
-    elif Omega_P <= _RATIO_FORM_ABOVE:
+    elif _RATIO_FORM_BELOW <= Omega_P <= _RATIO_FORM_ABOVE:
 
         def defect(Q):
             transverse_decay = sqrt(maximum((Omega_P - Q) * (Omega_P + Q), 0.0))
             omega_sq = K * K + Q * Q
             eps = 1.0 - Omega_P * Omega_P / omega_sq
             return Q + 2.0 * atan2(transverse_decay, -eps * Q) - pi_m
+
+    elif Omega_P < _RATIO_FORM_BELOW:
+
+        def defect(Q):
+            # The two atan2 arguments above divided by Omega_P, so that no
+            # square underflows; Q, far below an ulp of pi*m, is added last.
+            q, s = Q / Omega_P, Omega_P / hypot(K, Q)
+            transverse_decay = sqrt(maximum((1.0 - q) * (1.0 + q), 0.0))
+            eps = (1.0 - s) * (1.0 + s)
+            return Q + (2.0 * atan2(transverse_decay, -eps * q) - pi_m)
 
     else:
 

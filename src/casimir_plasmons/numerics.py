@@ -75,7 +75,7 @@ _DE_WINDOWS = {"tanh-sinh": (-4.0, 4.0), "exp-sinh": (-4.5, 3.0)}
 _DE_CORE = 3.0
 _DE_LEVELS = 8
 # integrate_quadrant: the most step halvings (level 3 meets rel_tol 1e-9 and
-# level 4 1e-13 on eta_total), and the most nodes evaluated in one block.
+# level 4 1e-13 on eta_total), and the most nodes passed to f in one call.
 _QUADRANT_LEVELS = 5
 _QUADRANT_BLOCK = 8192
 
@@ -366,22 +366,6 @@ def _envelope_tail_bound(
     return tail_bound
 
 
-def _tensor_sum(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: np.ndarray,
-    wx: np.ndarray,
-    y: np.ndarray,
-    wy: np.ndarray,
-) -> float:
-    """``sum_ij wx_i wy_j f(x_i, y_j)``, evaluated in blocks of bounded size."""
-    rows = max(1, _QUADRANT_BLOCK // y.size)
-    total = 0.0
-    for start in range(0, x.size, rows):
-        block = f(x[start : start + rows, np.newaxis], y[np.newaxis, :])
-        total += float(wx[start : start + rows] @ (block @ wy))
-    return total
-
-
 def integrate_quadrant(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     spec: QuadratureSpec = DEFAULT_QUADRATURE,
@@ -389,14 +373,14 @@ def integrate_quadrant(
     """Integrate ``f(x, y)`` over the quadrant ``[0, inf)**2``.
 
     The rule is the product of two exp-sinh rules (see :func:`quad`), for
-    integrands that keep one sign.  ``f`` is vectorised: it receives a
-    column of ``x`` and a row of ``y`` (at most about 8192 nodes together)
-    and returns their broadcast block.  Level 0 is the tensor grid over the
-    whole window, ``2e-31`` to ``7e6`` on each axis; on each side of each
-    axis the finer levels reach out to its first row (column) whose
-    ``|w f|`` is below machine epsilon times the total, as in :func:`quad`.
-    Each level evaluates only its new nodes: new ``x`` against every ``y``,
-    old ``x`` against new ``y``.
+    integrands that keep one sign.  ``f`` works elementwise on two arrays
+    that broadcast against each other.  Level 0 is the tensor grid over the
+    whole window, ``2e-31`` to ``7e6`` on each axis, passed as a column of
+    ``x`` and a row of ``y``; on each side of each axis the finer levels
+    reach out to its first row (column) whose ``|w f|`` is below machine
+    epsilon times the total, as in :func:`quad`.  Each finer level passes
+    only its new nodes (new ``x`` by every ``y``, old ``x`` by new ``y``)
+    as two flat arrays, in calls of at most 8192 nodes: one up to level 3.
 
     Returns ``(value, error_estimate)``.  Refinement stops once the last two
     levels differ, plus a rounding allowance, by at most ``rel_tol * |value|``
@@ -428,8 +412,16 @@ def integrate_quadrant(
             shift, nodes = level - 1, _de_nodes("exp-sinh", level)
             new = [tuple(a[lo << shift : hi << shift] for a in nodes) for lo, hi in reach]
             every = [tuple(map(np.concatenate, zip(d, n))) for d, n in zip(done, new)]
-            weighted_sum += _tensor_sum(f, *new[0], *every[1])
-            weighted_sum += _tensor_sum(f, *done[0], *new[1])
+            (x_new, wx_new), (y_new, wy_new) = new
+            (x_old, wx_old), (y_all, wy_all) = done[0], every[1]
+            # The L of new nodes, flat: new x by every y, then old x by new y.
+            x = np.concatenate((np.repeat(x_new, y_all.size), np.repeat(x_old, y_new.size)))
+            y = np.concatenate((np.tile(y_all, x_new.size), np.tile(y_new, x_old.size)))
+            n = _QUADRANT_BLOCK  # nodes per call of f
+            fxy = np.concatenate([f(x[i : i + n], y[i : i + n]) for i in range(0, x.size, n)])
+            split = x_new.size * y_all.size
+            weighted_sum += float(wx_new @ (fxy[:split].reshape(x_new.size, -1) @ wy_all))
+            weighted_sum += float(wx_old @ (fxy[split:].reshape(x_old.size, -1) @ wy_new))
             done[:] = every
         step = _DE_STEP / 2**level
         values.append(weighted_sum * step * step)

@@ -120,21 +120,13 @@ def _decay_constants(K: ArrayOrFloat, Xi: ArrayOrFloat, Omega_P: float):
 
     The one formula behind every imaginary-axis amplitude: the TE amplitude
     is ``(kappa - x)/(kappa + x)`` with ``x = kappa_t``, the TM one the same
-    with ``x = kappa_t / eps``.  ``Xi = 0`` is accepted here (there
-    ``kappa_t / eps`` is 0); :func:`reflection_sq_imag_axis` rejects it.
+    with ``x = kappa_t / eps``.  It checks nothing: callers pass finite
+    ``K, Xi >= 0`` (at ``Xi = 0`` ``kappa_t / eps`` is 0) and ``Omega_P > 0``.
     Its arrays are new, so callers may overwrite them.
     """
-    # Inline rather than require_positive_finite: this runs at every block.
-    if not (0.0 < Omega_P < math.inf):
-        raise DomainError(f"Omega_P must be positive and finite, got {Omega_P!r}")
-    K_block, Xi_block = isinstance(K, np.ndarray), isinstance(Xi, np.ndarray)
-    K_lo, K_hi = (K.min(), K.max()) if K_block else (K, K)
-    Xi_lo, Xi_hi = (Xi.min(), Xi.max()) if Xi_block else (Xi, Xi)
-    if not (0.0 <= K_lo and K_hi < math.inf):
-        raise DomainError(f"K must be non-negative and finite, got {K!r}")
-    if not (0.0 <= Xi_lo and Xi_hi < math.inf):
-        raise DomainError(f"Xi must be non-negative and finite, got {Xi!r}")
-    hypot = np.hypot if K_block or Xi_block else math.hypot
+    Xi_block = isinstance(Xi, np.ndarray)
+    Xi_lo = Xi.min() if Xi_block else Xi
+    hypot = np.hypot if Xi_block or isinstance(K, np.ndarray) else math.hypot
     kappa = hypot(K, Xi)
     kappa_t = hypot(kappa, Omega_P)
     # kappa_t / eps(i Xi) written so that neither factor can overflow;
@@ -165,7 +157,11 @@ def reflection_sq_imag_axis(
     arbitrarily small ``Xi``.  The result lies in [0, 1].
     """
     pol = _coerce_polarization(pol)
-    if not (np.min(Xi) > 0.0):
+    if not (0.0 < Omega_P < math.inf):
+        raise DomainError(f"Omega_P must be positive and finite, got {Omega_P!r}")
+    if not (0.0 <= np.min(K) and np.max(K) < math.inf):
+        raise DomainError(f"K must be non-negative and finite, got {K!r}")
+    if not (0.0 < np.min(Xi) and np.max(Xi) < math.inf):
         raise DomainError(f"Xi must be positive and finite, got {Xi!r}")
     kappa, kappa_t, reduced = _decay_constants(K, Xi, Omega_P)
     x = kappa_t if pol is Polarization.TE else reduced

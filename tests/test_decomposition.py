@@ -23,6 +23,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from casimir_plasmons import decomposition, modes
 from casimir_plasmons.decomposition import (
     ASYMPTOTIC_FIT_WINDOW,
     AsymptoticReport,
@@ -373,6 +374,21 @@ class TestBreakdown:
             name: (getattr(breakdown, name).hex(), breakdown.error_estimates[name].hex())
             for name in bits
         } == bits
+
+    @pytest.mark.parametrize("omega_p", [1e-8, 2.0 * math.pi, 1e5])
+    def test_looks_up_the_branch_constants_at_most_twice(self, omega_p, monkeypatch) -> None:
+        # Once for eta_pl and once for eta_ev; the surface-mode integrands
+        # check their domain once per integral, not at every call.
+        calls = []
+
+        def counted(Omega_P):
+            calls.append(Omega_P)
+            return branch_constants(Omega_P)
+
+        for module in (modes, decomposition):
+            monkeypatch.setattr(module, "branch_constants", counted)
+        compute_eta_breakdown(omega_p)
+        assert 0 < len(calls) <= 2
 
     def test_record_validation(self) -> None:
         with pytest.raises(DomainError):

@@ -584,6 +584,25 @@ class TestPhotonicModes:
         assert photonic_mode(Polarization.TE, 1, 0.0, omega_p) == omega_p
         assert photonic_mode(Polarization.TE, 1, 1.0, omega_p) == 1.0
 
+    @pytest.mark.parametrize("omega_p", [1e-160, 1e-200, 1e-300])
+    def test_tm_modes_where_omega_p_squared_underflows(self, omega_p: float) -> None:
+        # The plain TM defect divided 0 by 0 at K = 0 here; its form divided
+        # by Omega_P finds each mode that exists, within the root find's
+        # 4 ulp, and no other.
+        mismatches = []
+        for big_k in (0.0, omega_p, 1.0):
+            for m in (1, 2, 3):
+                try:
+                    value = photonic_mode(Polarization.TM, m, big_k, omega_p)
+                except NoSolution:
+                    value = None
+                oracle = _mp_tm_mode(m, big_k, omega_p)
+                if (value is None) != (oracle is None) or (
+                    value is not None and abs(value - oracle) > 1e-15 * oracle
+                ):
+                    mismatches.append((big_k, m, value, oracle))
+        assert mismatches == []
+
     @pytest.mark.parametrize("pol", list(Polarization))
     def test_scan_grid_underflow_is_a_domain_error(self, pol: Polarization) -> None:
         # The scan grid starts at q_hi * 1e-8, which is 0 below about 5e-316.
@@ -613,6 +632,49 @@ class TestPhotonicModes:
             photonic_mode("circular", 1, 1.0, 5.0)
 
 
+def _mp_tm_mode(m: int, big_k: float, omega_p: float):
+    """The TM mode frequency from the exact phase defect, or ``None``.
+
+    The root is located as :func:`photonic_mode` locates it: the first sign
+    change on the 200-point scan grid, else the cell ``[q_hi, min(pi*m,
+    Omega_P)]`` when the defect there rises to a positive value at
+    ``Omega_P``, where the transverse decay vanishes and the defect is
+    ``Omega_P + 2*pi - pi*m`` (atan2 of 0 and a non-positive number is pi).
+    The defect is evaluated at 400 digits, which resolve ``Q ~ Omega_P``
+    next to ``pi*m``, and its root bisected to 50.
+    """
+    with mp.workdps(400):
+        w, k = mp.mpf(omega_p), mp.mpf(big_k)
+
+        def defect(q):
+            if q == w:
+                return w + mp.pi * (2 - m)
+            eps = 1 - w**2 / (k**2 + q**2)
+            return q + 2 * mp.atan2(mp.sqrt(w**2 - q**2), -eps * q) - mp.pi * m
+
+        q_top = min(mp.pi * m, w)
+        q_hi = q_top * (1 - mp.mpf("1e-12"))
+        grid = [q_hi * mp.mpf(10) ** (8 * mp.mpf(i) / 199 - 8) for i in range(200)]
+        values = [defect(q) for q in grid]
+        cells = [
+            (grid[i], grid[i + 1]) for i in range(199) if (values[i] < 0) != (values[i + 1] < 0)
+        ]
+        if cells:
+            lo, hi = cells[0]
+        elif values[-1] < 0 and (mp.pi * m < w or defect(w) > 0):
+            lo, hi = q_hi, q_top
+        else:
+            return None
+        below = defect(lo) < 0
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if (defect(mid) < 0) == below:
+                lo = mid
+            else:
+                hi = mid
+        return float(mp.sqrt(k**2 + lo**2))
+
+
 def _photonic_mode_reference(pol: Polarization, m: int, big_k: float, omega_p: float):
     """The scalar 200-point bracket scan that photonic_mode vectorised.
 
@@ -620,12 +682,19 @@ def _photonic_mode_reference(pol: Polarization, m: int, big_k: float, omega_p: f
     Without a sign change on the grid it closes the scan with the cell
     ``[q_hi, min(pi*m, omega_p)]``, as photonic_mode does: there the root
     can lie above ``q_hi``.  Above ``omega_p = 1e75`` the TM defect takes
-    its ratio form, whose squares cannot overflow.
+    its ratio form, whose squares cannot overflow, and below ``1e-75`` its
+    form divided by ``omega_p``, whose squares cannot underflow.
     """
 
     def phase_defect(q: float) -> float:
         if pol is Polarization.TE:
             shift = 2.0 * math.asin(min(q / omega_p, 1.0))
+        elif omega_p < 1e-75:
+            # Both atan2 arguments divided by omega_p; q is added last.
+            q_r, s = q / omega_p, omega_p / math.hypot(big_k, q)
+            transverse_decay = math.sqrt(max((1.0 - q_r) * (1.0 + q_r), 0.0))
+            eps = (1.0 - s) * (1.0 + s)
+            return q + (2.0 * math.atan2(transverse_decay, -eps * q_r) - math.pi * m)
         elif omega_p <= 1e75:
             transverse_decay = math.sqrt(max((omega_p - q) * (omega_p + q), 0.0))
             omega_sq = big_k * big_k + q * q
@@ -667,12 +736,13 @@ class TestPhotonicModeScan:
         # sample_dispersion solves each branch once for all five K (a TE root,
         # a TM column of K against the scan grid) and must give the same
         # rows, skipping exactly the K without a mode; 1e80 and 1e200 run
-        # the TM ratio form on that column.
+        # the TM ratio form on that column, 1e-100 and 1e-300 the form
+        # divided by Omega_P.
         omega_ps = np.concatenate(
             (
                 np.geomspace(1e-8, 1e12, 41),
                 np.geomspace(0.1, 100.0, 37),
-                [3 * math.pi, 1e80, 1e200],
+                [3 * math.pi, 1e80, 1e200, 1e-100, 1e-300],
             )
         ).tolist()
         mismatches = []

@@ -227,6 +227,37 @@ def test_quadrant_skips_nodes_below_machine_epsilon():
     assert sum(nodes) <= 100**2
 
 
+def test_quadrant_integrand_works_elementwise():
+    # Level 0 passes a column and a row; every finer level two flat arrays
+    # of equal length, on which an elementwise integrand gives the same sums.
+    calls = []
+
+    def flat(x, y):
+        if calls:
+            assert x.ndim == 1 and x.shape == y.shape
+        calls.append(np.broadcast(x, y).size)
+        return _gamma_product(x, y)
+
+    assert integrate_quadrant(flat) == integrate_quadrant(_gamma_product)
+    assert len(calls) > 1 and max(calls) <= 8192
+
+
+def test_quadrant_cuts_a_level_into_calls_of_at_most_8192_nodes(monkeypatch):
+    # Level 4 of this integrand has 27,840 new nodes: four calls, whose
+    # values sum as those of one call would.
+    spec = QuadratureSpec(abs_tol=0.0, rel_tol=1e-13)
+    nodes = []
+
+    def f(x, y):
+        nodes.append(np.broadcast(x, y).size)
+        return np.exp(-x - y) / (1.0 + x * y)
+
+    chunked = integrate_quadrant(f, spec)
+    assert nodes[4:] == [8192, 8192, 8192, 3264]
+    monkeypatch.setattr(numerics, "_QUADRANT_BLOCK", 10**6)
+    assert integrate_quadrant(f, spec) == chunked
+
+
 def test_quadrant_is_deterministic():
     assert integrate_quadrant(_gamma_product) == integrate_quadrant(_gamma_product)
 
