@@ -202,7 +202,7 @@ def _reference_correction_integral(
     """
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        return 2.0 * s * _evanescent_g_squared(CoupledBranch.ZERO, s, Omega_P, np, True)
+        return 2.0 * s * _evanescent_g_squared(CoupledBranch.ZERO, s, Omega_P, np, root=True)
 
     return _run_labelled(
         f"evanescent reference-correction integral at Omega_P={Omega_P:g}",

@@ -152,12 +152,11 @@ class TestReductionFactor:
         assert 0.0 <= error <= 1e-9 * value
         assert _eta_total_detailed(omega_p) == (value, error)
 
-    @pytest.mark.parametrize("omega_p, total", [(1e-8, 9244), (2.0 * math.pi, 7333), (1e5, 7333)])
-    def test_default_tolerance_takes_at_most_three_halvings(
-        self, omega_p, total, monkeypatch
-    ) -> None:
+    @pytest.mark.parametrize("omega_p", [1e-8, 2.0 * math.pi, 1e5])
+    def test_default_tolerance_takes_at_most_three_halvings(self, omega_p, monkeypatch) -> None:
         # Level 3 of the product rule has 121 nodes per axis.  Each level
         # evaluates its new nodes in one call of the kernel: four calls.
+        total = 9244 if omega_p < 1.0 else 7333
         nodes = []
 
         def counted(K, Xi, Omega_P):
