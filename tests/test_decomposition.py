@@ -31,6 +31,8 @@ from casimir_plasmons.decomposition import (
     _branch_sum_integral,
     _continuation_integral,
     _direct_integrand,
+    _eta_evanescent_detailed,
+    _eta_plasmonic_detailed,
     _fit_sqrt_law,
     _reference_correction_integral,
     asymptotic_report,
@@ -47,7 +49,7 @@ from casimir_plasmons.decomposition import (
 from casimir_plasmons.errors import DomainError, ExtrapolationUnstable
 from casimir_plasmons.lifshitz import eta_total
 from casimir_plasmons.modes import branch_constants
-from casimir_plasmons.numerics import DEFAULT_QUADRATURE
+from casimir_plasmons.numerics import DEFAULT_QUADRATURE, QuadratureSpec
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +376,46 @@ class TestBreakdown:
             name: (getattr(breakdown, name).hex(), breakdown.error_estimates[name].hex())
             for name in bits
         } == bits
+
+    @pytest.mark.parametrize(
+        "omega_p, plasmonic_bits, evanescent_bits",
+        [
+            (
+                1e-3,
+                ("0x1.2ab8cd4fddbf1p-12", "0x1.365825a8507c3p-58"),
+                ("0x1.2ab9320f0279ap-12", "0x1.3655a85de0c16p-58"),
+            ),
+            (
+                2.0 * math.pi,
+                ("-0x1.57020cc539bcbp+4", "0x1.7968dfa9d35b2p-41"),
+                ("0x1.2874d35115ae3p+1", "0x1.0172715265e98p-42"),
+            ),
+            (
+                1e5,
+                ("-0x1.24249844f43ebp+13", "0x1.3cd030f0a7929p-32"),
+                ("0x1.00c3e0951c3c3p+9", "0x1.27505f2453c47p-34"),
+            ),
+        ],
+    )
+    def test_surface_modes_keep_their_bits_beyond_level_3(
+        self, omega_p, plasmonic_bits, evanescent_bits
+    ) -> None:
+        # At rel_tol 1e-13 the branch sum halves four times, past the levels
+        # the double-exponential rule evaluates with its first level.
+        spec = QuadratureSpec(abs_tol=0.0, rel_tol=1e-13)
+        plasmonic = _eta_plasmonic_detailed(omega_p, spec)
+        evanescent = _eta_evanescent_detailed(omega_p, spec)
+        assert tuple(x.hex() for x in plasmonic) == plasmonic_bits
+        assert tuple(x.hex() for x in evanescent) == evanescent_bits
+
+    def test_alpha_and_the_propagative_identity_keep_their_bits(self) -> None:
+        # Both integrate per node (alpha through libm, the identity through
+        # root finds), and every one of their integrals reaches level 2 or 3.
+        assert short_distance_alpha().hex() == "0x1.317efeed6a700p+0"
+        assert [x.hex() for x in propagative_part_identity(5.0)] == [
+            "-0x1.17b9ea488f4e6p+4",
+            "-0x1.17b9ea488f4e5p+4",
+        ]
 
     @pytest.mark.parametrize("omega_p", [1e-8, 2.0 * math.pi, 1e5])
     def test_looks_up_the_branch_constants_at_most_twice(self, omega_p, monkeypatch) -> None:

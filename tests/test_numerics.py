@@ -174,6 +174,150 @@ def test_integrate_goes_through_the_module_quad(b, monkeypatch):
     assert value == pytest.approx(1.0 - math.exp(-b), rel=1e-9)
 
 
+def _quad_reference(f, a, b, spec, tail_bound=None):
+    """The one-call-per-level rule that ``quad`` fused into strips.
+
+    Level 0 calls ``f`` on its core and then once per growth step, and each
+    finer level once on its new nodes.  Kept verbatim, so that ``quad`` can be
+    held to its bits.
+    """
+    from casimir_plasmons.numerics import _DE_CORE, _DE_LEVELS, _DE_STEP, _DE_WINDOWS, _EPS
+    from casimir_plasmons.numerics import _de_nodes, _refine
+
+    rule = "exp-sinh" if b == math.inf else "tanh-sinh"
+    scale = 1.0 if b == math.inf else b - a
+    sums = [0.0, 0.0]
+    neval = 0
+
+    def add(level: int, index) -> np.ndarray:
+        """Add the nodes ``index`` of ``level`` to the sums; return their ``|w f|``."""
+        nonlocal neval
+        offset, weight = (array[index] for array in _de_nodes(rule, level))
+        if b == math.inf:
+            x = a + offset
+        else:
+            x = np.where(offset > 0.0, a, b) + scale * offset
+        fx = np.asarray(f(x), dtype=float)
+        neval += x.size
+        total = float(weight @ fx)
+        if not math.isfinite(total):
+            bad = ~np.isfinite(fx)
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                raise NonFiniteIntegrand(
+                    f"integrand returned {float(fx[i])!r} at x={float(x[i])!r}"
+                )
+        magnitudes = weight * np.abs(fx)
+        sums[0] += total
+        sums[1] += float(magnitudes.sum())
+        return magnitudes
+
+    # First level: the core, then one node further on each side whose
+    # outermost term still counts.
+    last = _de_nodes(rule, 0)[0].size - 1
+    centre = round(-_DE_WINDOWS[rule][0] / _DE_STEP)
+    lo, hi = centre - round(_DE_CORE / _DE_STEP), centre + round(_DE_CORE / _DE_STEP)
+    core = add(0, slice(lo, hi + 1))
+    edges = [core[0], core[-1]]
+    while True:
+        grow = [lo > 0 and edges[0] > _EPS * sums[1], hi < last and edges[1] > _EPS * sums[1]]
+        if not any(grow):
+            break
+        index = [i for i, g in ((lo - 1, grow[0]), (hi + 1, grow[1])) if g]
+        terms = add(0, np.array(index))
+        if grow[0]:
+            lo, edges[0] = lo - 1, terms[0]
+        if grow[1]:
+            hi, edges[1] = hi + 1, terms[-1]
+    tail = 0.0
+    if tail_bound is not None:
+        tail = tail_bound(a + float(_de_nodes(rule, 0)[0][hi]))
+
+    def level_value(level: int):
+        if level:
+            # The new nodes of this level between those of the window's ends.
+            add(level, slice(lo << (level - 1), hi << (level - 1)))
+        step = scale * _DE_STEP / 2**level
+        return sums[0] * step, sums[1] * step
+
+    value, error, halvings, failure = _refine(
+        level_value,
+        _DE_LEVELS,
+        lambda v: max(spec.abs_tol, spec.rel_tol * abs(v)),
+        tail,
+    )
+    info = {"neval": neval, "last": halvings}
+    return (value, error, info, failure) if failure else (value, error, info)
+
+
+def _tanh_sinh_node(level, index):
+    """Node ``index`` of ``level`` of the tanh-sinh rule on ``[0, 1]``, as quad forms it."""
+    offset = float(numerics._de_nodes("tanh-sinh", level)[0][index])
+    return offset if offset > 0.0 else 1.0 + offset
+
+
+def _nan_at(node, f):
+    """``f``, but NaN at one node of the rule."""
+    return lambda x: np.where(x == node, np.nan, f(x))
+
+
+def _arcsine_density(x):
+    """``1/sqrt(x(1 - x))``; the nodes next to 1 round onto it, where it is inf."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.sqrt(x * (1.0 - x))
+
+
+# (integrand, a, b): every case the strips of quad must sum as the reference
+# does.  cos(x) and 1/sqrt(x(1-x)) grow on both sides in one step, and the
+# second raises there; sqrt|x - 0.3537| fails at level 8; the NaN integrands
+# are NaN at one node of level 2, 3 or 5, so they raise only where the rule
+# sums that level.
+QUAD_CASES = {
+    "x**2": (lambda x: x * x, 0.0, 1.0),
+    "0.5/sqrt(x)": (lambda x: 0.5 / np.sqrt(x), 0.0, 1.0),
+    "cos(x)": (np.cos, 0.0, 1.0),
+    "1/sqrt(x(1-x))": (_arcsine_density, 0.0, 1.0),
+    "sqrt|x-0.3537|": (lambda x: np.sqrt(np.abs(x - 0.3537)), 0.0, 1.0),
+    "log(x)**2": (lambda x: np.log(x) ** 2, 0.0, 1.0),
+    "exp(-x) on [0, inf)": (lambda x: np.exp(-x), 0.0, math.inf),
+    "exp(-x) on [2, inf)": (lambda x: np.exp(-x), 2.0, math.inf),
+    "NaN at level 2": (_nan_at(_tanh_sinh_node(2, 16), lambda x: x * x), 0.0, 1.0),
+    "NaN at level 3": (_nan_at(_tanh_sinh_node(3, 40), lambda x: x * x), 0.0, 1.0),
+    "NaN at level 5": (
+        _nan_at(_tanh_sinh_node(5, 200), lambda x: np.sqrt(np.abs(x - 0.3537))),
+        0.0,
+        1.0,
+    ),
+}
+QUAD_TOLERANCES = [1e-3, 1e-6, 1e-9, 1e-12, 1e-13, 1e-15]
+
+
+def _quad_outcome(rule, name, tol):
+    """What ``rule`` returns (or raises) for a case, and the sizes of its calls of ``f``."""
+    f, a, b = QUAD_CASES[name]
+    tail_bound = numerics._envelope_tail_bound(f, a) if b == math.inf else None
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+
+    try:
+        out = rule(counted, a, b, QuadratureSpec(abs_tol=tol, rel_tol=tol), tail_bound)
+    except NonFiniteIntegrand as exc:
+        return ("NonFiniteIntegrand", str(exc)), calls
+    value, error, info = out[:3]
+    return (value.hex(), error.hex(), info["last"], out[3:]), calls
+
+
+@pytest.mark.parametrize("tol", QUAD_TOLERANCES)
+@pytest.mark.parametrize("name", sorted(QUAD_CASES))
+def test_quad_keeps_the_bits_of_the_per_level_rule(name, tol):
+    # Value, error, halvings and failure text, or the NonFiniteIntegrand
+    # message, bit for bit.
+    assert _quad_outcome(quad, name, tol)[0] == _quad_outcome(_quad_reference, name, tol)[0]
+
+
 # ---------------------------------------------------------------------------
 # Two-dimensional quadrant rule
 # ---------------------------------------------------------------------------
