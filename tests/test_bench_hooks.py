@@ -63,7 +63,8 @@ def test_counted_results_keep_their_shapes() -> None:
     # The brentq wrapper unpacks (root, info) from the positional call
     # brentq(f, a, b, xtol, rtol, maxiter) and adds info.iterations and
     # info.function_calls; the quad wrapper reads out[2]["neval"] and
-    # out[2]["last"], and counts a failure by a fourth element.
+    # out[2]["last"], and counts a failure by a fourth element.  out[2]["calls"]
+    # counts the calls of the integrand.
     root, info = numerics.brentq(math.cos, 1.0, 2.0, 1e-12, 4.0 * 2.0**-52, 100)
     assert abs(root - math.pi / 2) < 1e-12
     assert isinstance(info.iterations, int) and isinstance(info.function_calls, int)
@@ -72,6 +73,7 @@ def test_counted_results_keep_their_shapes() -> None:
     assert len(out) == 3
     assert isinstance(out[2]["neval"], int) and out[2]["neval"] > 0
     assert isinstance(out[2]["last"], int) and out[2]["last"] >= 0
+    assert isinstance(out[2]["calls"], int) and out[2]["calls"] >= 1
     unreachable = numerics.QuadratureSpec(abs_tol=0.0, rel_tol=1e-20)
     failed = numerics.quad(np.exp, 0.0, 1.0, unreachable)
     assert len(failed) == 4 and isinstance(failed[3], str) and failed[3]

@@ -48,7 +48,7 @@ from casimir_plasmons.decomposition import (
 )
 from casimir_plasmons.errors import DomainError, ExtrapolationUnstable
 from casimir_plasmons.lifshitz import eta_total
-from casimir_plasmons.modes import branch_constants
+from casimir_plasmons.modes import branch_constants, g_branch_combination
 from casimir_plasmons.numerics import DEFAULT_QUADRATURE, QuadratureSpec
 
 
@@ -431,6 +431,23 @@ class TestBreakdown:
             monkeypatch.setattr(module, "branch_constants", counted)
         compute_eta_breakdown(omega_p)
         assert 0 < len(calls) <= 2
+
+    @pytest.mark.parametrize("omega_p", [1e-8, 2.0 * math.pi, 1e5])
+    def test_evaluates_the_branch_combination_at_most_three_times(
+        self, omega_p, monkeypatch
+    ) -> None:
+        # The branch sum's integrand: once for the tail probe, once for the
+        # core of its window and once per growth step, which carry the
+        # nodes of levels 1 to 3 along.
+        calls = []
+
+        def counted(z, Omega_P):
+            calls.append(np.size(z))
+            return g_branch_combination(z, Omega_P)
+
+        monkeypatch.setattr(decomposition, "g_branch_combination", counted)
+        compute_eta_breakdown(omega_p)
+        assert 0 < len(calls) <= 3
 
     def test_record_validation(self) -> None:
         with pytest.raises(DomainError):

@@ -293,7 +293,8 @@ QUAD_TOLERANCES = [1e-3, 1e-6, 1e-9, 1e-12, 1e-13, 1e-15]
 
 
 def _quad_outcome(rule, name, tol):
-    """What ``rule`` returns (or raises) for a case, and the sizes of its calls of ``f``."""
+    """What ``rule`` returns (or raises) for a case, the sizes of its calls of
+    ``f``, and its info dict (``None`` when it raised)."""
     f, a, b = QUAD_CASES[name]
     tail_bound = numerics._envelope_tail_bound(f, a) if b == math.inf else None
     calls = []
@@ -305,9 +306,9 @@ def _quad_outcome(rule, name, tol):
     try:
         out = rule(counted, a, b, QuadratureSpec(abs_tol=tol, rel_tol=tol), tail_bound)
     except NonFiniteIntegrand as exc:
-        return ("NonFiniteIntegrand", str(exc)), calls
+        return ("NonFiniteIntegrand", str(exc)), calls, None
     value, error, info = out[:3]
-    return (value.hex(), error.hex(), info["last"], out[3:]), calls
+    return (value.hex(), error.hex(), info["last"], out[3:]), calls, info
 
 
 @pytest.mark.parametrize("tol", QUAD_TOLERANCES)
@@ -316,6 +317,21 @@ def test_quad_keeps_the_bits_of_the_per_level_rule(name, tol):
     # Value, error, halvings and failure text, or the NonFiniteIntegrand
     # message, bit for bit.
     assert _quad_outcome(quad, name, tol)[0] == _quad_outcome(_quad_reference, name, tol)[0]
+
+
+@pytest.mark.parametrize("tol", QUAD_TOLERANCES)
+@pytest.mark.parametrize("name", sorted(QUAD_CASES))
+def test_quad_calls_f_once_per_strip_and_finer_level(name, tol):
+    # The per-level rule calls f on the core (13 nodes), once per growth
+    # step (1 or 2 nodes) and once per finer level (at least 13).  quad
+    # makes the same calls but those of levels 1 to 3, whose nodes ride
+    # along with the strips of level 0.
+    _, calls, info = _quad_outcome(quad, name, tol)
+    _, reference, _ = _quad_outcome(_quad_reference, name, tol)
+    level_0 = 1 + sum(size <= 2 for size in reference[1:])
+    assert len(calls) == level_0 + max(len(reference) - level_0 - 3, 0)
+    if info is not None:
+        assert (info["calls"], info["neval"]) == (len(calls), sum(calls))
 
 
 # ---------------------------------------------------------------------------
