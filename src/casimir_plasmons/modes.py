@@ -77,6 +77,9 @@ _MAX_SURFACE_OMEGA_P = 1e15
 # Below this Omega_P**2 underflows, so the endpoint equation's value at u = 0
 # rounds to 0 and its root find would return y_plus = 0.
 _MIN_SURFACE_OMEGA_P = 1.5e-154
+# Smallest normal float: below it K**2 and Omega**2 lose their relative
+# accuracy (or round to 0), and so would a branch frequency solved in them.
+_MIN_NORMAL = 2.0**-1022
 
 
 @unique
@@ -455,15 +458,24 @@ def invert_branch(
     also where ``Omega**2`` is far below ``K**2``.  The minus and zero
     branches, and the plus branch for ``K >= k_P``, have ``z = K**2 - w`` in
     ``[0, K**2]``; below the light-cone crossing the plus branch has ``z`` in
-    ``[-z_plus0, 0]``, whose lower end is tested before the solve.  The plus
+    ``[-z_plus0, 0]``, whose lower end is tested before the solve.  Every
     branch is defined where :func:`branch_constants` is, for ``Omega_P`` from
-    ``1.5e-154`` to ``1e15``.
+    ``1.5e-154`` to ``1e15`` (the plus branch through it), and where ``K**2``
+    and the solved ``Omega**2`` are normal floats (or ``K`` is 0):
+    :class:`DomainError` outside.
     """
     branch = _coerce_branch(kind)
     if not (0.0 <= K < math.inf):
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
     Omega_P = require_positive_finite("Omega_P", Omega_P)
+    if Omega_P < _MIN_SURFACE_OMEGA_P:
+        raise DomainError(
+            f"Omega_P={Omega_P:g} is below {_MIN_SURFACE_OMEGA_P:g}: the branch "
+            "functions underflow"
+        )
     target = K * K
+    if K > 0.0 and target < _MIN_NORMAL:
+        raise DomainError(f"K={K!r} is so small that K**2 is not a normal float")
     z_min = w_lo = 0.0
     if branch is CoupledBranch.PLUS:
         z_plus0 = branch_constants(Omega_P).z_plus0
@@ -481,7 +493,12 @@ def invert_branch(
     def objective(w: float) -> float:
         return _g_squared(branch, max(target - w, z_min), Omega_P) - w
 
-    return math.sqrt(find_root_bracketed(objective, w_lo, target - z_min))
+    w = find_root_bracketed(objective, w_lo, target - z_min)
+    if w < _MIN_NORMAL:
+        raise DomainError(
+            f"Omega**2={w!r} at K={K!r}, Omega_P={Omega_P:g} is not a normal float"
+        )
+    return math.sqrt(w)
 
 
 # The phase formula is written once and evaluated with one of two function

@@ -481,6 +481,27 @@ class TestInversion:
             _frequency_oracle(CoupledBranch.MINUS, big_k, omega_p), rel=1e-13, abs=0.0
         )
 
+    def test_wavevector_whose_square_is_not_normal_raises(self) -> None:
+        # K**2 rounds to 0 at 1e-200, where the zero branch returned 0.0
+        # (mpmath: 1e-200); the plus branch is gated the same way.
+        for branch in CoupledBranch:
+            with pytest.raises(DomainError, match=r"K\*\*2 is not a normal float"):
+                invert_branch(branch, 1e-200, 1.0)
+
+    def test_plasma_parameter_below_the_surface_domain_raises(self) -> None:
+        # g**2 underflows at 1e-300, where the minus branch returned 0.0 for
+        # every K (mpmath: 5.6e-301 at K = 1); branch_constants' bound holds
+        # for every branch.
+        for branch in CoupledBranch:
+            with pytest.raises(DomainError, match="below 1.5e-154"):
+                invert_branch(branch, 1.0, 1e-300)
+
+    def test_subnormal_squared_frequency_raises(self) -> None:
+        # Omega**2 is about Omega_P * K**2 / 2 = 5e-321 here: subnormal, and
+        # the minus branch returned 7.07e-161, 5e-4 off.
+        with pytest.raises(DomainError, match=r"Omega\*\*2=.* is not a normal float"):
+            invert_branch(CoupledBranch.MINUS, 1e-150, 1e-20)
+
     def test_zero_wavevector_shortcuts(self) -> None:
         assert invert_branch(CoupledBranch.MINUS, 0.0, 2.0) == 0.0
         assert invert_branch(CoupledBranch.ZERO, 0.0, 2.0) == 0.0
@@ -972,7 +993,6 @@ def _surface_entries(omega_p: float, m: int, big_k: float, z: float, fraction: f
     ]
     for branch in CoupledBranch:
         calls += [
-            lambda branch=branch: invert_branch(branch, big_k, omega_p),
             lambda branch=branch: f_branch(branch, z, omega_p),
             lambda branch=branch: g_branch(branch, z, omega_p),
         ]
@@ -1021,6 +1041,16 @@ def test_finite_value_or_typed_error_up_to_huge_omega_p(log_omega, m, big_k, z, 
                 assert not surface
                 continue
             assert np.isfinite(value).all()
+        for branch in CoupledBranch:
+            try:
+                value = invert_branch(branch, big_k, omega_p)
+            except DomainError:
+                # Also where K**2 or Omega**2, at least about
+                # K**2 * min(1, Omega_P) / 4, is not a normal float.
+                tiny = big_k > 0.0 and big_k * big_k * min(1.0, omega_p) < 1e-300
+                assert not surface or tiny
+                continue
+            assert math.isfinite(value)
         try:
             breakdown = compute_eta_breakdown(omega_p)
         except DomainError:
