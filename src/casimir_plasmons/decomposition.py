@@ -375,7 +375,18 @@ def eta_evanescent(
 def compute_eta_breakdown(
     Omega_P: float, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> EtaBreakdown:
-    """All four reduction factors at one ``Omega_P``, with error estimates."""
+    """All four reduction factors at one ``Omega_P``, with error estimates.
+
+    ``eta_ph = eta_total - eta_pl`` is a small difference of large parts at
+    small ``Omega_P``, and its estimate is the sum of theirs.  At the default
+    tolerance the surface-mode integrals behind ``eta_pl`` stop on
+    ``abs_tol = 1e-10``, so below ``Omega_P`` of about ``3e-4`` the estimate
+    of ``eta_ph`` exceeds its value (4.6 times at ``3e-4``, 42 times at
+    ``1e-4``, 3.6e3 times at ``1e-5``): honest, but ``eta_ph`` is then not
+    resolved.  With ``abs_tol = 0`` and ``rel_tol = 1e-9`` it is resolved
+    down to about ``1e-5``, where it is about ``1.8 * Omega_P**3`` against
+    ``eta_pl`` of about ``0.28 * Omega_P``.
+    """
     branch_sum = _branch_sum_integral(Omega_P, spec)
     # The surface-mode parts first: they hold the narrower domain.
     plasmonic, plasmonic_err = _eta_plasmonic_detailed(Omega_P, spec, branch_sum)

@@ -4,8 +4,8 @@ All physics modules funnel their numerical work through this layer so that
 tolerance handling, failure modes and determinism live in one place.
 
 Every quadrature is a trapezoidal rule after a change of variable, refined
-by step halving on one shared loop: each level evaluates only its new
-nodes, and refinement stops once the difference of the last two levels plus
+by step halving on one shared loop: each level sums only its new nodes,
+and refinement stops once the difference of the last two levels plus
 a rounding allowance (and the caller's bound on anything outside the rule's
 reach) is within the tolerance.  That sum is the error reported, except by
 the quadrant rule, which scales the difference by its rate of fall.
@@ -15,8 +15,10 @@ the quadrant rule, which scales the difference by its rate of fall.
   rule crowds its nodes double-exponentially towards both ends, so
   integrable square-root endpoint singularities need no special treatment;
   on ``[a, inf)`` the exp-sinh rule does the same towards ``a`` and spreads
-  its nodes out to about ``a + 7e6``.  The integrand is evaluated on a numpy
-  array of nodes per level.  :func:`integrate` is the checked entry point.
+  its nodes out to about ``a + 7e6``.  The integrand is evaluated on numpy
+  arrays of nodes, one per strip of the window up to level 3 (the level-0
+  nodes a strip adds and the finer nodes between them) and one per finer
+  level.  :func:`integrate` is the checked entry point.
 * On the quadrant ``[0, inf)**2`` the rule is the product of two exp-sinh
   rules: each level adds the nodes new on either axis.
 
@@ -221,8 +223,8 @@ def _de_strip(rule: str, nodes: Sequence[int], cells: Sequence[int]) -> np.ndarr
     starts = _de_layout(rule)[1]
     index = list(nodes)
     for level in range(1, _DE_STRIP_LEVELS + 1):
-        width = 1 << (level - 1)
-        index += [starts[level] + (j << (level - 1)) + k for j in cells for k in range(width)]
+        shift = level - 1
+        index += [starts[level] + i for j in cells for i in range(j << shift, (j + 1) << shift)]
     strip = np.array(index)
     strip.flags.writeable = False
     return strip
@@ -250,8 +252,9 @@ def quad(
     per growth step, each time on the level-0 nodes it adds and on the nodes
     of levels 1 to 3 between them.  Levels 1 to 3 then only sum the values
     stored, and each finer level is one call.  So ``f`` may see nodes of
-    levels 1 to 3 (at most 105 per integral when the window grows once) that
-    a rule stopping earlier does not sum.
+    levels 1 to 3 that a rule stopping before level 3 does not sum: 7 per
+    level-0 cell of the window, at most 112.  An integral whose window grows
+    once takes 105 nodes in two calls up to level 3.
 
     Returns ``(value, error_estimate, {"neval": nodes, "calls": calls of f,
     "last": halvings})``, and a fourth element, the reason, when the finest
@@ -356,7 +359,11 @@ def integrate(
     singularity there, up to ``x**-0.5``, needs no special care; at another
     endpoint the nearest nodes round onto it, and ``f`` must be finite there.
     An interior kink slows convergence down to that of a plain trapezoidal
-    rule; split the interval at it.
+    rule; split the interval at it.  ``f`` is called once per strip of the
+    rule's window, with the nodes of levels 1 to 3 along (see :func:`quad`):
+    it may see up to 112 nodes that a rule stopping early does not sum, and
+    a value it returns there is never checked, but an exception it raises
+    there propagates.
 
     ``b = inf`` takes the exp-sinh rule, for integrands that decay at least
     as fast as ``C * exp(-sqrt(x))`` beyond ``x = 50``.  Six probes beyond
