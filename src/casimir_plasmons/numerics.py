@@ -282,7 +282,10 @@ def quad(
     def strip(nodes: Sequence[int], cells: Sequence[int]) -> None:
         """Evaluate ``f`` on a strip of the window and store its values."""
         index = _de_strip(rule, nodes, cells)
-        stored[index] = evaluate(layout[index])
+        fx = evaluate(layout[index])
+        if fx.shape != index.shape:  # stored[index] = fx would broadcast it
+            raise ValueError(f"integrand returned shape {fx.shape} for {index.size} nodes")
+        stored[index] = fx
 
     def add(level: int, index) -> np.ndarray:
         """Add the nodes ``index`` of ``level`` to the sums; return their ``|w f|``."""

@@ -460,6 +460,13 @@ def test_non_finite_integrand_detected():
         integrate(lambda x: np.full_like(x, np.inf), 0.0, math.inf)
 
 
+@pytest.mark.parametrize("f", [lambda x: 1.0, lambda x: np.array([x.sum()])])
+def test_integrand_of_the_wrong_shape_raises(f):
+    # One value for many nodes must not be spread over all of them.
+    with pytest.raises(ValueError):
+        integrate(f, 0.0, 1.0)
+
+
 def test_non_finite_bounds_rejected():
     for a, b in ((0.0, -math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(DomainError, match="bounds must be finite"):
