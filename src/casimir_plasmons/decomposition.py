@@ -387,6 +387,7 @@ def compute_eta_breakdown(
     down to about ``1e-5``, where it is about ``1.8 * Omega_P**3`` against
     ``eta_pl`` of about ``0.28 * Omega_P``.
     """
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     branch_sum = _branch_sum_integral(Omega_P, spec)
     # The surface-mode parts first: they hold the narrower domain.
     plasmonic, plasmonic_err = _eta_plasmonic_detailed(Omega_P, spec, branch_sum)
@@ -417,6 +418,7 @@ def propagative_part_identity(
     branch inversion.  The two must agree: this single check ties together
     the closed forms, the branch constants and the dispersion inversion.
     """
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     branch_sum = _branch_sum_integral(Omega_P, spec)
     lhs = (
         _eta_plasmonic_detailed(Omega_P, spec, branch_sum)[0]

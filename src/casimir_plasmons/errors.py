@@ -6,7 +6,7 @@ distinguishable from contract violations (which indicate a bug in the caller
 or in the model assumptions).
 """
 
-import math
+import sys
 
 
 class CasimirModelError(Exception):
@@ -59,10 +59,10 @@ def require_positive_finite(name: str, value: object) -> float:
     """Return ``value`` as a float if it is an int or float in ``(0, inf)``.
 
     The domain gate for ``Omega_P``, ``omega_p``, ``lambda_p`` and ``L`` at
-    every public entry; anything else (bools, NaN, inf, zero, negatives)
-    raises :class:`DomainError`.
+    every public entry; anything else (bools, NaN, inf, zero, negatives,
+    ints beyond the float range) raises :class:`DomainError`.
     """
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if 0.0 < value < math.inf:
+        if 0.0 < value <= sys.float_info.max:
             return float(value)
     raise DomainError(f"{name} must be positive and finite, got {value!r}")

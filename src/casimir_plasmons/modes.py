@@ -23,6 +23,7 @@ in real arithmetic through trigonometric forms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
@@ -63,10 +64,10 @@ __all__ = [
 # direct integral inverts the plus branch below the light cone, catches it.
 _tan = math.tan
 
-# Above this size a product of four arguments can overflow, below the lower
-# one they can all underflow; closed forms switch to the ratio of their
-# arguments there (and only there, so results for ordinary arguments keep
-# their bits).
+# omega0 and the g**2 forms switch to the ratio of their arguments above the
+# first size, where a product of four arguments can overflow, and omega0 also
+# below the second, where they can all underflow (only there, so results for
+# ordinary arguments keep their bits).
 _RATIO_FORM_ABOVE = 1e75
 _RATIO_FORM_BELOW = 1e-75
 
@@ -127,7 +128,8 @@ class BranchId:
 
     def __post_init__(self) -> None:
         if self.kind is BranchKind.PHOTONIC:
-            if self.m is None or not (1 <= self.m < math.inf) or int(self.m) != self.m:
+            m = self.m
+            if m is None or not (1 <= m <= sys.float_info.max) or int(m) != m:
                 raise DomainError("photonic branches need a positive integer m")
         else:
             if self.m is not None:
@@ -506,8 +508,8 @@ def invert_branch(
 # math) for Brent's scalar iterates.  numpy's arcsin and arctan2 differ from
 # libm's in the last bit for a few per cent of arguments, and Brent's iterates
 # follow those bits, so the root is refined with the functions it always was.
-_ARRAY_OPS = (np.arcsin, np.arctan2, np.sqrt, np.hypot, np.minimum, np.maximum)
-_SCALAR_OPS = (math.asin, math.atan2, math.sqrt, math.hypot, min, max)
+_ARRAY_OPS = (np.arcsin, np.arctan2, np.sqrt, np.minimum, np.maximum)
+_SCALAR_OPS = (math.asin, math.atan2, math.sqrt, min, max)
 
 
 def _phase_defect(
@@ -517,44 +519,34 @@ def _phase_defect(
 
     ``shift`` is twice the single-mirror reflection phase; ``ops`` is
     ``_ARRAY_OPS`` (where ``K`` may be a column against a row of ``Q``) or
-    ``_SCALAR_OPS``.
+    ``_SCALAR_OPS``.  The TM phase ``atan2(sqrt(Omega_P^2 - Q^2), -eps*Q)``,
+    ``eps = 1 - Omega_P^2/(K^2 + Q^2)``, is taken with both arguments
+    multiplied by ``(K^2 + Q^2)/Omega_P^3``, i.e. in ``k = K/Omega_P`` and
+    ``q = Q/Omega_P``: one form for every ``Omega_P``, in which no square
+    overflows and one that underflows is negligible beside the terms it
+    meets.  ``k`` is capped at 1e150, far beyond where it can move the phase,
+    and ``Q``, which can lie far below an ulp of ``pi*m``, is added last.  At
+    ``Q = Omega_P`` and ``K = 0`` the second argument is ``-0.0``, so the
+    phase is pi there: the cut-off.
     """
-    asin, atan2, sqrt, hypot, minimum, maximum = ops
+    asin, atan2, sqrt, minimum, maximum = ops
     pi_m = math.pi * m
     if pol is Polarization.TE:
 
         def defect(Q):
             return Q + 2.0 * asin(minimum(Q / Omega_P, 1.0)) - pi_m
 
-    elif _RATIO_FORM_BELOW <= Omega_P <= _RATIO_FORM_ABOVE:
+        return defect
 
-        def defect(Q):
-            transverse_decay = sqrt(maximum((Omega_P - Q) * (Omega_P + Q), 0.0))
-            omega_sq = K * K + Q * Q
-            eps = 1.0 - Omega_P * Omega_P / omega_sq
-            return Q + 2.0 * atan2(transverse_decay, -eps * Q) - pi_m
+    # The cap is applied to K, so that K/Omega_P cannot overflow either.
+    k = minimum(K, 1e150 * Omega_P) / Omega_P
+    k_sq = k * k
 
-    elif Omega_P < _RATIO_FORM_BELOW:
-
-        def defect(Q):
-            # The two atan2 arguments above divided by Omega_P, so that no
-            # square underflows; Q, far below an ulp of pi*m, is added last.
-            q, s = Q / Omega_P, Omega_P / hypot(K, Q)
-            transverse_decay = sqrt(maximum((1.0 - q) * (1.0 + q), 0.0))
-            eps = (1.0 - s) * (1.0 + s)
-            return Q + (2.0 * atan2(transverse_decay, -eps * q) - pi_m)
-
-    else:
-
-        def defect(Q):
-            # The two atan2 arguments above, each divided by the positive
-            # Omega_P**2 / Omega, so that no square overflows.
-            omega = hypot(K, Q)
-            r = omega / Omega_P
-            q = Q / Omega_P
-            transverse_decay = r * sqrt(maximum((1.0 - q) * (1.0 + q), 0.0))
-            minus_eps_q = Q / omega * ((1.0 - r) * (1.0 + r))
-            return Q + 2.0 * atan2(transverse_decay, minus_eps_q) - pi_m
+    def defect(Q):
+        q = Q / Omega_P
+        rho_sq = k_sq + q * q
+        transverse_decay = rho_sq * sqrt(maximum((1.0 - q) * (1.0 + q), 0.0))
+        return Q + (2.0 * atan2(transverse_decay, -(q * (rho_sq - 1.0))) - pi_m)
 
     return defect
 
@@ -637,8 +629,9 @@ def photonic_mode(
     grid's first point underflows.
     """
     pol = _coerce_polarization(pol)
-    # Range first, so that a non-finite m never reaches int().
-    if not (1 <= m < math.inf) or int(m) != m:
+    # Range first, so that a non-finite m never reaches int(), and an int m
+    # beyond the float range never reaches pi*m.
+    if not (1 <= m <= sys.float_info.max) or int(m) != m:
         raise DomainError(f"mode index m must be an integer >= 1, got {m!r}")
     if not (0.0 <= K < math.inf):
         raise DomainError(f"K must be non-negative and finite, got {K!r}")

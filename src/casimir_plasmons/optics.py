@@ -157,8 +157,7 @@ def reflection_sq_imag_axis(
     arbitrarily small ``Xi``.  The result lies in [0, 1].
     """
     pol = _coerce_polarization(pol)
-    if not (0.0 < Omega_P < math.inf):
-        raise DomainError(f"Omega_P must be positive and finite, got {Omega_P!r}")
+    Omega_P = require_positive_finite("Omega_P", Omega_P)
     if not (0.0 <= np.min(K) and np.max(K) < math.inf):
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
     if not (0.0 < np.min(Xi) and np.max(Xi) < math.inf):

@@ -21,6 +21,8 @@ from casimir_plasmons.decomposition import (
     compute_eta_breakdown,
     eta_evanescent,
     eta_plasmonic,
+    eta_plasmonic_direct,
+    propagative_part_identity,
 )
 from casimir_plasmons.errors import DomainError
 from casimir_plasmons.lifshitz import eta_total
@@ -61,6 +63,8 @@ ENTRIES = {
     "eta_total": eta_total,
     "eta_plasmonic": eta_plasmonic,
     "eta_evanescent": eta_evanescent,
+    "eta_plasmonic_direct": eta_plasmonic_direct,
+    "propagative_part_identity": propagative_part_identity,
     "compute_eta_breakdown": compute_eta_breakdown,
     "EtaBreakdown": lambda w: EtaBreakdown(
         Omega_P=w, eta_total=0.5, eta_pl=0.25, eta_ph=0.25, eta_ev=0.1
@@ -68,7 +72,11 @@ ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("Omega_P", [0.0, -1.0, math.nan, math.inf])
+# A bool is not a plasma parameter, and 2**1100 has no float value.
+@pytest.mark.parametrize(
+    "Omega_P",
+    [0.0, -1.0, math.nan, math.inf, True, pytest.param(2**1100, id="2**1100")],
+)
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_out_of_domain_plasma_parameter_raises_domain_error(entry, Omega_P) -> None:
     with pytest.raises(DomainError):

@@ -605,13 +605,15 @@ class TestPhotonicModes:
         assert photonic_mode(Polarization.TE, 1, 0.0, omega_p) == omega_p
         assert photonic_mode(Polarization.TE, 1, 1.0, omega_p) == 1.0
 
-    @pytest.mark.parametrize("omega_p", [1e-160, 1e-200, 1e-300])
-    def test_tm_modes_where_omega_p_squared_underflows(self, omega_p: float) -> None:
-        # The plain TM defect divided 0 by 0 at K = 0 here; its form divided
-        # by Omega_P finds each mode that exists, within the root find's
-        # 4 ulp, and no other.
+    @pytest.mark.parametrize("omega_p", [1e-9, 1e-30, 1e-60, 1e-74, 1e-160, 1e-200, 1e-300])
+    def test_tm_modes_at_small_plasma_parameter(self, omega_p: float) -> None:
+        # A TM defect in unscaled Q rounds Q away next to pi*m here (m = 2
+        # missed its mode at the plasma edge, m = 1 at K = Omega_P returned
+        # Omega_P) and divides 0 by 0 where Omega_P**2 underflows.  The form
+        # in Q/Omega_P and K/Omega_P finds each mode that exists, within the
+        # root find's 4 ulp, and no other.
         mismatches = []
-        for big_k in (0.0, omega_p, 1.0):
+        for big_k in (0.0, omega_p, 1e-3, 1.0):
             for m in (1, 2, 3):
                 try:
                     value = photonic_mode(Polarization.TM, m, big_k, omega_p)
@@ -641,6 +643,8 @@ class TestPhotonicModes:
             photonic_mode(Polarization.TE, 0, 1.0, 1.0)
         with pytest.raises(DomainError):
             photonic_mode(Polarization.TE, -1, 1.0, 1.0)
+        with pytest.raises(DomainError):  # an int m beyond the float range
+            photonic_mode(Polarization.TE, 2**1100, 1.0, 5.0)
         with pytest.raises(DomainError):
             photonic_mode(Polarization.TM, 1, -0.5, 1.0)
         with pytest.raises(DomainError):
@@ -702,32 +706,20 @@ def _photonic_mode_reference(pol: Polarization, m: int, big_k: float, omega_p: f
     Returns the frequency, or ``None`` where it raised :class:`NoSolution`.
     Without a sign change on the grid it closes the scan with the cell
     ``[q_hi, min(pi*m, omega_p)]``, as photonic_mode does: there the root
-    can lie above ``q_hi``.  Above ``omega_p = 1e75`` the TM defect takes
-    its ratio form, whose squares cannot overflow, and below ``1e-75`` its
-    form divided by ``omega_p``, whose squares cannot underflow.
+    can lie above ``q_hi``.  The TM defect is taken in ``q / omega_p`` and
+    ``big_k / omega_p`` (capped at 1e150), whose squares cannot overflow or
+    underflow, with ``q`` added last.
     """
 
     def phase_defect(q: float) -> float:
         if pol is Polarization.TE:
-            shift = 2.0 * math.asin(min(q / omega_p, 1.0))
-        elif omega_p < 1e-75:
-            # Both atan2 arguments divided by omega_p; q is added last.
-            q_r, s = q / omega_p, omega_p / math.hypot(big_k, q)
-            transverse_decay = math.sqrt(max((1.0 - q_r) * (1.0 + q_r), 0.0))
-            eps = (1.0 - s) * (1.0 + s)
-            return q + (2.0 * math.atan2(transverse_decay, -eps * q_r) - math.pi * m)
-        elif omega_p <= 1e75:
-            transverse_decay = math.sqrt(max((omega_p - q) * (omega_p + q), 0.0))
-            omega_sq = big_k * big_k + q * q
-            eps = 1.0 - omega_p * omega_p / omega_sq
-            shift = 2.0 * math.atan2(transverse_decay, -eps * q)
-        else:
-            # Both atan2 arguments divided by omega_p**2 / omega.
-            omega = math.hypot(big_k, q)
-            r, q_r = omega / omega_p, q / omega_p
-            transverse_decay = r * math.sqrt(max((1.0 - q_r) * (1.0 + q_r), 0.0))
-            shift = 2.0 * math.atan2(transverse_decay, q / omega * ((1.0 - r) * (1.0 + r)))
-        return q + shift - math.pi * m
+            return q + 2.0 * math.asin(min(q / omega_p, 1.0)) - math.pi * m
+        # Both atan2 arguments multiplied by (big_k**2 + q**2) / omega_p**3.
+        k = min(big_k, 1e150 * omega_p) / omega_p
+        q_r = q / omega_p
+        rho_sq = k * k + q_r * q_r
+        transverse_decay = rho_sq * math.sqrt(max((1.0 - q_r) * (1.0 + q_r), 0.0))
+        return q + (2.0 * math.atan2(transverse_decay, -(q_r * (rho_sq - 1.0))) - math.pi * m)
 
     q_hi = min(math.pi * m, omega_p) * (1.0 - 1e-12)
     grid = np.geomspace(q_hi * 1e-8, q_hi, 200)
@@ -756,9 +748,9 @@ class TestPhotonicModeScan:
         # pi*(m-1) for TE m=4 and TM m=5.
         # sample_dispersion solves each branch once for all five K (a TE root,
         # a TM column of K against the scan grid) and must give the same
-        # rows, skipping exactly the K without a mode; 1e80 and 1e200 run
-        # the TM ratio form on that column, 1e-100 and 1e-300 the form
-        # divided by Omega_P.
+        # rows, skipping exactly the K without a mode; at 1e80, 1e200,
+        # 1e-100 and 1e-300 the TM column has K/Omega_P far from 1, and at
+        # 1e-300 its cap of 1e150.
         omega_ps = np.concatenate(
             (
                 np.geomspace(1e-8, 1e12, 41),
@@ -1143,6 +1135,8 @@ class TestIdentifiers:
             BranchId(BranchKind.PHOTONIC, Polarization.TE, m=-2)
         with pytest.raises(DomainError):
             BranchId(BranchKind.PHOTONIC, Polarization.TE, m=0)
+        with pytest.raises(DomainError):
+            BranchId(BranchKind.PHOTONIC, Polarization.TE, m=2**1100)
 
     def test_surface_branches_are_tm_only_without_index(self) -> None:
         with pytest.raises(DomainError):
