@@ -39,13 +39,12 @@ from .errors import (
     require_positive_finite,
 )
 from .modes import BranchId, BranchKind, default_dispersion_grid, sample_dispersion
-from .numerics import QuadratureSpec
+from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
 from .optics import Polarization
 
 __all__ = ["main", "console_entry", "build_parser"]
 
 SCHEMA_VERSION = "1"
-DEFAULT_TOLERANCE = 1e-9
 TOLERANCE_ENV_VAR = "CASIMIR_TOL"
 SWEEP_HEADER = "L_over_lambdaP,eta_total,eta_pl,eta_ph,eta_ev"
 ETA_HEADER = (
@@ -118,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             help=(
-                "relative tolerance for quadrature (default 1e-9; the "
+                f"relative tolerance for quadrature (default {DEFAULT_QUADRATURE.rel_tol:g}; the "
                 f"{TOLERANCE_ENV_VAR} environment variable overrides the "
                 "default, the flag overrides both)"
             ),
@@ -231,7 +230,7 @@ def _resolve_spec(args: argparse.Namespace) -> QuadratureSpec:
     else:
         raw = os.environ.get(TOLERANCE_ENV_VAR)
         if raw is None or raw.strip() == "":
-            tolerance = DEFAULT_TOLERANCE
+            tolerance = DEFAULT_QUADRATURE.rel_tol
         else:
             try:
                 tolerance = float(raw)
@@ -239,8 +238,7 @@ def _resolve_spec(args: argparse.Namespace) -> QuadratureSpec:
                 raise DomainError(
                     f"{TOLERANCE_ENV_VAR} must be a number, got {raw!r}"
                 ) from None
-    tolerance = require_positive_finite("tolerance", tolerance)
-    return QuadratureSpec(abs_tol=0.1 * tolerance, rel_tol=tolerance)
+    return QuadratureSpec(rel_tol=tolerance)
 
 
 def _resolve_omega_p(args: argparse.Namespace) -> float:

@@ -305,9 +305,7 @@ def eta_plasmonic_direct(
             f"unknown regulator {regulator!r}; "
             "expected 'exponential' or 'gaussian'"
         )
-    inner_spec = QuadratureSpec(
-        abs_tol=min(spec.abs_tol, 1e-11), rel_tol=min(spec.rel_tol, 1e-10)
-    )
+    inner_spec = QuadratureSpec(rel_tol=min(spec.rel_tol, 1e-10))
     raw = [
         _eta_plasmonic_regulated(
             Omega_P, reg_epsilon / 2**j, inner_spec, regulator
@@ -378,14 +376,13 @@ def compute_eta_breakdown(
     """All four reduction factors at one ``Omega_P``, with error estimates.
 
     ``eta_ph = eta_total - eta_pl`` is a small difference of large parts at
-    small ``Omega_P``, and its estimate is the sum of theirs.  At the default
-    tolerance the surface-mode integrals behind ``eta_pl`` stop on
-    ``abs_tol = 1e-10``, so below ``Omega_P`` of about ``3e-4`` the estimate
-    of ``eta_ph`` exceeds its value (4.6 times at ``3e-4``, 42 times at
-    ``1e-4``, 3.6e3 times at ``1e-5``): honest, but ``eta_ph`` is then not
-    resolved.  With ``abs_tol = 0`` and ``rel_tol = 1e-9`` it is resolved
-    down to about ``1e-5``, where it is about ``1.8 * Omega_P**3`` against
-    ``eta_pl`` of about ``0.28 * Omega_P``.
+    small ``Omega_P``, and its estimate is the sum of theirs.  Every
+    integral stops on ``spec.rel_tol``, however small its value, so at the
+    default tolerance ``eta_ph`` (about ``1.8 * Omega_P**3`` against
+    ``eta_pl`` of about ``0.28 * Omega_P``) is resolved from ``Omega_P`` of
+    about ``1e-5`` up, where its estimate is 0.16 of it.  Below about
+    ``4e-6`` it is less than about 1e-10 of ``eta_pl``, and its estimate
+    exceeds its value (16 times at ``1e-6``): no tolerance resolves it.
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     branch_sum = _branch_sum_integral(Omega_P, spec)
@@ -425,9 +422,7 @@ def propagative_part_identity(
         - _eta_evanescent_detailed(Omega_P, spec, branch_sum)[0]
     )
     k_p = branch_constants(Omega_P).k_P
-    inner_spec = QuadratureSpec(
-        abs_tol=min(spec.abs_tol, 1e-13), rel_tol=min(spec.rel_tol, 1e-12)
-    )
+    inner_spec = QuadratureSpec(rel_tol=min(spec.rel_tol, 1e-12))
 
     def integrand(K: float) -> float:
         if K <= 0.0:
@@ -591,10 +586,7 @@ def _check_error_estimates(spec: QuadratureSpec) -> Tuple[bool, str]:
     # Each factor at spec must lie within its reported error of the same
     # factor at a spec 100 times tighter (no tighter than 1e-12 relative,
     # which every rule certifies well above its 64-ulp rounding allowance).
-    tight = QuadratureSpec(
-        abs_tol=spec.abs_tol / 100.0,
-        rel_tol=max(spec.rel_tol / 100.0, 1e-12),
-    )
+    tight = QuadratureSpec(rel_tol=max(spec.rel_tol / 100.0, 1e-12))
     loose = compute_eta_breakdown(2.0 * math.pi, spec)
     reference = compute_eta_breakdown(2.0 * math.pi, tight)
     excess = {

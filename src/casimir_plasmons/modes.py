@@ -149,7 +149,8 @@ class DispersionPoint:
     sector: Sector
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.K < math.inf) or not (0.0 <= self.Omega < math.inf):
+        top = sys.float_info.max
+        if not (0.0 <= self.K <= top) or not (0.0 <= self.Omega <= top):
             raise DomainError(
                 f"K and Omega must be non-negative and finite, got K={self.K!r}, "
                 f"Omega={self.Omega!r}"
@@ -187,7 +188,7 @@ def omega0(K: float, Omega_P: float) -> float:
     towards the asymptote ``Omega_P/sqrt(2)``.
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    if not (0.0 <= K < math.inf):
+    if not (0.0 <= K <= sys.float_info.max):
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
     if K == 0.0:
         return 0.0
@@ -307,7 +308,7 @@ def _g_squared_checked(branch: CoupledBranch, z, Omega_P: float, root: bool = Fa
     """``_g_squared`` plus the checks it omits: finite inputs, plus-branch endpoint."""
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     z_min, z_max = (float(z.min()), float(z.max())) if np.ndim(z) else (z, z)
-    if not (-math.inf < z_min and z_max < math.inf):
+    if not (-sys.float_info.max <= z_min and z_max <= sys.float_info.max):
         raise DomainError("z must be finite")
     g_sq = _g_squared(branch, z, Omega_P, root)
     if z_min < 0.0:
@@ -355,11 +356,11 @@ def g_branch_combination(z, Omega_P: float):
     numpy array, evaluated in one pass (a float in, a float out).
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    z_array = np.asarray(z, dtype=float)
-    if not (0.0 <= z_array.min() and z_array.max() < math.inf):
+    if not (0.0 <= np.min(z) and np.max(z) <= sys.float_info.max):
         raise DomainError(
             f"the branch combination is defined for finite z >= 0, got {z!r}"
         )
+    z_array = np.asarray(z, dtype=float)
     root_z = np.sqrt(z_array)
     total = root_z + np.hypot(root_z, Omega_P)
     decay = np.exp(-root_z)
@@ -467,7 +468,7 @@ def invert_branch(
     :class:`DomainError` outside.
     """
     branch = _coerce_branch(kind)
-    if not (0.0 <= K < math.inf):
+    if not (0.0 <= K <= sys.float_info.max):
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     if Omega_P < _MIN_SURFACE_OMEGA_P:
@@ -633,7 +634,7 @@ def photonic_mode(
     # beyond the float range never reaches pi*m.
     if not (1 <= m <= sys.float_info.max) or int(m) != m:
         raise DomainError(f"mode index m must be an integer >= 1, got {m!r}")
-    if not (0.0 <= K < math.inf):
+    if not (0.0 <= K <= sys.float_info.max):
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     (Omega,) = _photonic_branch(pol, m, [K], Omega_P)
@@ -683,11 +684,12 @@ def sample_dispersion(
     Adjacent samples are checked for grid-commensurate continuity.
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    grid = [float(k) for k in K_grid]
+    grid = list(K_grid)
+    if not all(0.0 <= k <= sys.float_info.max for k in grid):
+        raise DomainError("K_grid entries must be non-negative and finite")
+    grid = [float(k) for k in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise DomainError("K_grid must be sorted in ascending order")
-    if not all(0.0 <= k < math.inf for k in grid):
-        raise DomainError("K_grid entries must be non-negative and finite")
     result: List[Tuple[BranchId, Tuple[DispersionPoint, ...]]] = []
     for branch in branches:
         if branch.kind is BranchKind.PHOTONIC:

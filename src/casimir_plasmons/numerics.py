@@ -42,6 +42,7 @@ from .errors import (
     InvalidBracket,
     NonFiniteIntegrand,
     TailBoundViolated,
+    require_positive_finite,
 )
 
 __all__ = [
@@ -88,24 +89,22 @@ _QUADRANT_BLOCK = 8192
 class QuadratureSpec:
     """Tolerance contract for the integration routines.
 
-    ``abs_tol``/``rel_tol``: the returned value carries an estimated error of
-    at most ``max(abs_tol, rel_tol * |result|)``; at least one of the two must
-    be strictly positive.  The one-dimensional rules allow 8 step halvings
-    (each doubles their nodes: at most about 4100 per integral), the
-    quadrant rule 5 (each about quadruples them: at most 481**2).  A
+    ``rel_tol``, positive and finite: every rule stops once its estimated
+    error is at most ``rel_tol`` times the integral of ``|f|`` (as the rule
+    sums it), which is ``rel_tol * |result|`` for an integrand of one sign.
+    So an integral is resolved however small it is, and one whose integrand
+    cancels to about 0 still stops.  The one-dimensional rules allow 8 step
+    halvings (each doubles their nodes: at most about 4100 per integral),
+    the quadrant rule 5 (each about quadruples them: at most 481**2).  A
     tolerance below what a routine can certify raises
     :class:`ConvergenceFailure`: no rule certifies ``rel_tol`` below its
     rounding allowance of 64 ulp.
     """
 
-    abs_tol: float = 1e-10
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol >= 0.0) or not (self.rel_tol >= 0.0):
-            raise DomainError("tolerances must be non-negative numbers")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise DomainError("at least one of abs_tol, rel_tol must be positive")
+        require_positive_finite("rel_tol", self.rel_tol)
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 def _refine(
     level_value: Callable[[int], Tuple[float, float]],
     levels: int,
-    target_of: Callable[[float], float],
+    rel_tol: float,
     tail_error: float,
 ) -> Tuple[float, float, int, str]:
     """The step-halving loop every quadrature rule runs on.
@@ -132,7 +131,7 @@ def _refine(
     at level 0) and returns the rule's value and the sum of ``|weight * f|``
     at that level.  The error estimate is the difference of the last two
     levels plus ``tail_error`` plus the rounding allowance; refinement stops
-    once it is at most ``target_of(value)``.  Returns ``(value, error,
+    once it is at most ``rel_tol`` times that sum.  Returns ``(value, error,
     halvings, failure)``, where ``failure`` is empty on success and says why
     otherwise: at once when the tail bound and rounding allowance alone miss
     the target, after ``levels`` halvings when the finest level does.
@@ -144,7 +143,7 @@ def _refine(
         if not math.isfinite(value):
             raise NonFiniteIntegrand(f"integrand summed to {value!r}")
         floor = tail_error + _ROUNDING * magnitude
-        target = target_of(value)
+        target = rel_tol * magnitude
         if floor > target:
             return value, floor, level, (
                 f"tail bound and rounding allowance {floor:.3e} exceed the "
@@ -258,7 +257,7 @@ def quad(
 
     Returns ``(value, error_estimate, {"neval": nodes, "calls": calls of f,
     "last": halvings})``, and a fourth element, the reason, when the finest
-    level allowed misses ``max(abs_tol, rel_tol * |value|)``.  Raises
+    level allowed misses ``rel_tol`` times the integral of ``|f|``.  Raises
     :class:`NonFiniteIntegrand` when ``f`` returns NaN or infinity at a node
     that the levels summed hold.
     """
@@ -336,12 +335,7 @@ def quad(
         step = scale * _DE_STEP / 2**level
         return sums[0] * step, sums[1] * step
 
-    value, error, halvings, failure = _refine(
-        level_value,
-        _DE_LEVELS,
-        lambda v: max(spec.abs_tol, spec.rel_tol * abs(v)),
-        tail,
-    )
+    value, error, halvings, failure = _refine(level_value, _DE_LEVELS, spec.rel_tol, tail)
     info = {"neval": neval, "calls": calls, "last": halvings}
     return (value, error, info, failure) if failure else (value, error, info)
 
@@ -451,8 +445,7 @@ def integrate_quadrant(
 
     Returns ``(value, error_estimate)``.  Refinement stops once the last two
     levels differ, plus a rounding allowance, by at most ``rel_tol * |value|``
-    (``abs_tol`` when ``rel_tol`` is 0), so an integral far below
-    ``abs_tol`` is still resolved.  That difference is the coarser level's
+    (see :class:`QuadratureSpec`).  That difference is the coarser level's
     error; a double-exponential rule's error falls faster at each halving
     than at the one before, so the finer level's reported error is the
     difference times the ratio of the last two differences (if below 1),
@@ -494,12 +487,7 @@ def integrate_quadrant(
         values.append(weighted_sum * step * step)
         return values[-1], abs(values[-1])
 
-    value, error, _, failure = _refine(
-        level_value,
-        _QUADRANT_LEVELS,
-        lambda v: spec.rel_tol * abs(v) if spec.rel_tol > 0.0 else spec.abs_tol,
-        0.0,
-    )
+    value, error, _, failure = _refine(level_value, _QUADRANT_LEVELS, spec.rel_tol, 0.0)
     if failure:
         raise ConvergenceFailure(f"product exp-sinh rule: {failure}")
     if len(values) > 2:

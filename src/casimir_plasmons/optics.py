@@ -14,6 +14,7 @@ sign-definite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Union
@@ -106,7 +107,7 @@ def classify(K: float, Omega: float) -> Sector:
     Points with ``|Omega - K| <= LIGHTCONE_TOLERANCE`` count as on the cone;
     otherwise ``Omega > K`` is propagative and ``Omega < K`` evanescent.
     """
-    if not (0.0 <= K < math.inf) or not (0.0 <= Omega < math.inf):
+    if not (0.0 <= K <= sys.float_info.max) or not (0.0 <= Omega <= sys.float_info.max):
         raise DomainError(
             f"classify expects finite K >= 0 and Omega >= 0, got K={K!r}, Omega={Omega!r}"
         )
@@ -158,9 +159,9 @@ def reflection_sq_imag_axis(
     """
     pol = _coerce_polarization(pol)
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    if not (0.0 <= np.min(K) and np.max(K) < math.inf):
+    if not (0.0 <= np.min(K) and np.max(K) <= sys.float_info.max):
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
-    if not (0.0 < np.min(Xi) and np.max(Xi) < math.inf):
+    if not (0.0 < np.min(Xi) and np.max(Xi) <= sys.float_info.max):
         raise DomainError(f"Xi must be positive and finite, got {Xi!r}")
     kappa, kappa_t, reduced = _decay_constants(K, Xi, Omega_P)
     x = kappa_t if pol is Polarization.TE else reduced

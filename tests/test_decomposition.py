@@ -57,6 +57,16 @@ from casimir_plasmons.numerics import DEFAULT_QUADRATURE, QuadratureSpec
 # ----------------------------------------------------------------------
 
 
+def _mp_alpha() -> float:
+    """``alpha`` from its defining integral at 30 digits."""
+    with mp.workdps(30):
+        integral = mp.quad(
+            lambda s: 2 * s * (mp.sqrt(1 + mp.e**-s) + mp.sqrt(1 - mp.e**-s) - 2),
+            [0, 1, 5, 20, 60, 200],
+        )
+        return float(-(60 * mp.sqrt(2) / mp.pi**2) * integral)
+
+
 class TestShortDistanceAlpha:
     def test_headline_value(self) -> None:
         assert short_distance_alpha() == pytest.approx(1.193, abs=1e-3)
@@ -82,7 +92,7 @@ class TestShortDistanceAlpha:
 # The three surface-mode integrals against mpmath
 # ----------------------------------------------------------------------
 
-SURFACE_OMEGAS = [1e-7, 1e-3, 0.5, 2.0 * math.pi, 1e5]
+SURFACE_OMEGAS = [1e-7, 1e-5, 1e-3, 0.5, 2.0 * math.pi, 1e5]
 
 
 def _mp_branch_sum(omega_p: float) -> mp.mpf:
@@ -145,6 +155,15 @@ class TestSurfaceIntegralsAgainstMpmath:
         self._assert_covered(
             _branch_sum_integral(omega_p, DEFAULT_QUADRATURE), _mp_branch_sum(omega_p)
         )
+
+    # The branch sum's integrand changes sign, and the integral crosses zero
+    # between these: the rule's target is relative to the integral of |f|,
+    # so it still stops there, and at a tight tolerance.
+    @pytest.mark.parametrize("omega_p", [1.239645, 1.23966, 1.2409])
+    def test_branch_sum_through_its_zero(self, omega_p: float) -> None:
+        reference = _mp_branch_sum(omega_p)
+        for spec in (DEFAULT_QUADRATURE, QuadratureSpec(rel_tol=1e-12)):
+            self._assert_covered(_branch_sum_integral(omega_p, spec), reference)
 
     @pytest.mark.parametrize("omega_p", SURFACE_OMEGAS)
     def test_plus_branch_continuation(self, omega_p: float) -> None:
@@ -244,6 +263,12 @@ class TestPropagativeIdentity:
         # the propagative surface-mode part is attractive on its own
         assert lhs < 0.0
 
+    def test_closed_forms_match_direct_integral_at_small_omega_p(self) -> None:
+        # lhs is eta_pl - eta_ev, 2e5 times smaller than either at 1e-3: it
+        # holds 9 digits only if both surface-mode parts hold 14.
+        lhs, rhs = propagative_part_identity(1e-3)
+        assert abs(lhs - rhs) <= 1e-9 * abs(rhs)
+
 
 # ----------------------------------------------------------------------
 # Breakdown and closure
@@ -281,6 +306,24 @@ class TestBreakdown:
             assert value / ratio == pytest.approx(slope, rel=1e-5)
             assert abs(value - slope * ratio) <= breakdown.error_estimates[name]
 
+    @pytest.mark.parametrize("omega_p", [1e-8, 1e-7])
+    def test_surface_modes_lie_on_the_slope_to_1e_9(self, omega_p) -> None:
+        # alpha from mpmath; the slope's remainder is O(Omega_P**2 log Omega_P),
+        # below 1e-12 relative here.  Every surface-mode integral stops on
+        # rel_tol, however small its value.
+        slope = 1.5 * _mp_alpha() * omega_p / (2.0 * math.pi)
+        breakdown = compute_eta_breakdown(omega_p)
+        for name in ("eta_pl", "eta_ev"):
+            assert abs(getattr(breakdown, name) - slope) <= 1e-9 * slope
+
+    def test_eta_ph_is_resolved_from_1e_minus_5_up(self) -> None:
+        # eta_ph ~ 1.8 * Omega_P**3 is a near-cancelling difference of eta_total
+        # and eta_pl at small Omega_P; at the default tolerance its error
+        # estimate stays below it from 1e-5 up (0.16 of it there).
+        for omega_p in np.geomspace(1e-5, 1e5, 61):
+            breakdown = compute_eta_breakdown(float(omega_p))
+            assert breakdown.error_estimates["eta_ph"] < abs(breakdown.eta_ph), omega_p
+
     def test_matches_individual_functions(self) -> None:
         omega_p = 2.0 * math.pi
         breakdown = compute_eta_breakdown(omega_p)
@@ -298,27 +341,27 @@ class TestBreakdown:
                 1e-8,
                 {
                     "eta_total": ("0x1.878cb996b0f40p-29", "0x1.f5fcdaa98be69p-75"),
-                    "eta_pl": ("0x1.878cfcd41f29bp-29", "0x1.2a8e7a328cf16p-37"),
-                    "eta_ph": ("-0x1.0cf5b8d6c0000p-47", "0x1.2a8e7a3294c95p-37"),
-                    "eta_ev": ("0x1.878cfcd41f29ep-29", "0x1.2a8e7a328cf16p-37"),
+                    "eta_pl": ("0x1.878cb996b0f3ap-29", "0x1.58bf27c5b98c1p-62"),
+                    "eta_ph": ("0x1.8000000000000p-79", "0x1.58ced7ac8ed87p-62"),
+                    "eta_ev": ("0x1.878cb996b0f3dp-29", "0x1.58bf27c5b98c3p-62"),
                 },
             ),
             (
                 1e-5,
                 {
                     "eta_total": ("0x1.7e5f6d2800d05p-19", "0x1.e94644ea7bc0ep-65"),
-                    "eta_pl": ("0x1.7e5f6d234f933p-19", "0x1.06aaf1934b3ddp-37"),
-                    "eta_ph": ("0x1.2c4f480000000p-49", "0x1.06aaf1b1dfa22p-37"),
-                    "eta_ev": ("0x1.7e5f6d269d4abp-19", "0x1.06aaf1a9301cep-37"),
+                    "eta_pl": ("0x1.7e5f6d23f65b3p-19", "0x1.4d9bef087eb23p-52"),
+                    "eta_ph": ("0x1.029d480000000p-49", "0x1.4dab393aa6061p-52"),
+                    "eta_ev": ("0x1.7e5f6d274412bp-19", "0x1.4d9bef09b8e1ep-52"),
                 },
             ),
             (
                 1e-3,
                 {
                     "eta_total": ("0x1.2ab9481ab5e3fp-12", "0x1.341ebe14193dfp-58"),
-                    "eta_pl": ("0x1.2ab8cd4fddbf4p-12", "0x1.882e23f6b1c25p-45"),
-                    "eta_ph": ("0x1.eb2b6092c0000p-30", "0x1.8837c4eca2632p-45"),
-                    "eta_ev": ("0x1.2ab9320f0279fp-12", "0x1.6af715a1790d0p-44"),
+                    "eta_pl": ("0x1.2ab8cd4fddbf4p-12", "0x1.30b6d97566de2p-45"),
+                    "eta_ph": ("0x1.eb2b6092c0000p-30", "0x1.30c07a6b577efp-45"),
+                    "eta_ev": ("0x1.2ab9320f0279dp-12", "0x1.30b6feaee4ca7p-45"),
                 },
             ),
             (
@@ -402,7 +445,7 @@ class TestBreakdown:
     ) -> None:
         # At rel_tol 1e-13 the branch sum halves four times, past the levels
         # the double-exponential rule evaluates with its first level.
-        spec = QuadratureSpec(abs_tol=0.0, rel_tol=1e-13)
+        spec = QuadratureSpec(rel_tol=1e-13)
         plasmonic = _eta_plasmonic_detailed(omega_p, spec)
         evanescent = _eta_evanescent_detailed(omega_p, spec)
         assert tuple(x.hex() for x in plasmonic) == plasmonic_bits

@@ -3,10 +3,11 @@
 Each accepted ``Omega_P`` is a real number in ``(0, inf)``; zero, negative
 values, NaN and infinity must raise :class:`DomainError` rather than return
 NaN, a plausible but wrong value, or an untyped exception.  The same holds
-for NaN and infinite values of the other real arguments: the wavevector
-``K``, the imaginary frequency ``Xi``, the branch variable ``z`` and the
-mode index ``m``, and of the ``(K, Omega)`` point that ``classify`` and
-``DispersionPoint`` place against the light cone.
+for NaN, infinite and float-overflowing values of the other real
+arguments: the wavevector ``K`` (also in a dispersion grid), the imaginary
+frequency ``Xi``, the branch variable ``z`` and the mode index ``m``, and
+of the ``(K, Omega)`` point that ``classify`` and ``DispersionPoint`` place
+against the light cone.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from casimir_plasmons.modes import (
     invert_branch,
     omega0,
     photonic_mode,
+    sample_dispersion,
 )
 from casimir_plasmons.optics import (
     Polarization,
@@ -93,6 +95,11 @@ OTHER_ARGUMENTS = {
     "reflection_sq_imag_axis_K": lambda x: reflection_sq_imag_axis("TE", x, 1.0, 1.0),
     "reflection_sq_imag_axis_Xi": lambda x: reflection_sq_imag_axis("TE", 1.0, x, 1.0),
     "g_branch_combination_z": lambda x: g_branch_combination(x, 1.0),
+    "f_branch_z": lambda x: f_branch(CoupledBranch.ZERO, x, 1.0),
+    "g_branch_z": lambda x: g_branch(CoupledBranch.ZERO, x, 1.0),
+    "sample_dispersion_K_grid": lambda x: sample_dispersion(
+        1.0, [0.0, x], [BranchId(BranchKind.PLASMONIC_MINUS, Polarization.TM)]
+    ),
     "photonic_mode_m": lambda x: photonic_mode(Polarization.TE, x, 1.0, 5.0),
     "BranchId_m": lambda x: BranchId(BranchKind.PHOTONIC, Polarization.TE, m=x),
     "classify_K": lambda x: classify(x, 1.0),
@@ -102,7 +109,8 @@ OTHER_ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+# 2**1100 has no float value: the gates bound it as they bound Omega_P.
+@pytest.mark.parametrize("value", [math.nan, math.inf, pytest.param(2**1100, id="2**1100")])
 @pytest.mark.parametrize("entry", sorted(OTHER_ARGUMENTS))
 def test_non_finite_argument_raises_domain_error(entry, value) -> None:
     with pytest.raises(DomainError):

@@ -47,8 +47,8 @@ def _eta_polar_oracle(omega_p: float) -> tuple:
     Returns ``(value, error)``: the outer estimate plus the largest inner
     estimate times the pi/2 width of the outer interval.
     """
-    inner_spec = QuadratureSpec(abs_tol=0.0, rel_tol=1e-11)
-    outer_spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-10)
+    inner_spec = QuadratureSpec(rel_tol=1e-11)
+    outer_spec = QuadratureSpec(rel_tol=1e-10)
     inner_errors = []
 
     def radial(theta: float) -> float:
@@ -132,7 +132,7 @@ class TestReductionFactor:
         # Nothing outside the rule's reach puts a floor under rel_tol: 1e-13
         # is certified, and the value meets the polar oracle within the two
         # estimates.
-        tight = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
+        tight = QuadratureSpec(rel_tol=1e-13)
         value, error = _eta_total_detailed(omega_p, tight)
         reference, reference_error = _eta_polar_oracle(omega_p)
         assert 0.0 <= error <= 1e-13 * value
@@ -199,7 +199,7 @@ class TestReductionFactor:
 
     def test_loose_tolerance_stays_consistent(self) -> None:
         tight = eta_total(2.0 * math.pi)
-        loose = eta_total(2.0 * math.pi, QuadratureSpec(abs_tol=1e-7, rel_tol=1e-6))
+        loose = eta_total(2.0 * math.pi, QuadratureSpec(rel_tol=1e-6))
         assert loose == pytest.approx(tight, abs=1e-6)
 
     def test_validation(self) -> None:

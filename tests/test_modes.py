@@ -964,7 +964,7 @@ class TestHugePlasmaParameter:
 
 # The surface-mode entries raise DomainError above this (documented) bound.
 _MAX_SURFACE_OMEGA_P = 1e15
-_TIGHT = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-12)
+_TIGHT = QuadratureSpec(rel_tol=1e-12)
 
 
 def _surface_entries(omega_p: float, m: int, big_k: float, z: float, fraction: float):

@@ -5,6 +5,7 @@ plain bisection) so they share no code path with the adaptive routines they
 check.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -65,7 +66,7 @@ def test_kinked_integrand_matches_trapezoid_oracle():
         return 4.0 * t**3 * f(t**4)
 
     oracle = _trapezoid_oracle(substituted, 0.0, 200.0**0.25, n=200_001)
-    value, _ = integrate(f, 0.0, 200.0, QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12))
+    value, _ = integrate(f, 0.0, 200.0, QuadratureSpec(rel_tol=1e-12))
     assert value == pytest.approx(oracle, abs=5e-11)
     assert value == pytest.approx(-1.0867555546534253, abs=1e-12)
 
@@ -75,7 +76,7 @@ def test_exact_linear_integral():
 
 
 def test_integrable_endpoint_singularity():
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
+    spec = QuadratureSpec(rel_tol=1e-11)
     value, _ = integrate(lambda x: 0.5 / np.sqrt(x), 0.0, 1.0, spec)
     assert value == pytest.approx(1.0, rel=1e-9)
 
@@ -89,7 +90,7 @@ def test_signed_bounds_and_empty_interval():
 
 def test_interval_additivity():
     f = lambda x: np.exp(-x) * np.sin(3.0 * x)
-    spec = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-12)
+    spec = QuadratureSpec(rel_tol=1e-12)
     whole = integrate(f, 0.0, 2.0, spec)[0]
     split = integrate(f, 0.0, 0.7, spec)[0] + integrate(f, 0.7, 2.0, spec)[0]
     assert whole == pytest.approx(split, abs=1e-12)
@@ -127,7 +128,7 @@ def test_rule_reports_its_work_and_failures():
     assert info["neval"] > 0 and info["last"] >= 1
     # Eight halvings cannot resolve an interior kink to 1e-13: a fourth
     # element says why, and the checked entry raises it.
-    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
+    spec = QuadratureSpec(rel_tol=1e-13)
     out = quad(lambda x: np.sqrt(np.abs(x - 0.3537)), 0.0, 1.0, spec)
     assert len(out) == 4 and out[2]["last"] == 8 and "halvings" in out[3]
 
@@ -240,12 +241,7 @@ def _quad_reference(f, a, b, spec, tail_bound=None):
         step = scale * _DE_STEP / 2**level
         return sums[0] * step, sums[1] * step
 
-    value, error, halvings, failure = _refine(
-        level_value,
-        _DE_LEVELS,
-        lambda v: max(spec.abs_tol, spec.rel_tol * abs(v)),
-        tail,
-    )
+    value, error, halvings, failure = _refine(level_value, _DE_LEVELS, spec.rel_tol, tail)
     info = {"neval": neval, "last": halvings}
     return (value, error, info, failure) if failure else (value, error, info)
 
@@ -304,7 +300,7 @@ def _quad_outcome(rule, name, tol):
         return f(x)
 
     try:
-        out = rule(counted, a, b, QuadratureSpec(abs_tol=tol, rel_tol=tol), tail_bound)
+        out = rule(counted, a, b, QuadratureSpec(rel_tol=tol), tail_bound)
     except NonFiniteIntegrand as exc:
         return ("NonFiniteIntegrand", str(exc)), calls, None
     value, error, info = out[:3]
@@ -355,11 +351,10 @@ def test_quadrant_matches_closed_form_within_its_estimate():
     assert abs(value - 1.0) <= estimate <= 1e-13
 
 
-def test_quadrant_resolves_an_integral_far_below_abs_tol():
-    # A Gaussian of width 0.2 in log x and log y needs three halvings; an
-    # integral of 1e-20 is below abs_tol from the first level on, so only the
-    # relative stopping test keeps the rule from stopping after the first,
-    # 2% off.
+def test_quadrant_resolves_an_integral_of_1e_minus_20():
+    # A Gaussian of width 0.2 in log x and log y needs three halvings; the
+    # integral is 1e-20, and the relative stopping test keeps the rule from
+    # stopping after the first, 2% off.
     sigma = 0.2
 
     def narrow(x, y):
@@ -405,7 +400,7 @@ def test_quadrant_integrand_works_elementwise():
 def test_quadrant_cuts_a_level_into_calls_of_at_most_8192_nodes(monkeypatch):
     # Level 4 of this integrand has 27,840 new nodes: four calls, whose
     # values sum as those of one call would.
-    spec = QuadratureSpec(abs_tol=0.0, rel_tol=1e-13)
+    spec = QuadratureSpec(rel_tol=1e-13)
     nodes = []
 
     def f(x, y):
@@ -426,7 +421,7 @@ def test_quadrant_failure_modes():
     # A target below the rounding allowance fails at once; an integrand the
     # finest level cannot resolve fails after the last halving.
     with pytest.raises(ConvergenceFailure, match="rounding allowance"):
-        integrate_quadrant(_gamma_product, QuadratureSpec(abs_tol=1e-20, rel_tol=1e-16))
+        integrate_quadrant(_gamma_product, QuadratureSpec(rel_tol=1e-16))
     ripple = lambda x, y: (2.0 + np.sin(1e4 * x)) * np.exp(-x - y)
     with pytest.raises(ConvergenceFailure, match="halvings"):
         integrate_quadrant(ripple)
@@ -440,7 +435,7 @@ def test_quadrant_failure_modes():
 
 
 def test_subdivision_budget_exhaustion_raises():
-    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13)
+    spec = QuadratureSpec(rel_tol=1e-13)
     with pytest.raises(ConvergenceFailure, match=r"quadrature on \[0, 1\]: .* 8 halvings"):
         integrate(lambda x: np.sqrt(np.abs(x - 0.3537)), 0.0, 1.0, spec)
 
@@ -448,7 +443,7 @@ def test_subdivision_budget_exhaustion_raises():
 def test_unmeetable_tolerance_raises_instead_of_overclaiming():
     # Below ~50 eps the kernel cannot certify the result; it must fail
     # loudly rather than return a value with a silently missed tolerance.
-    spec = QuadratureSpec(abs_tol=0.0, rel_tol=1e-15)
+    spec = QuadratureSpec(rel_tol=1e-15)
     with pytest.raises(ConvergenceFailure):
         integrate(lambda x: np.exp(-np.sqrt(x)), 0.0, 100.0, spec)
 
@@ -477,10 +472,10 @@ def test_non_finite_bounds_rejected():
 
 
 def test_quadrature_spec_validation():
-    with pytest.raises(DomainError):
-        QuadratureSpec(abs_tol=0.0, rel_tol=0.0)
-    with pytest.raises(DomainError):
-        QuadratureSpec(abs_tol=-1e-9)
+    assert [field.name for field in dataclasses.fields(QuadratureSpec)] == ["rel_tol"]
+    for bad in (0.0, 0, -1e-9, math.nan, math.inf, True, 2**1100, "1e-9", None):
+        with pytest.raises(DomainError):
+            QuadratureSpec(rel_tol=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +484,7 @@ def test_quadrature_spec_validation():
 
 
 def test_semi_infinite_exponential_family():
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-11)
+    spec = QuadratureSpec(rel_tol=1e-11)
     assert integrate(lambda x: np.exp(-x), 0.0, math.inf, spec)[0] == pytest.approx(
         1.0, rel=1e-10
     )
