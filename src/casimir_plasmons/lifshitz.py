@@ -13,13 +13,13 @@ wavevector ``K`` and the rotated frequency ``Xi`` (both scaled by ``L/c``):
 
 with ``kappa = sqrt(Xi**2 + K**2)`` and the squared reflection amplitudes of
 :func:`casimir_plasmons.optics.reflection_sq_imag_axis`.  On the imaginary
-axis the integrand is smooth and strictly negative.  It is evaluated on
-the new nodes of a quadrature level, with one call of the optics kernel
-per level, which checks nothing (the nodes are positive and finite) and
-returns the decay constants ``kappa``, ``kappa_t`` and ``kappa_t/eps``.
-Near the origin the DE nodes reach ``r**2 e^(-2 kappa)`` within an ulp of
-1, so each logarithm is taken of ``1 - r**2 e^(-2 kappa)`` formed without
-cancellation there (see :func:`_mode_sum_integrand`).
+axis the integrand is smooth and strictly negative.  Each quadrature level
+calls the optics kernel once on its new nodes; it checks nothing (every
+``K`` lies in [1e-31, 1e7], every ``Xi`` below 1e7) and forms ``kappa``,
+``kappa_t`` and ``kappa_t/eps`` from sums of squares where ``Omega_P`` is
+at most 1e150, by ``hypot`` above.  Near the origin ``r**2 e^(-2 kappa)``
+comes within an ulp of 1, so ``1 - r**2 e^(-2 kappa)`` inside each logarithm
+is formed without cancellation (see :func:`_mode_sum_integrand`).
 
 Quadrature.  The integral runs over the whole quadrant with
 :func:`casimir_plasmons.numerics.integrate_quadrant`, the product of two
@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 REDUCED_PLANCK = 1.054_571_817e-34  # J * s
+_NODE_RANGE = (1e-31, 1e7)  # integrate_quadrant's nodes: each K, and each Xi / min(1, Omega_P)
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,11 @@ def _log_one_minus(kappa: np.ndarray, x: np.ndarray, damping: np.ndarray) -> np.
     return p
 
 
-def _mode_sum_integrand(K: np.ndarray, Xi: np.ndarray, Omega_P: float) -> np.ndarray:
-    """``K * sum_pol ln(1 - r_pol^2 e^(-2 kappa))`` on a block of nodes."""
-    kappa, kappa_t, reduced = _decay_constants(K, Xi, Omega_P)
+def _mode_sum_integrand(
+    K: np.ndarray, Xi: np.ndarray, Omega_P: float, lo: float, hi: float
+) -> np.ndarray:
+    """``K * sum_pol ln(1 - r_pol^2 e^(-2 kappa))`` on nodes bounded by ``lo`` and ``hi``."""
+    kappa, kappa_t, reduced = _decay_constants(K, Xi, Omega_P, lo, hi)
     damping = np.exp(-2.0 * kappa)
     total = _log_one_minus(kappa, kappa_t, damping)
     total += _log_one_minus(kappa, reduced, damping)
@@ -177,7 +180,7 @@ def _eta_total_detailed(
     xi_unit = min(1.0, Omega_P)
 
     def integrand(K: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _mode_sum_integrand(K, xi_unit * u, Omega_P)
+        return _mode_sum_integrand(K, xi_unit * u, Omega_P, *_NODE_RANGE)
 
     try:
         value, error = integrate_quadrant(integrand, spec)

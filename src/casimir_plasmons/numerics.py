@@ -475,11 +475,14 @@ def integrate_quadrant(
             (x_new, wx_new), (y_new, wy_new) = new
             (x_old, wx_old), (y_all, wy_all) = done[0], every[1]
             # The L of new nodes, flat: new x by every y, then old x by new y.
-            x = np.concatenate((np.repeat(x_new, y_all.size), np.repeat(x_old, y_new.size)))
-            y = np.concatenate((np.tile(y_all, x_new.size), np.tile(y_new, x_old.size)))
-            n = _QUADRANT_BLOCK  # nodes per call of f
-            fxy = np.concatenate([f(x[i : i + n], y[i : i + n]) for i in range(0, x.size, n)])
             split = x_new.size * y_all.size
+            x, y = np.empty((2, split + x_old.size * y_new.size))
+            for part, xs, ys in ((slice(split), x_new, y_all), (slice(split, None), x_old, y_new)):
+                x[part].reshape(xs.size, ys.size)[...] = xs[:, np.newaxis]
+                y[part].reshape(xs.size, ys.size)[...] = ys
+            n = _QUADRANT_BLOCK  # nodes per call of f
+            blocks = [f(x[i : i + n], y[i : i + n]) for i in range(0, x.size, n)]
+            fxy = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
             weighted_sum += float(wx_new @ (fxy[:split].reshape(x_new.size, -1) @ wy_all))
             weighted_sum += float(wx_old @ (fxy[split:].reshape(x_old.size, -1) @ wy_new))
             done[:] = every

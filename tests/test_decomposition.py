@@ -349,9 +349,9 @@ class TestBreakdown:
             (
                 1e-5,
                 {
-                    "eta_total": ("0x1.7e5f6d2800d05p-19", "0x1.e94644ea7bc0ep-65"),
+                    "eta_total": ("0x1.7e5f6d2800d06p-19", "0x1.e9465da36bb11p-65"),
                     "eta_pl": ("0x1.7e5f6d23f65b3p-19", "0x1.4d9bef087eb23p-52"),
-                    "eta_ph": ("0x1.029d480000000p-49", "0x1.4dab393aa6061p-52"),
+                    "eta_ph": ("0x1.029d4c0000000p-49", "0x1.4dab393b6bcd9p-52"),
                     "eta_ev": ("0x1.7e5f6d274412bp-19", "0x1.4d9bef09b8e1ep-52"),
                 },
             ),
@@ -367,9 +367,9 @@ class TestBreakdown:
             (
                 0.5,
                 {
-                    "eta_total": ("0x1.e5b8f3d363032p-4", "0x1.44149b783da11p-49"),
+                    "eta_total": ("0x1.e5b8f3d363032p-4", "0x1.44148924a213ap-49"),
                     "eta_pl": ("-0x1.7018d1722a7efp-7", "0x1.d5dbcd526d10ep-35"),
-                    "eta_ph": ("0x1.09de0700d4298p-3", "0x1.d5e0dda4daf1dp-35"),
+                    "eta_ph": ("0x1.09de0700d4298p-3", "0x1.d5e0dda491a37p-35"),
                     "eta_ev": ("0x1.eed2820cde0e9p-4", "0x1.2cef01c161d1cp-36"),
                 },
             ),
@@ -385,16 +385,16 @@ class TestBreakdown:
             (
                 40.0,
                 {
-                    "eta_total": ("0x1.d11458dd3122bp-1", "0x1.7c7665873f343p-46"),
+                    "eta_total": ("0x1.d11458dd3122cp-1", "0x1.7c766d4a90f34p-46"),
                     "eta_pl": ("-0x1.fc3cf0533430ep+6", "0x1.58e383bff6eacp-24"),
-                    "eta_ph": ("0x1.ffdf1904ee932p+6", "0x1.58e389b1d080ep-24"),
+                    "eta_ph": ("0x1.ffdf1904ee932p+6", "0x1.58e389b1d09ffp-24"),
                     "eta_ev": ("0x1.2b896eeab5ea9p+3", "0x1.320447cc4e426p-30"),
                 },
             ),
             (
                 1e5,
                 {
-                    "eta_total": ("0x1.fffac1defc46ap-1", "0x1.24e6af45fe153p-45"),
+                    "eta_total": ("0x1.fffac1defc46cp-1", "0x1.24e6af4605796p-45"),
                     "eta_pl": ("-0x1.24249844f4440p+13", "0x1.79211d74d0762p-22"),
                     "eta_ph": ("0x1.242c982ffbbffp+13", "0x1.79211fbe9dd4bp-22"),
                     "eta_ev": ("0x1.00c3e0951c3bdp+9", "0x1.444b364f4f2dcp-22"),
@@ -403,9 +403,9 @@ class TestBreakdown:
             (
                 1e12,
                 {
-                    "eta_total": ("0x1.fffffffff7347p-1", "0x1.24f2463f6d908p-45"),
+                    "eta_total": ("0x1.fffffffff7347p-1", "0x1.24f23dd21e51cp-45"),
                     "eta_pl": ("-0x1.c5fd992be9dabp+24", "0x1.37af19c3476f8p-10"),
-                    "eta_ph": ("0x1.c5fd9a2be9dabp+24", "0x1.37af19c36c0ddp-10"),
+                    "eta_ph": ("0x1.c5fd9a2be9dabp+24", "0x1.37af19c36c0dcp-10"),
                     "eta_ev": ("0x1.8c489e78833a9p+20", "0x1.f4e807f251bb9p-11"),
                 },
             ),
@@ -413,7 +413,11 @@ class TestBreakdown:
     )
     def test_every_value_and_error_keeps_its_bits(self, omega_p, bits) -> None:
         # Pinned from the product exp-sinh rule for eta_total and the
-        # double-exponential rules of the three surface-mode integrals.
+        # double-exponential rules of the three surface-mode integrals.  The
+        # eta_total and eta_ph of the rows at 1e-5, 0.5, 40, 1e5 and 1e12
+        # were re-pinned when eta_total's decay constants became square
+        # roots of sums of squares (eta_total moved by at most 2 ulp, within
+        # its estimate of the polar oracle); eta_pl and eta_ev kept theirs.
         breakdown = compute_eta_breakdown(omega_p)
         assert {
             name: (getattr(breakdown, name).hex(), breakdown.error_estimates[name].hex())

@@ -413,6 +413,106 @@ def test_quadrant_cuts_a_level_into_calls_of_at_most_8192_nodes(monkeypatch):
     assert integrate_quadrant(f, spec) == chunked
 
 
+def _quadrant_reference(f, spec=DEFAULT_QUADRATURE):
+    """The product rule that built each level's nodes by repeat and tile.
+
+    Kept verbatim, so that ``integrate_quadrant`` can be held to its nodes,
+    their order and its bits.
+    """
+    from casimir_plasmons.numerics import _DE_STEP, _EPS, _QUADRANT_BLOCK, _QUADRANT_LEVELS
+    from casimir_plasmons.numerics import _de_nodes, _refine
+
+    offset, weight = _de_nodes("exp-sinh", 0)
+    terms = weight[:, np.newaxis] * f(offset[:, np.newaxis], offset[np.newaxis, :]) * weight
+    floor = _EPS * float(np.abs(terms).sum())
+    if not math.isfinite(floor):
+        raise NonFiniteIntegrand(f"integrand summed to {float(terms.sum())!r}")
+    reach = []
+    for axis in (1, 0):
+        kept = np.flatnonzero(np.abs(terms).sum(axis) >= floor)
+        reach.append((max(kept[0] - 1, 0), min(kept[-1] + 1, offset.size - 1)))
+    weighted_sum = float(terms[tuple(slice(lo, hi + 1) for lo, hi in reach)].sum())
+    done = [(offset[lo : hi + 1], weight[lo : hi + 1]) for lo, hi in reach]
+    values = []
+
+    def level_value(level):
+        nonlocal weighted_sum
+        if level:
+            shift, nodes = level - 1, _de_nodes("exp-sinh", level)
+            new = [tuple(a[lo << shift : hi << shift] for a in nodes) for lo, hi in reach]
+            every = [tuple(map(np.concatenate, zip(d, n))) for d, n in zip(done, new)]
+            (x_new, wx_new), (y_new, wy_new) = new
+            (x_old, wx_old), (y_all, wy_all) = done[0], every[1]
+            # The L of new nodes, flat: new x by every y, then old x by new y.
+            x = np.concatenate((np.repeat(x_new, y_all.size), np.repeat(x_old, y_new.size)))
+            y = np.concatenate((np.tile(y_all, x_new.size), np.tile(y_new, x_old.size)))
+            n = _QUADRANT_BLOCK  # nodes per call of f
+            fxy = np.concatenate([f(x[i : i + n], y[i : i + n]) for i in range(0, x.size, n)])
+            split = x_new.size * y_all.size
+            weighted_sum += float(wx_new @ (fxy[:split].reshape(x_new.size, -1) @ wy_all))
+            weighted_sum += float(wx_old @ (fxy[split:].reshape(x_old.size, -1) @ wy_new))
+            done[:] = every
+        step = _DE_STEP / 2**level
+        values.append(weighted_sum * step * step)
+        return values[-1], abs(values[-1])
+
+    value, error, _, failure = _refine(level_value, _QUADRANT_LEVELS, spec.rel_tol, 0.0)
+    if failure:
+        raise ConvergenceFailure(f"product exp-sinh rule: {failure}")
+    if len(values) > 2:
+        last, before = (abs(values[i] - values[i - 1]) for i in (-1, -2))
+        if last < before:
+            error -= last * (1.0 - last / before)
+    return value, error
+
+
+@pytest.mark.parametrize(
+    "f, tol",
+    [
+        (_gamma_product, 1e-9),
+        # Reaches further on both axes.
+        (lambda x, y: np.exp(-x - y) / (1.0 + x * y), 1e-13),
+    ],
+    ids=["gamma-product", "slow-tail"],
+)
+def test_quadrant_passes_the_nodes_of_repeat_and_tile(f, tol, monkeypatch):
+    # Each call of f sees the same x and y, in the same order, as the
+    # reference's, and the sums keep their bits.  A level of at most 8192
+    # nodes is one call.
+    spec = QuadratureSpec(rel_tol=tol)
+    calls, per_level = [], []
+    refine = numerics._refine
+
+    def recorded(x, y):
+        calls.append((np.array(x), np.array(y)))
+        return f(x, y)
+
+    def counted_refine(level_value, *args):
+        def counted(level):
+            before = len(calls)
+            out = level_value(level)
+            per_level.append([np.broadcast(*xy).size for xy in calls[before:]])
+            return out
+
+        return refine(counted, *args)
+
+    monkeypatch.setattr(numerics, "_refine", counted_refine)
+    result = integrate_quadrant(recorded, spec)
+    monkeypatch.setattr(numerics, "_refine", refine)
+    new_calls, calls[:] = calls[:], []
+    assert result == _quadrant_reference(recorded, spec)
+    assert len(new_calls) == len(calls) > 4
+    for (x, y), (x_ref, y_ref) in zip(new_calls, calls):
+        assert x.shape == x_ref.shape and y.shape == y_ref.shape
+        assert (x == x_ref).all() and (y == y_ref).all()
+    # Level 0 (the 16 by 16 grid) runs before the refinement.
+    assert per_level[0] == [] and np.broadcast(*new_calls[0]).size == 16 * 16
+    for sizes in per_level[1:]:
+        assert len(sizes) == -(-sum(sizes) // 8192) and max(sizes) <= 8192
+    counts = [len(sizes) for sizes in per_level[1:]]
+    assert counts[:3] == [1, 1, 1] and counts[3] > 1  # level 4 is cut into blocks
+
+
 def test_quadrant_is_deterministic():
     assert integrate_quadrant(_gamma_product) == integrate_quadrant(_gamma_product)
 

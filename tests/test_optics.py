@@ -19,6 +19,7 @@ from casimir_plasmons.optics import (
     PlasmaMirror,
     Polarization,
     Sector,
+    _decay_constants,
     classify,
     reflection_sq_imag_axis,
 )
@@ -132,6 +133,56 @@ def test_reflection_blocks_match_scalar_calls():
     for bad_K, bad_Xi in ((K - 1.0, Xi), (K + np.inf, Xi), (K, Xi * 0.0), (K, Xi + np.nan)):
         with pytest.raises(DomainError):
             reflection_sq_imag_axis(Polarization.TM, bad_K, bad_Xi, 1.0)
+
+
+@given(
+    log_K=st.lists(st.floats(-31.0, 7.0), min_size=1, max_size=40),
+    log_Xi=st.lists(st.floats(-31.0, 7.0), min_size=1, max_size=40),
+    log_Omega_P=st.floats(-300.0, 300.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_squares_form_is_within_rounding_of_hypot(log_K, log_Xi, log_Omega_P):
+    # Over the product rule's node range the decay constants are square
+    # roots of sums of squares up to Omega_P = 1e150 and hypots above.
+    # Bounds in eps, relative: the root of two (three) rounded squares is
+    # within 1 (1.25) of the exact one, hypot within 0.5 and a hypot of it
+    # within 1.25; kappa_t / eps is the same quotient of either kappa_t,
+    # rounded once more on each side.  Over 1e8 nodes the largest gaps were
+    # 1.0, 2.0 and 2.6.
+    K = 10.0 ** np.array(log_K)[:, np.newaxis]
+    Xi = 10.0 ** np.array(log_Xi)[np.newaxis, :]
+    Omega_P = 10.0**log_Omega_P
+    squares = _decay_constants(K, Xi, Omega_P, 1e-31, 1e7)
+    hypots = _decay_constants(K, Xi, Omega_P, 0.0, math.inf)
+    eps = np.finfo(float).eps
+    names = ("kappa", "kappa_t", "kappa_t/eps")
+    for name, bound, a, b in zip(names, (2.0, 2.5, 3.5), squares, hypots):
+        assert (np.abs(a - b) <= bound * eps * b).all(), name
+
+
+@pytest.mark.parametrize(
+    "K, Xi, Omega_P",
+    [
+        # K and Xi both at most 1e-160, below the squares form's 1e-150.
+        ([0.0, 1e-170, 3e-162, 1e-161, 1e-160], [1e-200, 1e-168, 5e-162, 2e-161, 1e-160], 1e-161),
+        # K or Xi at least 1e160, above its 1e150.
+        ([0.0, 1.0, 3e159, 1e160, 1e162], [1e-3, 1e150, 4e159, 1e160, 1e161], 1e161),
+        # Omega_P above it.
+        ([0.0, 1e-3, 1.0, 3e199, 1e200], [1e-300, 1e-5, 1e100, 2e199, 1e200], 1e200),
+        ([0.0, 1e-3, 1.0, 3e299, 1e300], [1e-300, 1e-5, 1e100, 2e299, 1e300], 1e300),
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hypot_blocks_match_high_precision_oracle(K, Xi, Omega_P):
+    # Blocks whose squares could underflow or overflow take hypot; each
+    # node keeps kappa within about 14 Omega_P, where TE's kappa_t - kappa
+    # costs at most about 200 ulp.
+    K, Xi = np.array(K)[:, np.newaxis], np.array(Xi)[np.newaxis, :]
+    for pol in (Polarization.TE, Polarization.TM):
+        block = reflection_sq_imag_axis(pol, K, Xi, Omega_P)
+        for i, j in np.ndindex(block.shape):
+            oracle = _reflection_sq_oracle(pol, K[i, 0], Xi[0, j], Omega_P)
+            assert block[i, j] == pytest.approx(oracle, rel=1e-12, abs=0.0), (pol, i, j)
 
 
 def test_classify_sectors():
