@@ -45,7 +45,6 @@ from .optics import Polarization
 __all__ = ["main", "console_entry", "build_parser"]
 
 SCHEMA_VERSION = "1"
-TOLERANCE_ENV_VAR = "CASIMIR_TOL"
 SWEEP_HEADER = "L_over_lambdaP,eta_total,eta_pl,eta_ph,eta_ev"
 ETA_HEADER = (
     "L_over_lambdaP,eta_total,eta_pl,eta_ph,eta_ev,"
@@ -115,12 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--tol",
             type=float,
-            default=None,
-            help=(
-                f"relative tolerance for quadrature (default {DEFAULT_QUADRATURE.rel_tol:g}; the "
-                f"{TOLERANCE_ENV_VAR} environment variable overrides the "
-                "default, the flag overrides both)"
-            ),
+            default=DEFAULT_QUADRATURE.rel_tol,
+            help=f"relative tolerance for quadrature (default {DEFAULT_QUADRATURE.rel_tol:g})",
         )
         p.add_argument(
             "--format",
@@ -222,23 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify)
 
     return parser
-
-
-def _resolve_spec(args: argparse.Namespace) -> QuadratureSpec:
-    if args.tol is not None:
-        tolerance = args.tol
-    else:
-        raw = os.environ.get(TOLERANCE_ENV_VAR)
-        if raw is None or raw.strip() == "":
-            tolerance = DEFAULT_QUADRATURE.rel_tol
-        else:
-            try:
-                tolerance = float(raw)
-            except ValueError:
-                raise DomainError(
-                    f"{TOLERANCE_ENV_VAR} must be a number, got {raw!r}"
-                ) from None
-    return QuadratureSpec(rel_tol=tolerance)
 
 
 def _resolve_omega_p(args: argparse.Namespace) -> float:
@@ -503,8 +481,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        spec = _resolve_spec(args)
-        return _COMMANDS[args.command](args, spec)
+        return _COMMANDS[args.command](args, QuadratureSpec(rel_tol=args.tol))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

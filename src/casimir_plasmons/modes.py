@@ -64,13 +64,6 @@ __all__ = [
 # direct integral inverts the plus branch below the light cone, catches it.
 _tan = math.tan
 
-# omega0 and the g**2 forms switch to the ratio of their arguments above the
-# first size, where a product of four arguments can overflow, and omega0 also
-# below the second, where they can all underflow (only there, so results for
-# ordinary arguments keep their bits).
-_RATIO_FORM_ABOVE = 1e75
-_RATIO_FORM_BELOW = 1e-75
-
 # Largest plasma parameter whose plus-branch endpoint, about
 # pi*(1 - 2/Omega_P), lies more than a few ulp below pi, so that its root find
 # resolves it (and tan(pi/2), which rounds to 1.6e16, still brackets it).
@@ -190,20 +183,13 @@ def omega0(K: float, Omega_P: float) -> float:
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     if not (0.0 <= K <= sys.float_info.max):
         raise DomainError(f"K must be non-negative and finite, got {K!r}")
-    if K == 0.0:
-        return 0.0
-    if not (_RATIO_FORM_BELOW <= max(K, Omega_P) <= _RATIO_FORM_ABOVE):
-        # The same closed form in the ratio of the smaller to the larger
-        # argument, whose squares can neither overflow nor all underflow.
-        if K <= Omega_P:
-            t_sq = (K / Omega_P) ** 2
-            return K * math.sqrt(2.0 / (1.0 + 2.0 * t_sq + math.hypot(1.0, 2.0 * t_sq)))
-        r_sq = (Omega_P / K) ** 2
-        return Omega_P * math.sqrt(2.0 / (r_sq + 2.0 + math.hypot(r_sq, 2.0)))
-    wp2 = Omega_P * Omega_P
-    k2 = K * K
-    discriminant = math.hypot(wp2, 2.0 * k2)
-    return math.sqrt(2.0 * k2 * wp2 / (wp2 + 2.0 * k2 + discriminant))
+    # In the ratio of the smaller to the larger argument, whose square can
+    # neither overflow nor matter where it underflows.
+    if K <= Omega_P:
+        t_sq = (K / Omega_P) ** 2
+        return K * math.sqrt(2.0 / (1.0 + 2.0 * t_sq + math.hypot(1.0, 2.0 * t_sq)))
+    r_sq = (Omega_P / K) ** 2
+    return Omega_P * math.sqrt(2.0 / (r_sq + 2.0 + math.hypot(r_sq, 2.0)))
 
 
 def _evanescent_g_squared(branch: CoupledBranch, root_z, Omega_P: float, ops, root: bool):
@@ -217,29 +203,22 @@ def _evanescent_g_squared(branch: CoupledBranch, root_z, Omega_P: float, ops, ro
         coupling = one_minus_decay / (1.0 + decay)
     else:
         coupling = (1.0 + decay) / one_minus_decay
-    if Omega_P > _RATIO_FORM_ABOVE:
-        # Divided through by root_sum, which root_sum * coth(sqrt(z)/2) could
-        # overflow at small z.  scaled is at most Omega_P, so scaled * Omega_P
-        # overflows only where g^2 itself does; g, the product of the roots,
-        # is finite wherever g is.
-        scaled = Omega_P / root_sum * (root_z / (root_z / root_sum + coupling))
-        return ops.sqrt(scaled) * math.sqrt(Omega_P) if root else scaled * Omega_P
-    g_sq = Omega_P * Omega_P * root_z / (root_z + root_sum * coupling)
-    return ops.sqrt(g_sq) if root else g_sq
+    # Divided through by root_sum, which root_sum * coth(sqrt(z)/2) could overflow at
+    # small z.  scaled is at most Omega_P, so scaled * Omega_P overflows only where g^2
+    # does; g, the product of the roots, is finite wherever g is.
+    scaled = Omega_P / root_sum * (root_z / (root_z / root_sum + coupling))
+    return ops.sqrt(scaled) * math.sqrt(Omega_P) if root else scaled * Omega_P
 
 
 def _continued_g_squared(u, Omega_P: float, sqrt, tan):
-    """Plus-branch ``g(z)^2`` at ``z = -u**2 < 0`` (``Omega_P <= 1e15`` here)."""
+    """Plus-branch ``g(z)^2`` at ``z = -u**2 < 0`` (``Omega_P <= 1e15``), ``Omega_P`` last."""
     span = sqrt((Omega_P - u) * (Omega_P + u))
-    return Omega_P * Omega_P * u / (u + span * tan(0.5 * u))
+    return Omega_P * (Omega_P * (u / (u + span * tan(0.5 * u))))
 
 
 def _plus_g_squared_at_zero(Omega_P: float, root: bool = False) -> float:
-    if Omega_P > _RATIO_FORM_ABOVE:
-        scaled = Omega_P / (1.0 + 0.5 * Omega_P)
-        return math.sqrt(scaled) * math.sqrt(Omega_P) if root else scaled * Omega_P
-    g_sq = Omega_P * Omega_P / (1.0 + 0.5 * Omega_P)
-    return math.sqrt(g_sq) if root else g_sq
+    scaled = Omega_P / (1.0 + 0.5 * Omega_P)
+    return math.sqrt(scaled) * math.sqrt(Omega_P) if root else scaled * Omega_P
 
 
 def _check_continuation(branch: CoupledBranch, u: float, Omega_P: float) -> None:
@@ -264,9 +243,9 @@ def _g_squared(branch: CoupledBranch, z, Omega_P: float, root: bool = False):
     ``coth(sqrt(z)/2)`` (minus) or 1 (zero reference).  For ``z < 0`` only the
     plus branch continues, via ``u = sqrt(-z)`` and the tangent analogue of
     the hyperbolic form; the window ``u <= Omega_P``, ``u < pi`` keeps that
-    continuation single-valued.  Above ``Omega_P = 1e75`` the form is
-    reordered so that only a ``g^2`` beyond the float range overflows, and
-    ``g`` is taken without forming ``g^2``.
+    continuation single-valued.  Every form is divided through by its largest
+    factor and multiplies ``Omega_P`` in last, so that only a ``g^2`` beyond
+    the float range overflows, and ``g`` is taken without forming ``g^2``.
 
     A scalar ``z`` is evaluated with libm (through math), whose bits the
     branch inversions follow; an array ``z`` with numpy, one call per array.
@@ -365,14 +344,11 @@ def g_branch_combination(z, Omega_P: float):
     total = root_z + np.hypot(root_z, Omega_P)
     decay = np.exp(-root_z)
     one_minus_decay = -np.expm1(-root_z)
-    # (Omega_P / total)**2, from the product of four arguments where that
-    # cannot overflow; np.where evaluates both forms, so the discarded one
-    # may overflow or divide by zero (at z = 0) unseen.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        scaled_sq = Omega_P * Omega_P / (total * total)
-        if total.max() > _RATIO_FORM_ABOVE:
-            scaled = Omega_P / total
-            scaled_sq = np.where(total <= _RATIO_FORM_ABOVE, scaled_sq, scaled * scaled)
+    # Omega_P / total is at most 1; at z = 0 the factors below divide by
+    # zero unseen, and that entry is replaced after.
+    scaled = Omega_P / total
+    scaled_sq = scaled * scaled
+    with np.errstate(divide="ignore", invalid="ignore"):
         ratio = decay * scaled_sq
         one_minus_ratio = 2.0 * root_z / total + scaled_sq * one_minus_decay
         g_zero = Omega_P * np.sqrt(root_z / total)
@@ -456,12 +432,12 @@ def invert_branch(
 ) -> float:
     """Branch frequency ``Omega[K]``, the root of ``f(K**2 - Omega**2) = K**2``.
 
-    Solves for ``w = Omega**2`` itself, where ``g(K**2 - w)**2 - w`` falls
-    through 0 (``f`` is increasing), so ``Omega`` keeps its relative accuracy
-    also where ``Omega**2`` is far below ``K**2``.  The minus and zero
-    branches, and the plus branch for ``K >= k_P``, have ``z = K**2 - w`` in
-    ``[0, K**2]``; below the light-cone crossing the plus branch has ``z`` in
-    ``[-z_plus0, 0]``, whose lower end is tested before the solve.  Every
+    Solves for ``v = w / scale``, where ``g(K**2 - w)**2 / scale - v`` falls
+    through 0 (``f`` is increasing); ``w = Omega**2`` and ``scale`` is the top
+    of its bracket, so ``v`` and the objective are of order 1 at every scale.
+    The minus and zero branches, and the plus branch for ``K >= k_P``, have
+    ``z = K**2 - w`` in ``[0, K**2]``; below the light-cone crossing the plus
+    branch has ``z`` in ``[-z_plus0, 0]``, tested before the solve.  Every
     branch is defined where :func:`branch_constants` is, for ``Omega_P`` from
     ``1.5e-154`` to ``1e15`` (the plus branch through it), and where ``K**2``
     and the solved ``Omega**2`` are normal floats (or ``K`` is 0):
@@ -482,7 +458,7 @@ def invert_branch(
     z_min = w_lo = 0.0
     if branch is CoupledBranch.PLUS:
         z_plus0 = branch_constants(Omega_P).z_plus0
-        if target < Omega_P * Omega_P / (1.0 + 0.5 * Omega_P):
+        if target < _plus_g_squared_at_zero(Omega_P):
             z_min, w_lo = -z_plus0, target
             if _g_squared(branch, z_min, Omega_P) - z_plus0 - target >= 0.0:
                 # K is so small that the root sits within the endpoint's own
@@ -493,10 +469,12 @@ def invert_branch(
 
     # The bracket lies inside the domain of f, so the solve skips its gate;
     # the clamp keeps K**2 - w from rounding below the plus-branch endpoint.
-    def objective(w: float) -> float:
-        return _g_squared(branch, max(target - w, z_min), Omega_P) - w
+    scale = target - z_min
 
-    w = find_root_bracketed(objective, w_lo, target - z_min)
+    def objective(v: float) -> float:
+        return _g_squared(branch, max(target - scale * v, z_min), Omega_P) / scale - v
+
+    w = scale * find_root_bracketed(objective, w_lo / scale, 1.0)
     if w < _MIN_NORMAL:
         raise DomainError(
             f"Omega**2={w!r} at K={K!r}, Omega_P={Omega_P:g} is not a normal float"

@@ -119,11 +119,11 @@ def classify(K: float, Omega: float) -> Sector:
 def _decay_constants(K: ArrayOrFloat, Xi: ArrayOrFloat, Omega_P: float, lo: float, hi: float):
     """``(kappa, kappa_t, kappa_t / eps(i Xi))``: the three decay constants.
 
-    The one formula behind every imaginary-axis amplitude: the TE amplitude
-    is ``(kappa - x)/(kappa + x)`` with ``x = kappa_t``, the TM one the same
-    with ``x = kappa_t / eps``.  It checks nothing: callers pass finite
-    ``K, Xi >= 0`` (at ``Xi = 0`` ``kappa_t / eps`` is 0) and ``Omega_P > 0``,
-    ``hi`` at least every ``K`` and ``Xi``, ``lo`` at most every node's larger.
+    The amplitudes of the mode-sum integrand are ``(kappa - x)/(kappa + x)``
+    with ``x = kappa_t`` (TE) or ``x = kappa_t / eps`` (TM).  It checks
+    nothing: callers pass finite ``K, Xi >= 0`` (at ``Xi = 0`` ``kappa_t / eps``
+    is 0) and ``Omega_P > 0``, ``hi`` at least every ``K`` and ``Xi``, ``lo``
+    at most every node's larger.
     If ``lo >= 1e-150`` and ``hi, Omega_P <= 1e150``, ``kappa`` and ``kappa_t``
     are roots of ``K*K + Xi*Xi`` and of it plus ``Omega_P*Omega_P`` (no square
     over- or underflows to matter; within 6e-16 of ``hypot`` and 5 times faster).
@@ -161,9 +161,14 @@ def reflection_sq_imag_axis(
     With ``kappa = sqrt(Xi^2 + K^2)`` the vacuum-side decay
     constant and ``kappa_t = sqrt(kappa^2 + Omega_P^2)`` the medium-side one,
     the amplitudes are ``(kappa - kappa_t)/(kappa + kappa_t)`` for TE and the
-    permittivity-weighted analogue for TM; the TM form is evaluated as
-    ``(kappa - kappa_t/eps)/(kappa + kappa_t/eps)`` which stays finite for
-    arbitrarily small ``Xi``.  The result lies in [0, 1].
+    permittivity-weighted analogue for TM, with ``kappa_t/eps`` in place of
+    ``kappa_t``.  Both are evaluated without that difference, which cancels
+    where ``Omega_P << kappa``: with ``s = kappa + kappa_t``,
+    ``r_TE = -(Omega_P/s)^2`` and
+    ``r_TM = c (K^2 + kappa kappa_t) / (s (kappa + kappa_t/eps))``,
+    ``c = Omega_P^2/(Xi^2 + Omega_P^2)``, each factor formed from ratios of
+    at most 1, so nothing over- or underflows ahead of the result.  The result
+    lies in [0, 1].
     """
     pol = _coerce_polarization(pol)
     Omega_P = require_positive_finite("Omega_P", Omega_P)
@@ -173,9 +178,11 @@ def reflection_sq_imag_axis(
     if not (0.0 < Xi_lo and Xi_hi <= sys.float_info.max):
         raise DomainError(f"Xi must be positive and finite, got {Xi!r}")
     kappa, kappa_t, reduced = _decay_constants(K, Xi, Omega_P, max(K_lo, Xi_lo), max(K_hi, Xi_hi))
-    x = kappa_t if pol is Polarization.TE else reduced
-    # Augmented assignments work in place on arrays and rebind floats.
-    r_sq = kappa - x
-    r_sq /= kappa + x
-    r_sq *= r_sq
-    return r_sq
+    total = kappa + kappa_t
+    if pol is Polarization.TE:
+        r = (Omega_P / total) ** 2
+    else:
+        hypot = np.hypot if isinstance(kappa, np.ndarray) else math.hypot
+        plasma_share = (Omega_P / hypot(Xi, Omega_P)) ** 2
+        r = plasma_share * ((K * (K / total) + kappa * (kappa_t / total)) / (kappa + reduced))
+    return r * r

@@ -131,6 +131,9 @@ def _frequency_oracle(branch: CoupledBranch, big_k: float, omega_p: float) -> fl
 
     The defect falls through 0 at ``w = Omega^2``; below the light-cone
     crossing the plus branch's root lies in ``[K^2, K^2 + min(Omega_P, pi)^2]``.
+    While the bracket spans more than a factor 4 the midpoint is geometric
+    (with 1e-700, below every float's square, standing in for ``lo = 0``), so
+    a root far below ``K^2`` is reached in a few dozen steps.
     """
     with mp.workdps(50):
         k_sq, w_p = mp.mpf(big_k) ** 2, mp.mpf(omega_p)
@@ -140,7 +143,10 @@ def _frequency_oracle(branch: CoupledBranch, big_k: float, omega_p: float) -> fl
         for _ in range(400):
             if hi - lo <= mp.mpf("1e-16") * hi:
                 break
-            mid = (lo + hi) / 2
+            if lo == 0 or hi > 4 * lo:
+                mid = mp.sqrt(max(lo, mp.mpf("1e-700")) * hi)
+            else:
+                mid = (lo + hi) / 2
             if _g_squared_mp(branch, k_sq - mid, w_p) - mid > 0:
                 lo = mid
             else:
@@ -480,6 +486,18 @@ class TestInversion:
         assert invert_branch(CoupledBranch.MINUS, big_k, omega_p) == pytest.approx(
             _frequency_oracle(CoupledBranch.MINUS, big_k, omega_p), rel=1e-13, abs=0.0
         )
+
+    def test_tiny_wavevector_at_tiny_plasma_parameter(self) -> None:
+        # Every branch frequency is an ordinary float here, but the solve in
+        # w = Omega**2 on [0, K**2] raised ConvergenceFailure on all three:
+        # Brent's interpolation products underflowed, and bisection needs
+        # more than its 200 halvings to get from 1e-120 down to w.
+        big_k, omega_p = 1e-60, 1e-100
+        for branch, approx in zip(CoupledBranch, (1e-100, 7.07e-131, 7.07e-101)):
+            oracle = _frequency_oracle(branch, big_k, omega_p)
+            assert oracle == pytest.approx(approx, rel=1e-3)
+            value = invert_branch(branch, big_k, omega_p)
+            assert abs(value - oracle) <= 4.0 * math.ulp(oracle), branch
 
     def test_wavevector_whose_square_is_not_normal_raises(self) -> None:
         # K**2 rounds to 0 at 1e-200, where the zero branch returned 0.0
@@ -931,19 +949,21 @@ class TestHugePlasmaParameter:
         "branch, z, omega_p, f_bits, g_bits",
         [
             ("plus", -0.25, 2 * math.pi, "0x1.24e4645c41782p+3", "0x1.88802c962b6e0p+1"),
-            ("plus", 0.0, 1e-3, "0x1.0c4d2258e4e06p-20", "0x1.061417d39f118p-10"),
+            ("plus", 0.0, 1e-3, "0x1.0c4d2258e4e07p-20", "0x1.061417d39f118p-10"),
             ("plus", 7.0, 2 * math.pi, "0x1.333c4f4135683p+4", "0x1.bf2022a4fbe74p+1"),
             ("minus", 1e-3, 1e-3, "0x1.0625e870a4f86p-10", "0x1.0591459864804p-13"),
             ("minus", 7.0, 1e75, "0x1.44c1baa99de08p+250", "0x1.20560d376ffa1p+125"),
-            ("zero", 1e4, 1e75, "0x1.ba2bfd0d5ff5ap+255", "0x1.dbce813831a70p+127"),
-            ("zero", 0.5, 3.0, "0x1.16f8334644df9p+1", "0x1.4bc2720600b85p+0"),
+            ("zero", 1e4, 1e75, "0x1.ba2bfd0d5ff5bp+255", "0x1.dbce813831a70p+127"),
+            ("zero", 0.5, 3.0, "0x1.16f8334644df8p+1", "0x1.4bc2720600b84p+0"),
         ],
     )
-    def test_branch_functions_keep_their_bits_up_to_the_ratio_form(
+    def test_branch_functions_keep_their_pinned_bits(
         self, branch, z, omega_p, f_bits, g_bits
     ) -> None:
-        # Pinned from the libm evaluation the dispersion tables were computed
-        # with; the ratio form only takes over above Omega_P = 1e75.
+        # Pinned from the libm evaluation of the one scaled form of each
+        # branch function.  The rows (plus, 0, 1e-3), (zero, 1e4, 1e75) and
+        # (zero, 0.5, 3) moved by one ulp when that form replaced the plain
+        # one; each is within an ulp of the 50-digit hyperbolic form.
         assert f_branch(branch, z, omega_p).hex() == f_bits
         assert g_branch(branch, z, omega_p).hex() == g_bits
 
@@ -992,10 +1012,13 @@ def _surface_entries(omega_p: float, m: int, big_k: float, z: float, fraction: f
 
 
 @given(
-    # Half the draws where the surface-mode entries are defined.
-    log_omega=st.one_of(st.floats(-10.0, 15.0), st.floats(-10.0, 300.0)),
+    # Two thirds of the draws where the surface-mode entries are defined,
+    # one third down to 1e-150, where K reaches as far down.
+    log_omega=st.one_of(
+        st.floats(-10.0, 15.0), st.floats(-10.0, 300.0), st.floats(-150.0, -10.0)
+    ),
     m=st.integers(1, 5),
-    big_k=st.floats(0.0, 1e3),
+    big_k=st.one_of(st.floats(0.0, 1e3), st.floats(-150.0, 3.0).map(lambda e: 10.0**e)),
     z=st.floats(0.0, 1e6),
     fraction=st.floats(0.0, 1.0),
 )
@@ -1003,6 +1026,8 @@ def _surface_entries(omega_p: float, m: int, big_k: float, z: float, fraction: f
 @example(log_omega=-10.0, m=1, big_k=1e-3, z=1.0, fraction=1.0)
 @example(log_omega=-7.5, m=2, big_k=0.0, z=0.0, fraction=0.5)
 @example(log_omega=15.0, m=5, big_k=1e3, z=1e6, fraction=1.0)
+# invert_branch raised ConvergenceFailure here on every branch.
+@example(log_omega=-100.0, m=1, big_k=1e-60, z=1.0, fraction=0.5)
 @settings(max_examples=150, deadline=None)
 def test_finite_value_or_typed_error_up_to_huge_omega_p(log_omega, m, big_k, z, fraction) -> None:
     omega_p = 10.0**log_omega
@@ -1037,10 +1062,10 @@ def test_finite_value_or_typed_error_up_to_huge_omega_p(log_omega, m, big_k, z, 
             try:
                 value = invert_branch(branch, big_k, omega_p)
             except DomainError:
-                # Also where K**2 or Omega**2, at least about
-                # K**2 * min(1, Omega_P) / 4, is not a normal float.
-                tiny = big_k > 0.0 and big_k * big_k * min(1.0, omega_p) < 1e-300
-                assert not surface or tiny
+                # Also where K**2 or Omega**2 is not a normal float.
+                if surface and big_k * big_k >= sys.float_info.min:
+                    oracle = _frequency_oracle(branch, big_k, omega_p)
+                    assert oracle * oracle < sys.float_info.min * (1.0 + 1e-9)
                 continue
             assert math.isfinite(value)
         try:

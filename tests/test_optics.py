@@ -54,6 +54,15 @@ def test_reflection_matches_high_precision_oracle():
                         Xi,
                         Omega_P,
                     )
+    # Where Omega_P << kappa the difference kappa - kappa_t cancelled: 0.0
+    # for both polarizations at the first point (about 1.5e-40 and 3.1e-35),
+    # 3.3e-4 off for TE at the second.
+    for K, Xi, Omega_P in ((45.0, 3.0, 1e-8), (1.0, 1.0, 1e-6)):
+        for pol in (Polarization.TE, Polarization.TM):
+            oracle = _reflection_sq_oracle(pol, K, Xi, Omega_P)
+            assert reflection_sq_imag_axis(pol, K, Xi, Omega_P) == pytest.approx(
+                oracle, rel=1e-12, abs=0.0
+            ), (pol, K, Xi, Omega_P)
 
 
 @given(
