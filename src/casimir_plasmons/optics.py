@@ -167,8 +167,9 @@ def reflection_sq_imag_axis(
     ``r_TE = -(Omega_P/s)^2`` and
     ``r_TM = c (K^2 + kappa kappa_t) / (s (kappa + kappa_t/eps))``,
     ``c = Omega_P^2/(Xi^2 + Omega_P^2)``, each factor formed from ratios of
-    at most 1, so nothing over- or underflows ahead of the result.  The result
-    lies in [0, 1].
+    at most 1, so nothing over- or underflows ahead of the result; ``r_TM``,
+    which can round past 1 where ``Xi << Omega_P``, is capped at 1.  The
+    result lies in [0, 1].
     """
     pol = _coerce_polarization(pol)
     Omega_P = require_positive_finite("Omega_P", Omega_P)
@@ -182,7 +183,11 @@ def reflection_sq_imag_axis(
     if pol is Polarization.TE:
         r = (Omega_P / total) ** 2
     else:
-        hypot = np.hypot if isinstance(kappa, np.ndarray) else math.hypot
+        is_array = isinstance(kappa, np.ndarray)
+        hypot = np.hypot if is_array else math.hypot
         plasma_share = (Omega_P / hypot(Xi, Omega_P)) ** 2
         r = plasma_share * ((K * (K / total) + kappa * (kappa_t / total)) / (kappa + reduced))
+        # The exact amplitude is below 1, but where Xi << Omega_P it is within
+        # rounding of 1 and the product of rounded factors can exceed it.
+        r = np.minimum(r, 1.0) if is_array else min(r, 1.0)
     return r * r

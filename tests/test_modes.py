@@ -957,7 +957,7 @@ class TestHugePlasmaParameter:
             ("zero", 0.5, 3.0, "0x1.16f8334644df8p+1", "0x1.4bc2720600b84p+0"),
         ],
     )
-    def test_branch_functions_keep_their_pinned_bits(
+    def test_branch_functions_keep_their_bits_up_to_the_ratio_form(
         self, branch, z, omega_p, f_bits, g_bits
     ) -> None:
         # Pinned from the libm evaluation of the one scaled form of each

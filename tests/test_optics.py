@@ -10,7 +10,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casimir_plasmons.errors import DomainError
@@ -72,6 +72,7 @@ def test_reflection_matches_high_precision_oracle():
     pol=st.sampled_from([Polarization.TE, Polarization.TM]),
 )
 @settings(max_examples=200, deadline=None)
+@example(K=52.234375, Xi=1e-06, Omega_P=968.5, pol=Polarization.TM)
 def test_reflection_squared_always_in_unit_interval(K, Xi, Omega_P, pol):
     r_sq = reflection_sq_imag_axis(pol, K, Xi, Omega_P)
     assert 0.0 <= r_sq <= 1.0
