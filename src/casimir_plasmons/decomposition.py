@@ -338,7 +338,7 @@ def _eta_evanescent_detailed(
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     constants = branch_constants(Omega_P)
     k_p = constants.k_P
-    crossing_frequency = omega0(k_p, Omega_P)
+    w = omega0(k_p, Omega_P)  # the reference branch's frequency at K = k_P
     # Depth of the reference branch below the light cone at K = k_P; the
     # correction integral runs from this positive abscissa DOWN to zero, so
     # its signed value is negative.
@@ -348,11 +348,10 @@ def _eta_evanescent_detailed(
     total, err = branch_sum
 
     correction, correction_err = _reference_correction_integral(Omega_P, depth, spec)
-    value = -_CLOSED_PREFACTOR * (
-        total
-        - correction
-        - (2.0 / 3.0) * (k_p**3 - crossing_frequency**3)
-    )
+    # k_P^3 - w^3 = (k_P^2 - w^2)(k_P^2 + k_P w + w^2)/(k_P + w), from the
+    # depth, so that no difference of nearly equal cubes is formed.
+    cube_gap = depth * ((k_p * k_p + k_p * w + w * w) / (k_p + w))
+    value = -_CLOSED_PREFACTOR * (total - correction - (2.0 / 3.0) * cube_gap)
     return value, _CLOSED_PREFACTOR * (err + correction_err)
 
 

@@ -398,19 +398,18 @@ def _branch_constants_cached(Omega_P: float) -> BranchConstants:
         )
 
     y_plus = find_root_bracketed(endpoint_equation, 0.0, u_max)
-    z_plus0 = y_plus * y_plus
-    crossing_frequency = omega0(k_p, Omega_P)
-    evanescent_depth = k_p * k_p - crossing_frequency * crossing_frequency
-    if evanescent_depth < 0.0:
-        raise ConvergenceFailure(
-            "reference branch unexpectedly above the light cone at K = k_P"
-        )
+    # k_P^2 - omega0(k_P)^2 without forming that difference, which cancels at
+    # large Omega_P: with t = k_P/Omega_P, omega0(k_P)^2 is
+    # k_P^2 * 2/(1 + 2t^2 + hypot(1, 2t^2)), and 1 minus that ratio is
+    # 2t^2/(1 + hypot(1, 2t^2)).
+    t_sq = 1.0 / (1.0 + 0.5 * Omega_P)
+    depth = k_p * k_p * (2.0 * t_sq / (1.0 + math.hypot(1.0, 2.0 * t_sq)))
     return BranchConstants(
         Omega_P=Omega_P,
         k_P=k_p,
         y_plus=y_plus,
-        z_plus0=z_plus0,
-        z_0P=-evanescent_depth,
+        z_plus0=y_plus * y_plus,
+        z_0P=-depth,
     )
 
 

@@ -20,7 +20,9 @@ the quadrant rule, which scales the difference by its rate of fall.
   nodes a strip adds and the finer nodes between them) and one per finer
   level.  :func:`integrate` is the checked entry point.
 * On the quadrant ``[0, inf)**2`` the rule is the product of two exp-sinh
-  rules: each level adds the nodes new on either axis.
+  rules: each level adds the nodes new on either axis.  Those nodes depend
+  only on the level and the window, so each level's layout is built once
+  per window, cached, and passed to the integrand read-only.
 
 Roots come from Brent's bracketing hybrid (Brent 1973, *Algorithms for
 Minimization without Derivatives*, ch. 4).  Everything is deterministic for
@@ -229,6 +231,43 @@ def _de_strip(rule: str, nodes: Sequence[int], cells: Sequence[int]) -> np.ndarr
     return strip
 
 
+# At most 16 layouts are kept: levels 1 to 3 of the four windows eta_total
+# takes for Omega_P from 1e-8 to 1e5 fit, and those of levels 4 and 5 (up to
+# about 2.8 MB each) cannot pile up.
+@lru_cache(maxsize=16)
+def _quadrant_level(
+    reach: Tuple[Tuple[int, int], Tuple[int, int]], level: int
+) -> Tuple[np.ndarray, np.ndarray, Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
+    """The nodes that ``level >= 1`` of :func:`integrate_quadrant` adds.
+
+    ``reach`` holds the window's first and last level-0 node on the ``x`` and
+    on the ``y`` axis.  An axis's old nodes are those of levels 0 to
+    ``level - 1`` in its window, level by level, and its new ones those of
+    ``level``.  Returns ``(x, y, arms)``, read-only: the L of new nodes as
+    two flat arrays, new ``x`` by every ``y`` and then old ``x`` by new
+    ``y``, and the ``(wx, wy)`` weights of those two arms.
+    """
+    def nodes(lo: int, hi: int, levels: Sequence[int]) -> Tuple[np.ndarray, ...]:
+        """Offsets and weights of ``levels`` in the window from level-0 node ``lo`` to ``hi``."""
+        cuts = [
+            slice(lo, hi + 1) if n == 0 else slice(lo << (n - 1), hi << (n - 1)) for n in levels
+        ]
+        parts = [tuple(a[c] for a in _de_nodes("exp-sinh", n)) for n, c in zip(levels, cuts)]
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    (x_new, wx_new), (x_old, wx_old) = (nodes(*reach[0], n) for n in ([level], range(level)))
+    (y_new, wy_new), (y_all, wy_all) = (nodes(*reach[1], n) for n in ([level], range(level + 1)))
+    split = x_new.size * y_all.size
+    x, y = np.empty((2, split + x_old.size * y_new.size))
+    for part, xs, ys in ((slice(split), x_new, y_all), (slice(split, None), x_old, y_new)):
+        x[part].reshape(xs.size, ys.size)[...] = xs[:, np.newaxis]
+        y[part].reshape(xs.size, ys.size)[...] = ys
+    arms = ((wx_new, wy_all), (wx_old, wy_new))
+    for array in (x, y, *(w for arm in arms for w in arm)):
+        array.flags.writeable = False
+    return x, y, arms
+
+
 def quad(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -288,17 +327,18 @@ def quad(
 
     def add(level: int, index) -> np.ndarray:
         """Add the nodes ``index`` of ``level`` to the sums; return their ``|w f|``."""
-        offset, weight = (array[index] for array in _de_nodes(rule, level))
+        offsets, weights = _de_nodes(rule, level)
+        weight = weights[index]
         if level <= _DE_STRIP_LEVELS:
             fx = stored[starts[level] : starts[level + 1]][index]
         else:
-            fx = evaluate(offset)
+            fx = evaluate(offsets[index])
         total = float(weight @ fx)
         if not math.isfinite(total):
             bad = ~np.isfinite(fx)
             if bad.any():
                 i = int(np.flatnonzero(bad)[0])
-                x = float(abscissae(offset[i : i + 1])[0])
+                x = float(abscissae(offsets[index][i : i + 1])[0])
                 raise NonFiniteIntegrand(f"integrand returned {float(fx[i])!r} at x={x!r}")
         magnitudes = weight * np.abs(fx)
         sums[0] += total
@@ -442,6 +482,8 @@ def integrate_quadrant(
     epsilon times the total, as in :func:`quad`.  Each finer level passes
     only its new nodes (new ``x`` by every ``y``, old ``x`` by new ``y``)
     as two flat arrays, in calls of at most 8192 nodes: one up to level 3.
+    Those arrays depend only on the level and the window, so each is built
+    once per window and kept (the 16 last used); ``f`` gets them read-only.
 
     Returns ``(value, error_estimate)``.  Refinement stops once the last two
     levels differ, plus a rounding allowance, by at most ``rel_tol * |value|``
@@ -455,37 +497,27 @@ def integrate_quadrant(
     """
     offset, weight = _de_nodes("exp-sinh", 0)
     terms = weight[:, np.newaxis] * f(offset[:, np.newaxis], offset[np.newaxis, :]) * weight
-    floor = _EPS * float(np.abs(terms).sum())
+    magnitudes = np.abs(terms)
+    floor = _EPS * float(magnitudes.sum())
     if not math.isfinite(floor):
         raise NonFiniteIntegrand(f"integrand summed to {float(terms.sum())!r}")
-    reach = []
-    for axis in (1, 0):
-        kept = np.flatnonzero(np.abs(terms).sum(axis) >= floor)
-        reach.append((max(kept[0] - 1, 0), min(kept[-1] + 1, offset.size - 1)))
+    kept = [np.flatnonzero(magnitudes.sum(axis) >= floor) for axis in (1, 0)]
+    reach = tuple((max(int(k[0]) - 1, 0), min(int(k[-1]) + 1, offset.size - 1)) for k in kept)
     weighted_sum = float(terms[tuple(slice(lo, hi + 1) for lo, hi in reach)].sum())
-    done = [(offset[lo : hi + 1], weight[lo : hi + 1]) for lo, hi in reach]
     values = []
 
     def level_value(level: int) -> Tuple[float, float]:
         nonlocal weighted_sum
         if level:
-            shift, nodes = level - 1, _de_nodes("exp-sinh", level)
-            new = [tuple(a[lo << shift : hi << shift] for a in nodes) for lo, hi in reach]
-            every = [tuple(map(np.concatenate, zip(d, n))) for d, n in zip(done, new)]
-            (x_new, wx_new), (y_new, wy_new) = new
-            (x_old, wx_old), (y_all, wy_all) = done[0], every[1]
-            # The L of new nodes, flat: new x by every y, then old x by new y.
-            split = x_new.size * y_all.size
-            x, y = np.empty((2, split + x_old.size * y_new.size))
-            for part, xs, ys in ((slice(split), x_new, y_all), (slice(split, None), x_old, y_new)):
-                x[part].reshape(xs.size, ys.size)[...] = xs[:, np.newaxis]
-                y[part].reshape(xs.size, ys.size)[...] = ys
+            x, y, arms = _quadrant_level(reach, level)
             n = _QUADRANT_BLOCK  # nodes per call of f
             blocks = [f(x[i : i + n], y[i : i + n]) for i in range(0, x.size, n)]
             fxy = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            weighted_sum += float(wx_new @ (fxy[:split].reshape(x_new.size, -1) @ wy_all))
-            weighted_sum += float(wx_old @ (fxy[split:].reshape(x_old.size, -1) @ wy_new))
-            done[:] = every
+            start = 0
+            for wx, wy in arms:
+                stop = start + wx.size * wy.size
+                weighted_sum += float(wx @ (fxy[start:stop].reshape(wx.size, -1) @ wy))
+                start = stop
         step = _DE_STEP / 2**level
         values.append(weighted_sum * step * step)
         return values[-1], abs(values[-1])

@@ -304,6 +304,48 @@ class TestModeSumIntegrand:
         assert (value.hex(), error.hex()) == (value_bits, error_bits)
 
 
+class TestQuadrantLayoutCache:
+    """Each level's nodes are built once per window and shared by every Omega_P."""
+
+    # Three windows of the product rule: 1e-6 reaches one level-0 node
+    # further along Xi than 1e-2, and 1e-2 two further than 2*pi.
+    @pytest.mark.parametrize("omega_p", [1e-6, 1e-2, 2.0 * math.pi])
+    def test_cold_and_warm_layouts_give_the_same_bits(self, omega_p) -> None:
+        numerics._quadrant_level.cache_clear()
+        cold = _eta_total_detailed(omega_p)
+        assert numerics._quadrant_level.cache_info().misses == 3
+        warm = _eta_total_detailed(omega_p)
+        assert numerics._quadrant_level.cache_info().hits == 3
+        assert [x.hex() for x in warm] == [x.hex() for x in cold]
+
+    def test_levels_share_read_only_nodes_within_a_window(self, monkeypatch) -> None:
+        # 1 and 1e3 share a window, so levels 1 to 3 hand the kernel views of
+        # the same cached arrays; f can write into none of them.
+        calls = []
+
+        def recorded(f, spec):
+            def g(x, y):
+                calls.append((x, y))
+                return f(x, y)
+
+            return numerics.integrate_quadrant(g, spec)
+
+        monkeypatch.setattr(lifshitz, "integrate_quadrant", recorded)
+        for omega_p in (1.0, 1e3):
+            eta_total(omega_p)
+        assert len(calls) == 8  # levels 0 to 3, one call each
+        first, second = calls[1:4], calls[5:]
+        for (x, y), (x2, y2) in zip(first, second):
+            assert not (x.flags.writeable or y.flags.writeable)
+            assert x.base is x2.base is not None and y.base is y2.base
+            with pytest.raises(ValueError):
+                x[0] = 1.0
+
+    def test_the_cache_is_bounded(self) -> None:
+        # Levels 4 and 5, at tight tolerances, hold up to 173,280 nodes.
+        assert 0 < numerics._quadrant_level.cache_info().maxsize <= 16
+
+
 # ----------------------------------------------------------------------
 # Physical energies
 # ----------------------------------------------------------------------

@@ -154,6 +154,15 @@ def _frequency_oracle(branch: CoupledBranch, big_k: float, omega_p: float) -> fl
         return float(mp.sqrt((lo + hi) / 2))
 
 
+def _depth_oracle(omega_p: float) -> float:
+    """60-digit ``k_P**2 - omega0(k_P)**2`` in the naive form, at
+    ``k_P**2 = Omega_P**2 / (1 + Omega_P/2)``."""
+    with mp.workdps(60):
+        w = mp.mpf(omega_p)
+        k_sq = w**2 / (1 + w / 2)
+        return float(k_sq - (w**2 + 2 * k_sq - mp.sqrt(w**4 + 4 * k_sq**2)) / 2)
+
+
 def _omega0_oracle(big_k: float, omega_p: float) -> float:
     """40-digit evaluation of the single-interface frequency (naive form)."""
     with mp.workdps(40):
@@ -319,6 +328,14 @@ class TestBranchConstants:
         assert constants.z_0P < 0.0
         expected = constants.k_P**2 - omega0(constants.k_P, omega_p) ** 2
         assert -constants.z_0P == pytest.approx(expected, rel=1e-10)
+
+    def test_evanescent_depth_against_high_precision_oracle(self) -> None:
+        # k_P**2 - omega0(k_P)**2, formed as a difference, cancelled at large
+        # Omega_P (1.5e-13 relative at 1e3, 1.2e-8 at 1e8); its closed form
+        # keeps every digit.
+        for omega_p in (1e-150, 1e-8, 0.5, 3 * math.pi, 1e3, 1e5, 1e8, 1e12, 1e15):
+            depth = -branch_constants(omega_p).z_0P
+            assert depth == pytest.approx(_depth_oracle(omega_p), rel=1e-15, abs=0.0)
 
     def test_validation(self) -> None:
         with pytest.raises(DomainError):

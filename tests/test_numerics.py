@@ -330,6 +330,30 @@ def test_quad_calls_f_once_per_strip_and_finer_level(name, tol):
         assert (info["calls"], info["neval"]) == (len(calls), sum(calls))
 
 
+@pytest.mark.parametrize(
+    "level, index, b",
+    [(4, 60, 1.0), (4, 100, 1.0), (6, 300, 1.0), (4, 50, math.inf)],
+    ids=[
+        "tanh-sinh-level-4-near-0",
+        "tanh-sinh-level-4-near-1",
+        "tanh-sinh-level-6",
+        "exp-sinh-level-4",
+    ],
+)
+def test_non_finite_integrand_names_its_node_beyond_level_3(level, index, b):
+    # Beyond level 3 quad gathers a level's node offsets only to call f on
+    # them; a NaN there must still be reported at the node that gave it.
+    if b == math.inf:
+        a, f = 2.0, lambda x: np.exp(-x) * np.sqrt(np.abs(x - 2.7))
+        node = a + float(numerics._de_nodes("exp-sinh", level)[0][index])
+    else:
+        a, f = 0.0, lambda x: np.sqrt(np.abs(x - 0.3537))
+        node = _tanh_sinh_node(level, index)
+    with pytest.raises(NonFiniteIntegrand) as failure:
+        integrate(_nan_at(node, f), a, b)
+    assert str(failure.value) == f"integrand returned nan at x={node!r}"
+
+
 # ---------------------------------------------------------------------------
 # Two-dimensional quadrant rule
 # ---------------------------------------------------------------------------
