@@ -378,10 +378,11 @@ def compute_eta_breakdown(
     small ``Omega_P``, and its estimate is the sum of theirs.  Every
     integral stops on ``spec.rel_tol``, however small its value, so at the
     default tolerance ``eta_ph`` (about ``1.8 * Omega_P**3`` against
-    ``eta_pl`` of about ``0.28 * Omega_P``) is resolved from ``Omega_P`` of
-    about ``1e-5`` up, where its estimate is 0.16 of it.  Below about
-    ``4e-6`` it is less than about 1e-10 of ``eta_pl``, and its estimate
-    exceeds its value (16 times at ``1e-6``): no tolerance resolves it.
+    ``eta_pl`` of about ``0.28 * Omega_P``) has an estimate below its value
+    from ``Omega_P`` of about ``4e-6`` up (0.16 of it at ``1e-5``).  Below
+    that the estimate, almost all of it ``eta_pl``'s, exceeds the value (16
+    times at ``1e-6``), yet the value is resolved: it follows
+    ``1.795 * Omega_P**3`` within 1e-3 down to ``1e-7``, also at 1e-13.
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     branch_sum = _branch_sum_integral(Omega_P, spec)

@@ -17,9 +17,10 @@ axis the integrand is smooth and strictly negative.  Each quadrature level
 calls the optics kernel once on its new nodes; it checks nothing (every
 ``K`` lies in [1e-31, 1e7], every ``Xi`` below 1e7) and forms ``kappa``,
 ``kappa_t`` and ``kappa_t/eps`` from sums of squares where ``Omega_P`` is
-at most 1e150, by ``hypot`` above.  Near the origin ``r**2 e^(-2 kappa)``
-comes within an ulp of 1, so ``1 - r**2 e^(-2 kappa)`` inside each logarithm
-is formed without cancellation (see :func:`_mode_sum_integrand`).
+at most 1e150, by ``hypot`` above.  Every node takes ``log1p(-p)`` with
+``p = r**2 e^(-2 kappa)`` clamped below 1 (it rounds to 1 only at level 0's
+corner nodes), accurate relative to the summed ``|terms|``, not per node
+(see :func:`_log_one_minus`).
 
 Quadrature.  The integral runs over the whole quadrant with
 :func:`casimir_plasmons.numerics.integrate_quadrant`, the product of two
@@ -69,6 +70,7 @@ __all__ = [
 
 REDUCED_PLANCK = 1.054_571_817e-34  # J * s
 _NODE_RANGE = (1e-31, 1e7)  # integrate_quadrant's nodes: each K, and each Xi / min(1, Omega_P)
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest float below 1
 
 
 @dataclass(frozen=True)
@@ -131,26 +133,22 @@ def _log_one_minus(kappa: np.ndarray, x: np.ndarray, damping: np.ndarray) -> np.
 
     With ``x`` the transverse decay constant of the polarization
     (``kappa_t`` for TE, ``kappa_t/eps`` for TM), ``r = (kappa - x)/(kappa + x)``
-    and ``1 - r^2 = 4 (kappa/(kappa + x)) (x/(kappa + x))``, in which nothing
-    overflows.  Where ``p = r^2 e^(-2 kappa)`` exceeds 1/2 the logarithm is
-    ``ln(-expm1(-2 kappa) + e^(-2 kappa) (1 - r^2))``, which stays finite
-    and accurate as ``p`` tends to 1; elsewhere it is ``log1p(-p)``, the
-    more accurate of the two there.
+    and ``p = r^2 e^(-2 kappa)``, every node takes ``log1p(-p)``.  The rule
+    needs terms accurate relative to the summed ``|terms|``, not per node:
+    ``kappa - x`` cancels where ``Omega_P << kappa``, and near ``p = 1`` the
+    logarithm multiplies the rounding of ``p`` by ``p/(1 - p)``, yet neither
+    moves ``eta_total`` by more than an ulp (tested against a per-node-accurate
+    integrand).  ``p`` rounds to 1 only at level 0's outermost corner nodes
+    (``K`` and ``Xi`` near 2e-31, outside every trimmed window); there it is
+    clamped to the largest float below 1, so the logarithm stays finite.
     """
-    width = kappa + x
     p = kappa - x
-    p /= width
+    p /= kappa + x
     p *= p
     p *= damping
-    near = np.nonzero(p > 0.5)
-    # Overwritten below; log1p(-p) would see -1 there when p rounds to 1.
-    p[near] = 0.0
+    np.minimum(p, _BELOW_ONE, out=p)
     np.negative(p, out=p)
-    np.log1p(p, out=p)
-    k, width = kappa[near], width[near]
-    one_minus_r_sq = 4.0 * (k / width) * (x[near] / width)
-    p[near] = np.log(damping[near] * one_minus_r_sq - np.expm1(-2.0 * k))
-    return p
+    return np.log1p(p, out=p)
 
 
 def _mode_sum_integrand(
