@@ -356,8 +356,6 @@ def _dispersion_branches(max_m: int) -> List[BranchId]:
 
 def cmd_dispersion(args: argparse.Namespace, spec: QuadratureSpec) -> int:
     Omega_P = _resolve_omega_p(args)
-    if args.points < 2:
-        raise DomainError("--points must be at least 2")
     if args.max_photonic_m < 0:
         raise DomainError("--max-photonic-m must be non-negative")
     grid = default_dispersion_grid(Omega_P, args.points)

@@ -118,8 +118,7 @@ class EtaBreakdown:
             raise DomainError(
                 "eta_ph must equal eta_total - eta_pl exactly as stored"
             )
-        if not (self.eta_ev > 0.0):
-            raise DomainError("eta_ev must be positive")
+        require_positive_finite("eta_ev", self.eta_ev)
 
 
 @dataclass(frozen=True)
@@ -142,8 +141,8 @@ class AsymptoticReport:
     fit_residuals: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0 and self.gamma > 0.0 and self.beta_ev > 0.0):
-            raise DomainError("alpha, gamma and beta_ev must all be positive")
+        for name in ("alpha", "gamma", "beta_ev"):
+            require_positive_finite(name, getattr(self, name))
         if not (0.0 < self.sign_change_L_over_lambdaP < 1.0):
             raise DomainError("sign change must lie in (0, 1) as L/lambda_p")
 

@@ -1,12 +1,21 @@
-"""Exception hierarchy shared by all modules of the package.
+"""Exception hierarchy shared by all modules of the package, and its domain gate.
 
 Every failure mode that callers are expected to handle gets its own type, so
 that numerical trouble (which deserves a retry with different tolerances) is
 distinguishable from contract violations (which indicate a bug in the caller
 or in the model assumptions).
+
+Every real argument passes one gate, :func:`require_real`: a real number is an
+``int``, ``float`` or numpy integer or floating scalar (no ``bool``) within the
+float range and at or above its bound (none, ``>= 0`` or ``> 0``).  ``K``, ``Xi``
+of ``reflection_sq_imag_axis`` and ``z`` of ``f_branch``, ``g_branch``,
+``g_branch_combination`` may also be a non-empty array, list or tuple of them.
+Anything else raises :class:`DomainError` naming the argument.
 """
 
 import sys
+
+import numpy as np
 
 
 class CasimirModelError(Exception):
@@ -55,14 +64,30 @@ CONVERGENCE_ERRORS = (
 )
 
 
-def require_positive_finite(name: str, value: object) -> float:
-    """Return ``value`` as a float if it is an int or float in ``(0, inf)``.
+_MAX = sys.float_info.max
+# The least value each lower bound admits (5e-324 is the least float above 0).
+_FLOORS = {"": -_MAX, "non-negative": 0.0, "positive": 5e-324}
 
-    The domain gate for ``Omega_P``, ``omega_p``, ``lambda_p`` and ``L`` at
-    every public entry; anything else (bools, NaN, inf, zero, negatives,
-    ints beyond the float range) raises :class:`DomainError`.
+
+def require_real(name: str, value: object, sign: str = "", array: bool = False):
+    """``value`` as a float (with ``array``, a float array) if real, as the module says.
+
+    ``sign`` is the lower bound: ``""`` (none), ``"non-negative"`` or ``"positive"``.
     """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if 0.0 < value <= sys.float_info.max:
-            return float(value)
-    raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    if type(value) is float and _FLOORS[sign] <= value <= _MAX:
+        return value  # the fast path: most arguments are floats in range
+    # An int is compared with the range first: beyond it, float() overflows.
+    if type(value) is int and abs(value) <= _MAX or isinstance(value, (np.integer, np.floating)):
+        return require_real(name, float(value), sign)
+    if array and isinstance(value, (list, tuple)) and value:
+        return np.array([require_real(name, item, sign) for item in value])
+    if array and isinstance(value, np.ndarray) and value.size and value.dtype.kind in "iuf":
+        values = value.astype(float, copy=False)
+        if _FLOORS[sign] <= values.min() and values.max() <= _MAX:
+            return values
+    raise DomainError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
+
+
+def require_positive_finite(name: str, value: object) -> float:
+    """The ``> 0`` gate of Omega_P, omega_p, lambda_p, L, A, rel_tol and reg_epsilon."""
+    return require_real(name, value, "positive")

@@ -50,9 +50,9 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
-    DomainError,
     NonFiniteIntegrand,
     require_positive_finite,
+    require_real,
 )
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_quadrant
 from .optics import SPEED_OF_LIGHT, PlasmaMirror, _decay_constants
@@ -111,10 +111,9 @@ class EnergyResult:
     quadrature_error_estimate: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.energy) or not math.isfinite(self.eta):
-            raise DomainError("energy and eta must be finite")
-        if not (self.quadrature_error_estimate >= 0.0):
-            raise DomainError("quadrature_error_estimate must be non-negative")
+        require_real("energy", self.energy)
+        require_real("eta", self.eta)
+        require_real("quadrature_error_estimate", self.quadrature_error_estimate, "non-negative")
 
 
 def casimir_ideal_energy(setup: PhysicalSetup) -> float:

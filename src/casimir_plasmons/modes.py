@@ -23,7 +23,6 @@ in real arithmetic through trigonometric forms.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum, unique
 from functools import lru_cache
@@ -37,6 +36,7 @@ from .errors import (
     DomainError,
     NoSolution,
     require_positive_finite,
+    require_real,
 )
 from .numerics import find_root_bracketed
 from .optics import Polarization, Sector, _coerce_polarization, classify
@@ -95,6 +95,14 @@ class BranchKind(Enum):
     PHOTONIC = "photonic"
 
 
+def _integer_in(name: str, value: object, least: int, most: float = math.inf) -> int:
+    """``value`` as an int, if it is a real number and an integer in ``[least, most]``."""
+    number = require_real(name, value, "positive")
+    if not least <= number <= most or number != int(number):
+        raise DomainError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
+    return int(number)
+
+
 def _coerce_branch(kind: Union[CoupledBranch, str]) -> CoupledBranch:
     if isinstance(kind, CoupledBranch):
         return kind
@@ -121,16 +129,11 @@ class BranchId:
 
     def __post_init__(self) -> None:
         if self.kind is BranchKind.PHOTONIC:
-            m = self.m
-            if m is None or not (1 <= m <= sys.float_info.max) or int(m) != m:
-                raise DomainError("photonic branches need a positive integer m")
-        else:
-            if self.m is not None:
-                raise DomainError("m is only meaningful for photonic branches")
-            if self.pol is not Polarization.TM:
-                raise DomainError(
-                    "surface-mode branches exist only in TM polarization"
-                )
+            _integer_in("m", self.m, 1)
+        elif self.m is not None:
+            raise DomainError("m is only meaningful for photonic branches")
+        elif self.pol is not Polarization.TM:
+            raise DomainError("surface-mode branches exist only in TM polarization")
 
 
 @dataclass(frozen=True)
@@ -142,12 +145,6 @@ class DispersionPoint:
     sector: Sector
 
     def __post_init__(self) -> None:
-        top = sys.float_info.max
-        if not (0.0 <= self.K <= top) or not (0.0 <= self.Omega <= top):
-            raise DomainError(
-                f"K and Omega must be non-negative and finite, got K={self.K!r}, "
-                f"Omega={self.Omega!r}"
-            )
         if classify(self.K, self.Omega) is not self.sector:
             raise DomainError("sector tag inconsistent with (K, Omega)")
 
@@ -181,8 +178,7 @@ def omega0(K: float, Omega_P: float) -> float:
     towards the asymptote ``Omega_P/sqrt(2)``.
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    if not (0.0 <= K <= sys.float_info.max):
-        raise DomainError(f"K must be non-negative and finite, got {K!r}")
+    K = require_real("K", K, "non-negative")
     # In the ratio of the smaller to the larger argument, whose square can
     # neither overflow nor matter where it underflows.
     if K <= Omega_P:
@@ -284,11 +280,10 @@ def _g_squared_array(branch: CoupledBranch, z: np.ndarray, Omega_P: float, root:
 
 
 def _g_squared_checked(branch: CoupledBranch, z, Omega_P: float, root: bool = False):
-    """``_g_squared`` plus the checks it omits: finite inputs, plus-branch endpoint."""
+    """``(z, _g_squared)`` after the checks it omits: real inputs, plus-branch endpoint."""
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    z_min, z_max = (float(z.min()), float(z.max())) if np.ndim(z) else (z, z)
-    if not (-sys.float_info.max <= z_min and z_max <= sys.float_info.max):
-        raise DomainError("z must be finite")
+    z = require_real("z", z, array=True)
+    z_min = float(z.min()) if np.ndim(z) else z
     g_sq = _g_squared(branch, z, Omega_P, root)
     if z_min < 0.0:
         z_plus0 = branch_constants(Omega_P).z_plus0
@@ -297,7 +292,7 @@ def _g_squared_checked(branch: CoupledBranch, z, Omega_P: float, root: bool = Fa
                 f"z={z_min!r} lies below the plus-branch endpoint -z_plus0="
                 f"{-z_plus0!r} for Omega_P={Omega_P:.6g}"
             )
-    return g_sq
+    return z, g_sq
 
 
 def f_branch(kind: Union[CoupledBranch, str], z, Omega_P: float):
@@ -310,7 +305,8 @@ def f_branch(kind: Union[CoupledBranch, str], z, Omega_P: float):
     ``f`` overflows.
     """
     with np.errstate(over="ignore"):
-        f = z + _g_squared_checked(_coerce_branch(kind), z, Omega_P)
+        z, g_sq = _g_squared_checked(_coerce_branch(kind), z, Omega_P)
+        f = z + g_sq
     if not np.isfinite(f).all():
         raise DomainError(f"f(z) = z + g(z)**2 overflows at Omega_P={Omega_P:g}")
     return f
@@ -321,7 +317,7 @@ def g_branch(kind: Union[CoupledBranch, str], z, Omega_P: float):
 
     ``z`` may be a numpy array.
     """
-    return _g_squared_checked(_coerce_branch(kind), z, Omega_P, root=True)
+    return _g_squared_checked(_coerce_branch(kind), z, Omega_P, root=True)[1]
 
 
 def g_branch_combination(z, Omega_P: float):
@@ -335,11 +331,7 @@ def g_branch_combination(z, Omega_P: float):
     numpy array, evaluated in one pass (a float in, a float out).
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    if not (0.0 <= np.min(z) and np.max(z) <= sys.float_info.max):
-        raise DomainError(
-            f"the branch combination is defined for finite z >= 0, got {z!r}"
-        )
-    z_array = np.asarray(z, dtype=float)
+    z_array = np.asarray(require_real("z", z, "non-negative", array=True))
     root_z = np.sqrt(z_array)
     total = root_z + np.hypot(root_z, Omega_P)
     decay = np.exp(-root_z)
@@ -443,8 +435,7 @@ def invert_branch(
     :class:`DomainError` outside.
     """
     branch = _coerce_branch(kind)
-    if not (0.0 <= K <= sys.float_info.max):
-        raise DomainError(f"K must be non-negative and finite, got {K!r}")
+    K = require_real("K", K, "non-negative")
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     if Omega_P < _MIN_SURFACE_OMEGA_P:
         raise DomainError(
@@ -607,12 +598,8 @@ def photonic_mode(
     grid's first point underflows.
     """
     pol = _coerce_polarization(pol)
-    # Range first, so that a non-finite m never reaches int(), and an int m
-    # beyond the float range never reaches pi*m.
-    if not (1 <= m <= sys.float_info.max) or int(m) != m:
-        raise DomainError(f"mode index m must be an integer >= 1, got {m!r}")
-    if not (0.0 <= K <= sys.float_info.max):
-        raise DomainError(f"K must be non-negative and finite, got {K!r}")
+    m = _integer_in("m", m, 1)
+    K = require_real("K", K, "non-negative")
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     (Omega,) = _photonic_branch(pol, m, [K], Omega_P)
     if Omega is None:
@@ -626,8 +613,8 @@ def photonic_mode(
 def default_dispersion_grid(Omega_P: float, points: int = 400) -> np.ndarray:
     """Log-spaced wavevector grid covering the interesting branch structure."""
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    if points < 2:
-        raise DomainError("need at least two grid points")
+    # A million points is far more than any table needs, and far below what numpy can allocate.
+    points = _integer_in("points", points, 2, 10**6)
     return np.geomspace(1e-3, 10.0 * max(1.0, Omega_P), points)
 
 
@@ -661,10 +648,7 @@ def sample_dispersion(
     Adjacent samples are checked for grid-commensurate continuity.
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    grid = list(K_grid)
-    if not all(0.0 <= k <= sys.float_info.max for k in grid):
-        raise DomainError("K_grid entries must be non-negative and finite")
-    grid = [float(k) for k in grid]
+    grid = [require_real("K_grid entries", K, "non-negative") for K in K_grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise DomainError("K_grid must be sorted in ascending order")
     result: List[Tuple[BranchId, Tuple[DispersionPoint, ...]]] = []

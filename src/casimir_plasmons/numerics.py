@@ -45,6 +45,7 @@ from .errors import (
     NonFiniteIntegrand,
     TailBoundViolated,
     require_positive_finite,
+    require_real,
 )
 
 __all__ = [
@@ -414,12 +415,11 @@ def integrate(
     """
     tail_bound = None
     if b == math.inf:
-        if not math.isfinite(a):
-            raise DomainError("lower bound must be finite")
+        a = require_real("lower bound", a)
         tail_bound = _envelope_tail_bound(f, a)
-    elif not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError("integration bounds must be finite")
-    elif a == b:
+    else:
+        a, b = (require_real("integration bounds", end) for end in (a, b))
+    if a == b:
         return 0.0, 0.0
     elif a > b:
         value, error = integrate(f, b, a, spec)
@@ -613,8 +613,7 @@ def find_root_bracketed(g: Callable[[float], float], lo: float, hi: float) -> fl
     A caller states which unknown it solves for, never how finely.  Raises
     :class:`ConvergenceFailure` if 200 iterations do not get there.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError("bracket endpoints must be finite")
+    lo, hi = require_real("lo", lo), require_real("hi", hi)
     if lo > hi:
         raise DomainError("bracket must satisfy lo <= hi")
     root, info = brentq(g, lo, hi, _BRENT_XTOL, _MIN_BRENT_RTOL, _BRENT_ITERATIONS)

@@ -14,14 +14,13 @@ sign-definite.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, require_positive_finite
+from .errors import DomainError, require_positive_finite, require_real
 
 __all__ = [
     "Polarization",
@@ -107,10 +106,8 @@ def classify(K: float, Omega: float) -> Sector:
     Points with ``|Omega - K| <= LIGHTCONE_TOLERANCE`` count as on the cone;
     otherwise ``Omega > K`` is propagative and ``Omega < K`` evanescent.
     """
-    if not (0.0 <= K <= sys.float_info.max) or not (0.0 <= Omega <= sys.float_info.max):
-        raise DomainError(
-            f"classify expects finite K >= 0 and Omega >= 0, got K={K!r}, Omega={Omega!r}"
-        )
+    K = require_real("K", K, "non-negative")
+    Omega = require_real("Omega", Omega, "non-negative")
     if abs(Omega - K) <= LIGHTCONE_TOLERANCE:
         return Sector.LIGHTCONE
     return Sector.PROPAGATIVE if Omega > K else Sector.EVANESCENT
@@ -173,12 +170,10 @@ def reflection_sq_imag_axis(
     """
     pol = _coerce_polarization(pol)
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    K_lo, K_hi, Xi_lo, Xi_hi = np.min(K), np.max(K), np.min(Xi), np.max(Xi)
-    if not (0.0 <= K_lo and K_hi <= sys.float_info.max):
-        raise DomainError(f"K must be non-negative and finite, got {K!r}")
-    if not (0.0 < Xi_lo and Xi_hi <= sys.float_info.max):
-        raise DomainError(f"Xi must be positive and finite, got {Xi!r}")
-    kappa, kappa_t, reduced = _decay_constants(K, Xi, Omega_P, max(K_lo, Xi_lo), max(K_hi, Xi_hi))
+    K = require_real("K", K, "non-negative", array=True)
+    Xi = require_real("Xi", Xi, "positive", array=True)
+    lo, hi = max(np.min(K), np.min(Xi)), max(np.max(K), np.max(Xi))
+    kappa, kappa_t, reduced = _decay_constants(K, Xi, Omega_P, lo, hi)
     total = kappa + kappa_t
     if pol is Polarization.TE:
         r = (Omega_P / total) ** 2

@@ -115,6 +115,7 @@ class TestArgumentErrors:
             ["sweep", "--range", "a:b"],
             ["sweep", "--range", "0.1:1", "--points", "1"],
             ["dispersion", "--l-over-lambda-p", "1", "--max-photonic-m", "-1"],
+            ["dispersion", "--omega-p-l", "1", "--points", "1"],
             ["constants", "--format", "csv"],
             ["bogus-subcommand"],
             ["eta", "--l-over-lambda-p", "1", "--frobnicate"],

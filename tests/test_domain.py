@@ -1,21 +1,28 @@
-"""The domain contract shared by every public entry that takes ``Omega_P``.
+"""The domain contract of every real argument, kept by one gate in ``errors``.
 
-Each accepted ``Omega_P`` is a real number in ``(0, inf)``; zero, negative
-values, NaN and infinity must raise :class:`DomainError` rather than return
-NaN, a plausible but wrong value, or an untyped exception.  The same holds
-for NaN, infinite and float-overflowing values of the other real
-arguments: the wavevector ``K`` (also in a dispersion grid), the imaginary
-frequency ``Xi``, the branch variable ``z`` and the mode index ``m``, and
-of the ``(K, Omega)`` point that ``classify`` and ``DispersionPoint`` place
-against the light cone.
+A real number is a Python ``int`` or ``float`` or a numpy integer or floating
+scalar, never a bool, within the float range.  Each accepted ``Omega_P`` is
+one in ``(0, inf)``; zero, negative values, NaN, infinity, bools, ``None``,
+strings and complex numbers must raise :class:`DomainError` rather than
+return NaN, a plausible but wrong value, or an untyped exception.  The same
+holds for the other real arguments: the wavevector ``K`` (also in a
+dispersion grid), the imaginary frequency ``Xi``, the branch variable ``z``
+and the mode index ``m``, and the ``(K, Omega)`` point that ``classify`` and
+``DispersionPoint`` place against the light cone.  ``K`` and ``Xi`` of
+``reflection_sq_imag_axis`` and ``z`` of the branch functions also take a
+non-empty array or list of real numbers.  A numpy scalar gives bit for bit
+the result of the equal float.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import casimir_plasmons
 from casimir_plasmons import cli
 from casimir_plasmons.decomposition import (
     EtaBreakdown,
@@ -74,11 +81,19 @@ ENTRIES = {
 }
 
 
-# A bool is not a plasma parameter, and 2**1100 has no float value.
-@pytest.mark.parametrize(
-    "Omega_P",
-    [0.0, -1.0, math.nan, math.inf, True, pytest.param(2**1100, id="2**1100")],
-)
+# Values that are no real number in the float range: a bool is not a plasma
+# parameter, and 2**1100 has no float value.
+NOT_REAL = [
+    None,
+    "1",
+    True,
+    pytest.param(np.bool_(True), id="np.bool_(True)"),
+    1j,
+    pytest.param(2**1100, id="2**1100"),
+]
+
+
+@pytest.mark.parametrize("Omega_P", [0.0, -1.0, math.nan, math.inf] + NOT_REAL)
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_out_of_domain_plasma_parameter_raises_domain_error(entry, Omega_P) -> None:
     with pytest.raises(DomainError):
@@ -109,12 +124,73 @@ OTHER_ARGUMENTS = {
 }
 
 
-# 2**1100 has no float value: the gates bound it as they bound Omega_P.
-@pytest.mark.parametrize("value", [math.nan, math.inf, pytest.param(2**1100, id="2**1100")])
+@pytest.mark.parametrize("value", [math.nan, math.inf] + NOT_REAL)
 @pytest.mark.parametrize("entry", sorted(OTHER_ARGUMENTS))
 def test_non_finite_argument_raises_domain_error(entry, value) -> None:
     with pytest.raises(DomainError):
         OTHER_ARGUMENTS[entry](value)
+
+
+def _same(result, reference) -> bool:
+    """Bit for bit the same value, of the same type."""
+    if isinstance(reference, np.ndarray):
+        return result.dtype == reference.dtype and np.array_equal(result, reference)
+    return type(result) is type(reference) and result == reference
+
+
+@pytest.mark.parametrize("scalar", [np.int64, np.float32])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_numpy_plasma_parameter_gives_the_float_result(entry, scalar) -> None:
+    assert _same(ENTRIES[entry](scalar(5)), ENTRIES[entry](5.0))
+
+
+@pytest.mark.parametrize("scalar", [np.int64, np.float32])
+@pytest.mark.parametrize("entry", sorted(set(OTHER_ARGUMENTS) - {"DispersionPoint"}))
+def test_numpy_argument_gives_the_float_result(entry, scalar) -> None:
+    # K, Xi, z and the mode index m: the gate hands on the equal float.
+    assert _same(OTHER_ARGUMENTS[entry](scalar(2)), OTHER_ARGUMENTS[entry](2.0))
+
+
+ARRAY_ARGUMENTS = [
+    "reflection_sq_imag_axis_K",
+    "reflection_sq_imag_axis_Xi",
+    "f_branch_z",
+    "g_branch_z",
+    "g_branch_combination_z",
+]
+
+
+@pytest.mark.parametrize("entry", ARRAY_ARGUMENTS)
+def test_array_argument_takes_a_list(entry) -> None:
+    values = [0.5, 2, np.float32(3.0)]
+    reference = OTHER_ARGUMENTS[entry](np.array([0.5, 2.0, 3.0]))
+    assert _same(OTHER_ARGUMENTS[entry](values), reference)
+    assert _same(OTHER_ARGUMENTS[entry](tuple(values)), reference)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param(np.array([]), id="empty array"),
+        pytest.param([], id="empty list"),
+        pytest.param([1.0, None], id="list with None"),
+        pytest.param([1.0, True], id="list with a bool"),
+        pytest.param(np.array([1.0, 2.0j]), id="complex array"),
+        pytest.param(np.array([True, False]), id="bool array"),
+        pytest.param(np.array([1.0, math.nan]), id="array with NaN"),
+    ],
+)
+@pytest.mark.parametrize("entry", ARRAY_ARGUMENTS)
+def test_invalid_array_argument_raises_domain_error(entry, value) -> None:
+    with pytest.raises(DomainError):
+        OTHER_ARGUMENTS[entry](value)
+
+
+def test_float_range_is_read_in_errors_only() -> None:
+    # One gate holds the float-range test; no module writes its own again.
+    package = Path(casimir_plasmons.__file__).parent
+    readers = sorted(path.name for path in package.glob("*.py") if "float_info" in path.read_text())
+    assert readers == ["errors.py"]
 
 
 def test_tiny_plasma_parameter_gives_a_typed_error(capsys) -> None:

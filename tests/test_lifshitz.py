@@ -45,12 +45,13 @@ def _eta_polar_oracle(omega_p: float) -> tuple:
     exponent becomes exactly ``2 rho``.  The radial cutoff matches the decade
     where ``exp(-2 rho)`` underflows any representable log contribution.
 
-    Returns ``(value, error)``: the outer estimate plus the largest inner
-    estimate times the pi/2 width of the outer interval.
+    Returns ``(value, error)``: the outer estimate plus the inner estimates
+    integrated over ``theta`` (a trapezoid over the ``theta`` nodes), so each
+    inner error counts with the weight of its own direction.
     """
     inner_spec = QuadratureSpec(rel_tol=1e-11)
     outer_spec = QuadratureSpec(rel_tol=1e-10)
-    inner_errors = []
+    inner_errors = {}
 
     def radial(theta: float) -> float:
         cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -64,7 +65,7 @@ def _eta_polar_oracle(omega_p: float) -> tuple:
             return rho * rho * total
 
         value, error = integrate(integrand, 0.0, 45.0, inner_spec)
-        inner_errors.append(cos_t * error)
+        inner_errors[theta] = cos_t * error
         return cos_t * value
 
     value, error = integrate(
@@ -73,8 +74,10 @@ def _eta_polar_oracle(omega_p: float) -> tuple:
         math.pi / 2.0,
         outer_spec,
     )
+    thetas = sorted(inner_errors)
+    inner_error = np.trapezoid([inner_errors[theta] for theta in thetas], thetas)
     scale = 180.0 / math.pi**4
-    return -scale * value, scale * (error + 0.5 * math.pi * max(inner_errors))
+    return -scale * value, scale * (error + inner_error)
 
 
 def _per_node_log_one_minus(
