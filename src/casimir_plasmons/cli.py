@@ -12,9 +12,16 @@ Exit codes: 0 success, 1 verification failure, 2 argument error (a bad flag
 or a value outside the library's domain), 3 numeric convergence failure.
 Inputs may be physical (``--lambda-p``/``--separation`` in meters) or
 dimensionless (``--omega-p-l`` or ``--l-over-lambda-p``); internally
-everything is dimensionless.  Output is CSV (scientific notation,
+everything is dimensionless.  A ``sweep`` range is checked after its rescale
+by ``--lambda-p``: both ends must stay positive, finite and apart, or the
+command exits 2.  ``sweep --points`` is an integer in [2, 10**6], like
+``dispersion --points``; ``--max-photonic-m`` is an integer in [0, 1000].
+
+Each command resolves its input, makes its library call and hands the result
+to one renderer, :func:`_emit`.  Output is CSV (scientific notation,
 12 significant digits, LF line endings, mandatory header) or JSON (top-level
 ``schema_version``), written atomically when ``--output`` is given.
+``constants`` is a JSON object only.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import os
 import sys
 import tempfile
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +43,16 @@ from .errors import (
     CONVERGENCE_ERRORS,
     CasimirModelError,
     DomainError,
+    _integer_in,
     require_positive_finite,
 )
-from .modes import BranchId, BranchKind, default_dispersion_grid, sample_dispersion
+from .modes import (
+    _MAX_GRID_POINTS,
+    BranchId,
+    BranchKind,
+    default_dispersion_grid,
+    sample_dispersion,
+)
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
 from .optics import Polarization
 
@@ -52,21 +66,13 @@ ETA_HEADER = (
 )
 DISPERSION_HEADER = "branch,pol,m,K,Omega,sector"
 VERIFY_HEADER = "status,name,detail"
+# Far more cavity resonances than a table needs; the 2*m branch ids are built first.
+_MAX_PHOTONIC_M = 1000
 
 
 def _fmt(value: float) -> str:
     """Scientific notation with 12 significant digits."""
     return f"{value:.11e}"
-
-
-def _csv_text(header: str, rows: Sequence[Sequence[str]]) -> str:
-    lines = [header]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _write_output(path: Optional[str], text: str) -> None:
@@ -95,6 +101,26 @@ def _write_output(path: Optional[str], text: str) -> None:
         raise
 
 
+def _emit(
+    args: argparse.Namespace,
+    header: str,
+    rows: Iterable[Iterable[str]],
+    payload: Dict[str, object],
+) -> None:
+    """Write ``rows`` of CSV cells under ``header``, or ``payload`` as JSON, per ``--format``.
+
+    Commands format numeric cells with :func:`_fmt`.  The JSON object is
+    ``schema_version`` followed by ``payload``.
+    """
+    if args.format == "json":
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2) + "\n"
+    else:
+        lines = [header]
+        lines.extend(",".join(row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    _write_output(args.output, text)
+
+
 # --------------------------------------------------------------------------
 # Argument handling
 # --------------------------------------------------------------------------
@@ -110,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, formats=("csv", "json")) -> None:
         p.add_argument(
             "--tol",
             type=float,
@@ -119,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--format",
-            choices=("csv", "json"),
-            default=None,
-            help="output format (default csv; constants defaults to json)",
+            choices=formats,
+            default=formats[0],
+            help=f"output format (default {formats[0]})",
         )
         p.add_argument(
             "--output",
@@ -179,7 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep range as lo:hi (strictly positive, lo < hi)",
     )
     p_sweep.add_argument(
-        "--points", type=int, default=50, help="number of grid points"
+        "--points",
+        type=int,
+        default=50,
+        help=f"number of grid points, 2 to {_MAX_GRID_POINTS} (default 50)",
     )
     p_sweep.add_argument(
         "--spacing",
@@ -197,13 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--points",
         type=int,
         default=400,
-        help="number of wavevector grid points (default 400)",
+        help=f"number of wavevector grid points, 2 to {_MAX_GRID_POINTS} (default 400)",
     )
     p_disp.add_argument(
         "--max-photonic-m",
         type=int,
         default=5,
-        help="highest cavity-resonance index to export (default 5)",
+        help=f"highest cavity-resonance index to export, 0 to {_MAX_PHOTONIC_M} (default 5)",
     )
     add_common(p_disp)
 
@@ -211,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "constants",
         help="asymptotic constants (alpha, gamma, beta_ev) and sign change",
     )
-    add_common(p_const)
+    add_common(p_const, formats=("json",))
 
     p_verify = sub.add_parser("verify", help="run the built-in invariant battery")
     add_common(p_verify)
@@ -253,17 +282,21 @@ def _resolve_omega_p(args: argparse.Namespace) -> float:
     return require_positive_finite("Omega_P", Omega_P)
 
 
-def _parse_range(text: str) -> Tuple[float, float]:
+def _parse_range(text: str, lambda_p: Optional[float]) -> Tuple[float, float]:
+    """``--range lo:hi`` as a range of ``L/lambda_p``: divided by ``lambda_p`` if given."""
+    scale = 1.0 if lambda_p is None else require_positive_finite("--lambda-p", lambda_p)
     parts = text.split(":")
     if len(parts) != 2:
         raise DomainError("--range must have the form lo:hi")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = float(parts[0]) / scale, float(parts[1]) / scale
     except ValueError:
         raise DomainError("--range endpoints must be numbers") from None
-    if not (0.0 < lo < hi) or not math.isfinite(hi):
+    # Checked after the division, which can round lo to 0 or hi to inf.
+    if not 0.0 < lo < hi < math.inf:
         raise DomainError(
-            "--range must satisfy 0 < lo < hi (the range must not be empty)"
+            "--range must satisfy 0 < lo < hi < inf in units of lambda_p "
+            f"(the range must not be empty), got {lo!r}:{hi!r}"
         )
     return lo, hi
 
@@ -284,61 +317,26 @@ def _breakdown_fields(x: float, breakdown) -> Dict[str, float]:
     }
 
 
-def _breakdown_row(x: float, breakdown) -> List[str]:
-    return [_fmt(value) for value in _breakdown_fields(x, breakdown).values()]
-
-
 def cmd_eta(args: argparse.Namespace, spec: QuadratureSpec) -> int:
     Omega_P = _resolve_omega_p(args)
     breakdown = compute_eta_breakdown(Omega_P, spec)
-    l_over_lambda = Omega_P / (2.0 * math.pi)
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        row = _breakdown_row(l_over_lambda, breakdown) + [
-            _fmt(breakdown.error_estimates[key])
-            for key in ("eta_total", "eta_pl", "eta_ph", "eta_ev")
-        ]
-        text = _csv_text(ETA_HEADER, [row])
-    else:
-        text = _json_text(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "Omega_P": Omega_P,
-                **_breakdown_fields(l_over_lambda, breakdown),
-                "error_estimates": dict(breakdown.error_estimates),
-            }
-        )
-    _write_output(args.output, text)
+    fields = _breakdown_fields(Omega_P / (2.0 * math.pi), breakdown)
+    errors = dict(breakdown.error_estimates)
+    row = [*fields.values()] + [errors[key] for key in list(fields)[1:]]  # the four factors
+    payload = {"Omega_P": Omega_P, **fields, "error_estimates": errors}
+    _emit(args, ETA_HEADER, [map(_fmt, row)], payload)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace, spec: QuadratureSpec) -> int:
-    lo, hi = _parse_range(args.range)
-    if args.lambda_p is not None:
-        lambda_p = require_positive_finite("--lambda-p", args.lambda_p)
-        lo, hi = lo / lambda_p, hi / lambda_p
-    if args.points < 2:
-        raise DomainError("--points must be at least 2 for a sweep")
-    if args.spacing == "log":
-        grid = np.geomspace(lo, hi, args.points)
-    else:
-        grid = np.linspace(lo, hi, args.points)
-    results = [
-        (float(x), compute_eta_breakdown(2.0 * math.pi * float(x), spec))
+    points = _integer_in("--points", args.points, 2, _MAX_GRID_POINTS)
+    lo, hi = _parse_range(args.range, args.lambda_p)
+    grid = (np.geomspace if args.spacing == "log" else np.linspace)(lo, hi, points)
+    table = [
+        _breakdown_fields(float(x), compute_eta_breakdown(2.0 * math.pi * float(x), spec))
         for x in grid
     ]
-    if args.format == "json":
-        text = _json_text(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "rows": [_breakdown_fields(x, b) for x, b in results],
-            }
-        )
-    else:
-        text = _csv_text(
-            SWEEP_HEADER, [_breakdown_row(x, b) for x, b in results]
-        )
-    _write_output(args.output, text)
+    _emit(args, SWEEP_HEADER, (map(_fmt, fields.values()) for fields in table), {"rows": table})
     return 0
 
 
@@ -356,98 +354,53 @@ def _dispersion_branches(max_m: int) -> List[BranchId]:
 
 def cmd_dispersion(args: argparse.Namespace, spec: QuadratureSpec) -> int:
     Omega_P = _resolve_omega_p(args)
-    if args.max_photonic_m < 0:
-        raise DomainError("--max-photonic-m must be non-negative")
+    max_m = _integer_in("--max-photonic-m", args.max_photonic_m, 0, _MAX_PHOTONIC_M)
     grid = default_dispersion_grid(Omega_P, args.points)
-    sampled = sample_dispersion(
-        Omega_P, grid, _dispersion_branches(args.max_photonic_m)
+    sampled = sample_dispersion(Omega_P, grid, _dispersion_branches(max_m))
+    branches = [
+        {
+            "branch": branch.kind.value,
+            "pol": branch.pol.value,
+            "m": branch.m,
+            "points": [
+                {"K": pt.K, "Omega": pt.Omega, "sector": pt.sector.value} for pt in points
+            ],
+        }
+        for branch, points in sampled
+    ]
+    rows = (
+        (b["branch"], b["pol"], "" if b["m"] is None else str(b["m"]))
+        + (_fmt(pt["K"]), _fmt(pt["Omega"]), pt["sector"])
+        for b in branches
+        for pt in b["points"]
     )
-    if args.format == "json":
-        text = _json_text(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "Omega_P": Omega_P,
-                "L_over_lambdaP": Omega_P / (2.0 * math.pi),
-                "branches": [
-                    {
-                        "branch": branch.kind.value,
-                        "pol": branch.pol.value,
-                        "m": branch.m,
-                        "points": [
-                            {
-                                "K": pt.K,
-                                "Omega": pt.Omega,
-                                "sector": pt.sector.value,
-                            }
-                            for pt in points
-                        ],
-                    }
-                    for branch, points in sampled
-                ],
-            }
-        )
-    else:
-        rows = []
-        for branch, points in sampled:
-            m_text = "" if branch.m is None else str(branch.m)
-            for pt in points:
-                rows.append(
-                    [
-                        branch.kind.value,
-                        branch.pol.value,
-                        m_text,
-                        _fmt(pt.K),
-                        _fmt(pt.Omega),
-                        pt.sector.value,
-                    ]
-                )
-        text = _csv_text(DISPERSION_HEADER, rows)
-    _write_output(args.output, text)
+    payload = {
+        "Omega_P": Omega_P,
+        "L_over_lambdaP": Omega_P / (2.0 * math.pi),
+        "branches": branches,
+    }
+    _emit(args, DISPERSION_HEADER, rows, payload)
     return 0
 
 
 def cmd_constants(args: argparse.Namespace, spec: QuadratureSpec) -> int:
-    if args.format == "csv":
-        raise DomainError("constants output is a JSON object; use --format json")
-    report = asymptotic_report(spec)
-    text = _json_text(
-        {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(report)}
-    )
-    _write_output(args.output, text)
+    _emit(args, "", [], dataclasses.asdict(asymptotic_report(spec)))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace, spec: QuadratureSpec) -> int:
     # A tolerance the quadrature cannot certify raises a convergence error
     # from the first check (exit 3) instead of failing rows.
-    results = self_check(spec)
-    all_passed = all(passed for _, passed, _ in results)
-    if args.format == "json":
-        text = _json_text(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "checks": [
-                    {
-                        "name": name,
-                        "status": "pass" if passed else "fail",
-                        "detail": detail,
-                    }
-                    for name, passed, detail in results
-                ],
-                "all_passed": all_passed,
-            }
-        )
-    else:
-        rows = [
-            [
-                "pass" if passed else "fail",
-                name,
-                detail.replace(",", ";").replace("\n", " "),
-            ]
-            for name, passed, detail in results
-        ]
-        text = _csv_text(VERIFY_HEADER, rows)
-    _write_output(args.output, text)
+    checks = [
+        {"name": name, "status": "pass" if passed else "fail", "detail": detail}
+        for name, passed, detail in self_check(spec)
+    ]
+    all_passed = all(check["status"] == "pass" for check in checks)
+    rows = (
+        (c["status"], c["name"], c["detail"].replace(",", ";").replace("\n", " "))
+        for c in checks
+    )
+    _emit(args, VERIFY_HEADER, rows, {"checks": checks, "all_passed": all_passed})
     return 0 if all_passed else 1
 
 

@@ -10,9 +10,13 @@ Every real argument passes one gate, :func:`require_real`: a real number is an
 float range and at or above its bound (none, ``>= 0`` or ``> 0``).  ``K``, ``Xi``
 of ``reflection_sq_imag_axis`` and ``z`` of ``f_branch``, ``g_branch``,
 ``g_branch_combination`` may also be a non-empty array, list or tuple of them.
-Anything else raises :class:`DomainError` naming the argument.
+Anything else raises :class:`DomainError` naming the argument.  Integer
+arguments (a mode index, a grid size) pass :func:`_integer_in`, which takes
+them through :func:`require_real` and then checks that they are whole and in
+their range.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -86,6 +90,14 @@ def require_real(name: str, value: object, sign: str = "", array: bool = False):
         if _FLOORS[sign] <= values.min() and values.max() <= _MAX:
             return values
     raise DomainError(f"{name} must be {sign + ' and ' if sign else ''}finite, got {value!r}")
+
+
+def _integer_in(name: str, value: object, least: int, most: float = math.inf) -> int:
+    """``value`` as an int, if it is a real number and an integer in ``[least, most]``."""
+    number = require_real(name, value)
+    if not least <= number <= most or number != int(number):
+        raise DomainError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
+    return int(number)
 
 
 def require_positive_finite(name: str, value: object) -> float:

@@ -23,7 +23,7 @@ in real arithmetic through trigonometric forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, unique
 from functools import lru_cache
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
@@ -35,6 +35,7 @@ from .errors import (
     ConvergenceFailure,
     DomainError,
     NoSolution,
+    _integer_in,
     require_positive_finite,
     require_real,
 )
@@ -71,6 +72,9 @@ _MAX_SURFACE_OMEGA_P = 1e15
 # Below this Omega_P**2 underflows, so the endpoint equation's value at u = 0
 # rounds to 0 and its root find would return y_plus = 0.
 _MIN_SURFACE_OMEGA_P = 1.5e-154
+# Most points of a wavevector or sweep grid: a million is far more than any
+# table needs, and far below what numpy can allocate.
+_MAX_GRID_POINTS = 10**6
 # Smallest normal float: below it K**2 and Omega**2 lose their relative
 # accuracy (or round to 0), and so would a branch frequency solved in them.
 _MIN_NORMAL = 2.0**-1022
@@ -93,14 +97,6 @@ class BranchKind(Enum):
     PLASMONIC_MINUS = "plasmonic_minus"
     INTERFACE_REFERENCE = "interface_reference"
     PHOTONIC = "photonic"
-
-
-def _integer_in(name: str, value: object, least: int, most: float = math.inf) -> int:
-    """``value`` as an int, if it is a real number and an integer in ``[least, most]``."""
-    number = require_real(name, value, "positive")
-    if not least <= number <= most or number != int(number):
-        raise DomainError(f"{name} must be an integer in [{least}, {most}], got {value!r}")
-    return int(number)
 
 
 def _coerce_branch(kind: Union[CoupledBranch, str]) -> CoupledBranch:
@@ -138,15 +134,17 @@ class BranchId:
 
 @dataclass(frozen=True)
 class DispersionPoint:
-    """One sampled point of a dispersion branch, with its sector tag."""
+    """One sampled point of a dispersion branch, with its sector tag.
+
+    The tag is derived: ``sector`` is :func:`classify` of ``(K, Omega)``.
+    """
 
     K: float
     Omega: float
-    sector: Sector
+    sector: Sector = field(init=False)
 
     def __post_init__(self) -> None:
-        if classify(self.K, self.Omega) is not self.sector:
-            raise DomainError("sector tag inconsistent with (K, Omega)")
+        object.__setattr__(self, "sector", classify(self.K, self.Omega))
 
 
 @dataclass(frozen=True)
@@ -613,8 +611,7 @@ def photonic_mode(
 def default_dispersion_grid(Omega_P: float, points: int = 400) -> np.ndarray:
     """Log-spaced wavevector grid covering the interesting branch structure."""
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    # A million points is far more than any table needs, and far below what numpy can allocate.
-    points = _integer_in("points", points, 2, 10**6)
+    points = _integer_in("points", points, 2, _MAX_GRID_POINTS)
     return np.geomspace(1e-3, 10.0 * max(1.0, Omega_P), points)
 
 
@@ -662,7 +659,7 @@ def sample_dispersion(
         else:
             omegas = [omega0(K, Omega_P) for K in grid]
         points = [
-            DispersionPoint(K=K, Omega=Omega, sector=classify(K, Omega))
+            DispersionPoint(K=K, Omega=Omega)
             for K, Omega in zip(grid, omegas)
             if Omega is not None
         ]

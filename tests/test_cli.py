@@ -8,11 +8,15 @@ failures.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import math
 import re
+import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from casimir_plasmons import cli, decomposition, modes
@@ -144,6 +148,69 @@ class TestArgumentErrors:
     def test_no_arguments_is_an_error(self, capsys) -> None:
         code, _, _ = run_cli([], capsys)
         assert code == 2
+
+
+class TestGatedArguments:
+    """Integer flags and the rescaled sweep range end in one ``error:`` line."""
+
+    @staticmethod
+    def _one_line_error(argv, capsys) -> None:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv, capsys)
+        assert [str(w.message) for w in caught] == []
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 2**70 points: numpy cannot allocate the grid.
+            ["sweep", "--range", "0.1:1", "--points", "1180591620717411303424"],
+            # lo / lambda_p rounds to 0.
+            ["sweep", "--range", "1e-320:1e-300", "--lambda-p", "1e300", "--points", "2"],
+            # hi / lambda_p rounds to inf.
+            ["sweep", "--range", "1:2", "--lambda-p", "1e-310", "--points", "2"],
+        ],
+        ids=["sweep-points-2**70", "sweep-lo-underflows", "sweep-hi-overflows"],
+    )
+    def test_exit_two_in_one_line(self, argv, capsys) -> None:
+        self._one_line_error(argv, capsys)
+
+    def test_sweep_points_past_bound_build_no_grid(self, capsys, monkeypatch) -> None:
+        def never(*args, **kwargs):
+            raise AssertionError("a grid was built for a rejected --points")
+
+        monkeypatch.setattr(np, "geomspace", never)
+        self._one_line_error(["sweep", "--range", "0.1:1", "--points", "1000001"], capsys)
+
+    def test_photonic_m_past_bound_builds_no_branch(self, capsys, monkeypatch) -> None:
+        def never(*args, **kwargs):
+            raise AssertionError("a branch was built for a rejected --max-photonic-m")
+
+        monkeypatch.setattr(cli, "BranchId", never)
+        argv = ["dispersion", "--omega-p-l", "2.5", "--points", "8", "--max-photonic-m", "1001"]
+        self._one_line_error(argv, capsys)
+
+
+def test_cli_renders_in_one_place() -> None:
+    # One function writes CSV or JSON; no command branches on the format.
+    source = Path(cli.__file__).read_text()
+    assert source.count("json.dumps") <= 1
+    branching = [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("cmd_")
+        and any(
+            isinstance(inner, ast.Attribute)
+            and inner.attr == "format"
+            and isinstance(inner.value, ast.Name)
+            and inner.value.id == "args"
+            for inner in ast.walk(node)
+        )
+    ]
+    assert branching == []
 
 
 class TestRepeatedCalls:
@@ -344,7 +411,9 @@ class TestDispersion:
 # k_P**2 - omega0(k_P)**2 and the cube gap k_P**3 - omega0(k_P)**3 stopped
 # cancelling (both within 8e-16 of mpmath): eta_ev moved by at most 9.1e-15
 # relative, err_eta_ev by 4.6e-6, beta_ev by 4.7e-11 and its fit residual by
-# 5.2e-8; no other column moved.
+# 5.2e-8; no other column moved.  verify-csv, verify-json and dispersion-json
+# were pinned before the commands' CSV and JSON rendering became one function,
+# to hold the bytes of the outputs that no other digest covered.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -386,6 +455,21 @@ class TestDispersion:
             ["constants"],
             "be09f87dde49bb3c0f17bc2d8c4f5425150ded3e3154b04be675b7db60a8a41e",
         ),
+        (
+            ["verify"],
+            "43c206ccab800ab05488fae3d58b960db31bb685932ab81ce1c8cac0e73a26fa",
+        ),
+        (
+            ["verify", "--format", "json"],
+            "757c89420767a2a32478be2a4bb829f73cdfeac2b017833753cb8862474663fd",
+        ),
+        (
+            [
+                "dispersion", "--omega-p-l", "2.5", "--points", "8",
+                "--max-photonic-m", "2", "--format", "json",
+            ],
+            "a3988205de4a0455b98b6aa94656866055ad28759916fc370f5c4c6d3335c87e",
+        ),
     ],
     ids=[
         "dispersion-1e-3",
@@ -396,6 +480,9 @@ class TestDispersion:
         "sweep-csv",
         "sweep-physical-json",
         "constants",
+        "verify-csv",
+        "verify-json",
+        "dispersion-json",
     ],
 )
 def test_table_bytes_are_pinned(argv, digest, capsys) -> None:

@@ -51,7 +51,6 @@ from casimir_plasmons.modes import (
 )
 from casimir_plasmons.optics import (
     Polarization,
-    Sector,
     classify,
     reflection_sq_imag_axis,
 )
@@ -120,7 +119,7 @@ OTHER_ARGUMENTS = {
     "classify_K": lambda x: classify(x, 1.0),
     "classify_Omega": lambda x: classify(1.0, x),
     "classify_both": lambda x: classify(x, x),
-    "DispersionPoint": lambda x: DispersionPoint(K=x, Omega=x, sector=Sector.EVANESCENT),
+    "DispersionPoint": lambda x: DispersionPoint(K=x, Omega=x),
 }
 
 
@@ -191,6 +190,15 @@ def test_float_range_is_read_in_errors_only() -> None:
     package = Path(casimir_plasmons.__file__).parent
     readers = sorted(path.name for path in package.glob("*.py") if "float_info" in path.read_text())
     assert readers == ["errors.py"]
+
+
+def test_integer_gate_is_defined_in_errors_only() -> None:
+    # The mode index, the grid sizes and the CLI's integer flags share one gate.
+    package = Path(casimir_plasmons.__file__).parent
+    definers = sorted(
+        path.name for path in package.glob("*.py") if "def _integer_in(" in path.read_text()
+    )
+    assert definers == ["errors.py"]
 
 
 def test_tiny_plasma_parameter_gives_a_typed_error(capsys) -> None:

@@ -1193,9 +1193,11 @@ class TestIdentifiers:
         assert f_branch("plus", 1.0, 2.0) == f_branch(CoupledBranch.PLUS, 1.0, 2.0)
 
     def test_dispersion_point_sector_consistency(self) -> None:
-        with pytest.raises(DomainError):
+        # The sector is derived from (K, Omega), so no point carries a wrong tag.
+        assert DispersionPoint(K=2.0, Omega=1.0).sector is Sector.EVANESCENT
+        assert DispersionPoint(K=1.0, Omega=2.0).sector is Sector.PROPAGATIVE
+        assert DispersionPoint(K=1.0, Omega=1.0).sector is Sector.LIGHTCONE
+        with pytest.raises(TypeError):
             DispersionPoint(K=2.0, Omega=1.0, sector=Sector.PROPAGATIVE)
-        point = DispersionPoint(K=2.0, Omega=1.0, sector=Sector.EVANESCENT)
-        assert point.Omega == 1.0
         with pytest.raises(DomainError):
-            DispersionPoint(K=-1.0, Omega=1.0, sector=Sector.PROPAGATIVE)
+            DispersionPoint(K=-1.0, Omega=1.0)
