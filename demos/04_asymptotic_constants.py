@@ -9,53 +9,45 @@ Three constants summarise the limits of the mode-resolved decomposition:
 * ``gamma  ~ 29.752`` — large distance: eta_pl ~ -gamma * sqrt(Omega_P);
 * ``beta_ev ~ 1.624`` — large distance: eta_ev ~ +beta_ev * sqrt(Omega_P).
 
-This script computes all three from scratch and shows the fits against
-freshly sampled data.
+Each is a parameter-free limit integral.  This script prints them with their
+error estimates, and shows the closed forms approaching the large-distance
+laws as Omega_P grows.
 """
 
 import math
 
-from casimir_plasmons import (
-    eta_plasmonic,
-    eta_evanescent,
-    fit_beta_ev,
-    fit_gamma,
-    short_distance_alpha,
-)
+from casimir_plasmons import asymptotic_report, eta_evanescent, eta_plasmonic
+
+report = asymptotic_report()
+errors = report.error_estimates
+
+print(f"{'limit':<26} {'value':>16} {'estimate':>9}")
+for name in ("alpha", "gamma", "beta_ev", "sign_change_L_over_lambdaP"):
+    print(f"{name:<26} {getattr(report, name):16.12f} {errors[name]:9.1e}")
 
 # ----------------------------------------------------------------------
-# Short distance: a single parameter-free integral
+# Short distance: the slope of eta_pl against 1.5 * alpha
 # ----------------------------------------------------------------------
-
-alpha = short_distance_alpha()
-print(f"alpha = {alpha:.9f}   (expected 1.193)")
 
 ratio = 1e-3
 slope = eta_plasmonic(2.0 * math.pi * ratio) / ratio
-print(f"measured eta_pl slope at L/lambda_P={ratio:g}: {slope:.6f}")
-print(f"predicted 1.5*alpha:                         {1.5 * alpha:.6f}")
+print(f"\nmeasured eta_pl slope at L/lambda_P={ratio:g}: {slope:.6f}")
+print(f"predicted 1.5*alpha:                         {1.5 * report.alpha:.6f}")
 
 # ----------------------------------------------------------------------
-# Large distance: square-root growth of the surface-mode parts
+# Large distance: the closed forms approach the square-root laws
 # ----------------------------------------------------------------------
 
-gamma = fit_gamma()
-beta = fit_beta_ev()
-print(f"\ngamma   = {gamma.value:.6f}  (expected 29.752,"
-      f" fit residual {gamma.relative_residual:.2e})")
-print(f"beta_ev = {beta.value:.6f}   (expected 1.62399,"
-      f" fit residual {beta.relative_residual:.2e})")
-
-print("\nfit window samples")
-print(f"{'Omega_P':>10} {'eta_pl':>14} {'-gamma*sqrt':>14} {'eta_ev':>12} {'beta*sqrt':>12}")
-for omega_p, value in gamma.samples:
+print(f"\n{'Omega_P':>8} {'eta_pl/sqrt':>16} {'gap':>8} {'eta_ev/sqrt':>15} {'gap':>8}")
+for omega_p in (1e5, 1e9, 1e13):
     root = math.sqrt(omega_p)
-    ev = eta_evanescent(omega_p)
+    pl = eta_plasmonic(omega_p) / root
+    ev = eta_evanescent(omega_p) / root
     print(
-        f"{omega_p:10.0f} {value:14.2f} {-gamma.value * root:14.2f}"
-        f" {ev:12.2f} {beta.value * root:12.2f}"
+        f"{omega_p:8.0e} {pl:16.10f} {pl + report.gamma:8.1e}"
+        f" {ev:15.10f} {ev - report.beta_ev:8.1e}"
     )
 
-# The residual columns differ by the fitted O(1) offsets; the square-root
-# coefficients themselves are stable at the 0.1% level against widening the
-# fit window by an extra decade on either side.
+# Each gap is the distance from the limit, -gamma or +beta_ev.  Per factor
+# 1e4 in Omega_P, eta_pl's falls by 100 (a correction of relative order
+# Omega_P**-0.5) and eta_ev's by 1e4 (of order 1/Omega_P).

@@ -71,9 +71,7 @@ from .modes import (
     sample_dispersion,
 )
 from .decomposition import (
-    ASYMPTOTIC_FIT_WINDOW,
     SIGN_CHANGE_BRACKET,
-    AsymptoticFit,
     AsymptoticReport,
     EtaBreakdown,
     asymptotic_report,
@@ -81,8 +79,8 @@ from .decomposition import (
     eta_evanescent,
     eta_plasmonic,
     eta_plasmonic_direct,
-    fit_beta_ev,
-    fit_gamma,
+    large_distance_beta_ev,
+    large_distance_gamma,
     locate_sign_change,
     propagative_part_identity,
     self_check,
@@ -140,7 +138,6 @@ __all__ = [
     "sample_dispersion",
     # decomposition
     "EtaBreakdown",
-    "AsymptoticFit",
     "AsymptoticReport",
     "eta_plasmonic",
     "eta_plasmonic_direct",
@@ -148,11 +145,10 @@ __all__ = [
     "compute_eta_breakdown",
     "propagative_part_identity",
     "short_distance_alpha",
-    "fit_gamma",
-    "fit_beta_ev",
+    "large_distance_gamma",
+    "large_distance_beta_ev",
     "locate_sign_change",
     "asymptotic_report",
     "self_check",
-    "ASYMPTOTIC_FIT_WINDOW",
     "SIGN_CHANGE_BRACKET",
 ]

@@ -5,7 +5,8 @@ Subcommands:
 * ``eta`` — the four reduction factors at one separation.
 * ``sweep`` — the same factors tabulated over a range of ``L/lambda_p``.
 * ``dispersion`` — mode-branch tables suitable for re-plotting.
-* ``constants`` — the asymptotic constants and the sign-change location.
+* ``constants`` — the asymptotic constants ``alpha``, ``gamma``, ``beta_ev``,
+  the sign change ``sign_change_L_over_lambdaP`` and ``error_estimates`` of all four.
 * ``verify`` — the package self-check (:func:`decomposition.self_check`).
 
 Exit codes: 0 success, 1 verification failure, 2 argument error (a bad flag

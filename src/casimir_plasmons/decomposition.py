@@ -13,19 +13,19 @@ is decomposed as ``eta_E = eta_pl + eta_ph``:
   the evanescent sector (it cuts the plus branch at its light-cone crossing
   and completes it with the single-interface reference); always positive.
 
-The module also extracts the asymptotic constants: the short-distance
-coefficient ``alpha`` (both ``eta_E`` and ``eta_pl`` behave as
-``(3/2) * alpha * L/lambda_p``), the large-separation coefficients ``gamma``
+The asymptotic constants are parameter-free limit integrals: the
+short-distance ``alpha`` (``eta_E`` and ``eta_pl`` both behave as
+``(3/2) * alpha * L/lambda_p``) and the large-separation ``gamma``
 (``eta_pl ~ -gamma * sqrt(Omega_P)``) and ``beta_ev``
-(``eta_ev ~ beta_ev * sqrt(Omega_P)``), and the separation at which
-``eta_pl`` changes sign.  :func:`self_check` ties these together in the
-invariants an installed package can check at run time.
+(``eta_ev ~ beta_ev * sqrt(Omega_P)``).  With the separation at which
+``eta_pl`` changes sign, each has an error estimate.  :func:`self_check`
+ties these together in the invariants an installed package can check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -58,7 +58,6 @@ from .numerics import (
 
 __all__ = [
     "EtaBreakdown",
-    "AsymptoticFit",
     "AsymptoticReport",
     "eta_plasmonic",
     "eta_plasmonic_direct",
@@ -66,12 +65,11 @@ __all__ = [
     "compute_eta_breakdown",
     "propagative_part_identity",
     "short_distance_alpha",
-    "fit_gamma",
-    "fit_beta_ev",
+    "large_distance_gamma",
+    "large_distance_beta_ev",
     "locate_sign_change",
     "asymptotic_report",
     "self_check",
-    "ASYMPTOTIC_FIT_WINDOW",
     "SIGN_CHANGE_BRACKET",
 ]
 
@@ -80,10 +78,6 @@ _CLOSED_PREFACTOR = 180.0 / (2.0 * math.pi**3)
 # Prefactor of the direct wavevector integrals over inverted branch frequencies.
 _DIRECT_PREFACTOR = 180.0 / math.pi**3
 
-# Plasma parameters used for the large-separation square-root fits: far enough
-# out that sub-leading terms (relative order Omega_P**-0.5) are resolved by
-# the fitted offset, close enough that quadrature stays cheap.
-ASYMPTOTIC_FIT_WINDOW = (1e3, 1e4, 1e5)
 # L/lambda_p interval known to bracket the unique sign change of eta_pl.
 SIGN_CHANGE_BRACKET = (0.01, 0.5)
 
@@ -122,23 +116,14 @@ class EtaBreakdown:
 
 
 @dataclass(frozen=True)
-class AsymptoticFit:
-    """A fitted square-root coefficient, its relative residual and its samples."""
-
-    value: float
-    relative_residual: float
-    samples: Tuple[Tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
 class AsymptoticReport:
-    """The headline asymptotic constants and the sign-change location."""
+    """The asymptotic constants and the sign-change location, each with an error estimate."""
 
     alpha: float
     gamma: float
     beta_ev: float
     sign_change_L_over_lambdaP: float
-    fit_residuals: Dict[str, float] = field(default_factory=dict)
+    error_estimates: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in ("alpha", "gamma", "beta_ev"):
@@ -265,14 +250,10 @@ def _eta_plasmonic_regulated(
     # Beyond this wavevector the branch combination has decayed to ~1e-40;
     # extending further only adds round-off.
     cutoff = math.sqrt(1800.0 + 0.5 * Omega_P * Omega_P) + 5.0
+    integrand = _per_node(lambda K: _direct_integrand(K, Omega_P, reg_epsilon, regulator))
     value, _ = _run_labelled(
         f"regulated direct branch-frequency integral at Omega_P={Omega_P:g}",
-        lambda: integrate(
-            _per_node(lambda K: _direct_integrand(K, Omega_P, reg_epsilon, regulator)),
-            0.0,
-            cutoff,
-            spec,
-        ),
+        lambda: integrate(integrand, 0.0, cutoff, spec),
     )
     return -_DIRECT_PREFACTOR * value
 
@@ -439,6 +420,18 @@ def propagative_part_identity(
     return lhs, rhs
 
 
+def _short_distance_alpha_detailed(spec: QuadratureSpec) -> Tuple[float, float]:
+    def integrand(s: float) -> float:
+        return 2.0 * s * (math.sqrt(1.0 + math.exp(-s)) + math.sqrt(-math.expm1(-s)) - 2.0)
+
+    integral, err = _run_labelled(
+        "short-distance limit integral",
+        lambda: integrate(_per_node(integrand), 0.0, math.inf, spec),
+    )
+    scale = 60.0 * math.sqrt(2.0) / math.pi**2
+    return -scale * integral, scale * err
+
+
 def short_distance_alpha(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Short-distance coefficient ``alpha``.
 
@@ -452,54 +445,59 @@ def short_distance_alpha(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     ``e^(-2 sqrt(z))``, so the integral is a small negative number and
     ``alpha`` comes out near 1.193.
     """
+    return _short_distance_alpha_detailed(spec)[0]
 
-    def integrand(s: float) -> float:
-        return 2.0 * s * (
-            math.sqrt(1.0 + math.exp(-s))
-            + math.sqrt(-math.expm1(-s))
-            - 2.0
-        )
 
-    integral, _ = _run_labelled(
-        "short-distance limit integral",
-        lambda: integrate(_per_node(integrand), 0.0, math.inf, spec),
+def _large_distance_branch_sum(s: np.ndarray) -> np.ndarray:
+    """``2 s**1.5 (sqrt(coth(s/2)) + sqrt(tanh(s/2)) - 2)`` as ``(1 - t)**2 / (sqrt(t) (1 +
+    sqrt(t))**2)`` with ``t = tanh(s/2)`` and ``1 - t = 2 e^-s / (1 + e^-s)`` formed apart: the
+    literal sum of ``O(1)`` terms loses every digit of its ``O(e^(-2 s))`` value beyond s ~ 18.
+    """
+    decay = np.exp(-s)
+    root = np.sqrt(np.tanh(0.5 * s))
+    return 2.0 * s**1.5 * (2.0 * decay / (1.0 + decay)) ** 2 / (root * (1.0 + root) ** 2)
+
+
+def _large_distance_detailed(
+    spec: QuadratureSpec,
+) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """``(gamma, error)`` and ``(beta_ev, error)``; see :func:`large_distance_gamma`."""
+    branch_sum, branch_err = _run_labelled(
+        "large-distance branch-sum limit integral",
+        lambda: integrate(_large_distance_branch_sum, 0.0, math.inf, spec),
     )
-    return -(60.0 * math.sqrt(2.0) / math.pi**2) * integral
+    continuation, continuation_err = _run_labelled(
+        "large-distance continuation limit integral",
+        lambda: integrate(lambda u: 2.0 * u * np.sqrt(u / np.tan(0.5 * u)), 0.0, math.pi, spec),
+    )
+    p = _CLOSED_PREFACTOR
+    gamma = p * (branch_sum + continuation), p * (branch_err + continuation_err)
+    return gamma, (p * (0.8 * math.sqrt(2.0) - branch_sum), p * branch_err)
 
 
-def _fit_sqrt_law(samples) -> AsymptoticFit:
-    """Least-squares fit of ``y = c * sqrt(x) + d`` to ``(x, y)`` samples.
+def large_distance_gamma(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+    """Large-separation coefficient of ``eta_pl ~ -gamma sqrt(Omega_P)``, near 29.7528.
 
-    The value is ``c``.  The offset ``d`` absorbs the O(1) correction to the
-    square-root growth; without it the fit window would bias ``c`` by ~1%.
+    As ``Omega_P -> inf`` at fixed ``s = sqrt(z)`` each mode function tends to
+    ``sqrt(Omega_P s / h)``, ``h`` being ``tanh(s/2)`` (plus), ``coth(s/2)``
+    (minus) or 1 (reference), and ``y_plus`` tends to ``pi``.  So the branch
+    sum and the continuation of :func:`eta_plasmonic` give
+    ``gamma = (180 / (2 pi^3)) (B + C)`` with
+
+        B = Int_0^inf 2 s^(3/2) (sqrt(coth(s/2)) + sqrt(tanh(s/2)) - 2) ds,
+        C = Int_0^pi 2 u sqrt(u cot(u/2)) du.
     """
-    samples = tuple(samples)
-    x, y = np.array(samples, dtype=float).T
-    basis = x**0.5
-    design = np.column_stack([basis, np.ones_like(basis)])
-    solution = np.linalg.lstsq(design, y, rcond=None)[0]
-    residual = np.linalg.norm(y - design @ solution) / np.linalg.norm(y)
-    return AsymptoticFit(float(solution[0]), float(residual), samples)
+    return _large_distance_detailed(spec)[0][0]
 
 
-def fit_gamma(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> AsymptoticFit:
-    """Large-separation coefficient of ``eta_pl ~ -gamma sqrt(Omega_P)``.
+def large_distance_beta_ev(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+    """Large-separation coefficient of ``eta_ev ~ beta_ev sqrt(Omega_P)``, near 1.623986.
 
-    Samples the closed form over ``ASYMPTOTIC_FIT_WINDOW`` and returns the
-    magnitude of the fitted square-root coefficient (value near 29.75),
-    together with the fit diagnostics.
+    In the limit of :func:`large_distance_gamma` the depth ``-z_0P`` tends to 4,
+    so the reference correction tends to ``-(16 sqrt(2) / 5) sqrt(Omega_P)``,
+    and the cube gap to ``6 sqrt(2 Omega_P)``: ``beta_ev = (180/(2 pi^3)) (4 sqrt(2)/5 - B)``.
     """
-    fit = _fit_sqrt_law((w, eta_plasmonic(w, spec)) for w in ASYMPTOTIC_FIT_WINDOW)
-    return replace(fit, value=abs(fit.value))
-
-
-def fit_beta_ev(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> AsymptoticFit:
-    """Large-separation coefficient of ``eta_ev ~ beta_ev sqrt(Omega_P)``.
-
-    Same fit window and model as :func:`fit_gamma`; the value lands near
-    1.624.
-    """
-    return _fit_sqrt_law((w, eta_evanescent(w, spec)) for w in ASYMPTOTIC_FIT_WINDOW)
+    return _large_distance_detailed(spec)[1][0]
 
 
 def locate_sign_change(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
@@ -510,29 +508,32 @@ def locate_sign_change(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     negative at the upper end, so a missing sign change (which would mean the
     decomposition is broken) raises :class:`InvalidBracket`.
     """
-
-    def eta_at(l_over_lambda: float) -> float:
-        return eta_plasmonic(2.0 * math.pi * l_over_lambda, spec)
-
     lo, hi = SIGN_CHANGE_BRACKET
-    return find_root_bracketed(eta_at, lo, hi)
+    return find_root_bracketed(lambda x: eta_plasmonic(2.0 * math.pi * x, spec), lo, hi)
 
 
 def asymptotic_report(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> AsymptoticReport:
-    """All asymptotic constants and the sign-change location in one object."""
-    alpha = short_distance_alpha(spec)
-    gamma = fit_gamma(spec)
-    beta = fit_beta_ev(spec)
+    """All asymptotic constants and the sign-change location, with error estimates.
+
+    Those of the constants are their limit integrals'.  The sign change's is ``eta_pl``'s
+    estimate at the root over ``|d eta_pl / d(L/lambda_p)|`` there, a central difference.
+    """
+    alpha, alpha_err = _short_distance_alpha_detailed(spec)
+    (gamma, gamma_err), (beta, beta_err) = _large_distance_detailed(spec)
     crossing = locate_sign_change(spec)
+    step = 1e-4 * crossing
+    slope = (
+        eta_plasmonic(2.0 * math.pi * (crossing + step), spec)
+        - eta_plasmonic(2.0 * math.pi * (crossing - step), spec)
+    ) / (2.0 * step)
+    sign_err = _eta_plasmonic_detailed(2.0 * math.pi * crossing, spec)[1] / abs(slope)
     return AsymptoticReport(
         alpha=alpha,
-        gamma=gamma.value,
-        beta_ev=beta.value,
+        gamma=gamma,
+        beta_ev=beta,
         sign_change_L_over_lambdaP=crossing,
-        fit_residuals={
-            "gamma": gamma.relative_residual,
-            "beta_ev": beta.relative_residual,
-        },
+        error_estimates={"alpha": alpha_err, "gamma": gamma_err, "beta_ev": beta_err,
+                         "sign_change_L_over_lambdaP": sign_err},
     )
 
 

@@ -18,8 +18,8 @@ from casimir_plasmons.decomposition import (
     eta_evanescent,
     eta_plasmonic,
     eta_plasmonic_direct,
-    fit_beta_ev,
-    fit_gamma,
+    large_distance_beta_ev,
+    large_distance_gamma,
     locate_sign_change,
     propagative_part_identity,
     short_distance_alpha,
@@ -74,16 +74,13 @@ def test_03_plasmonic_sign_change_near_eight_percent_of_plasma_wavelength() -> N
 
 def test_04_large_separation_plasmonic_coefficient_gamma() -> None:
     start = time.perf_counter()
-    result = fit_gamma()
-    assert result.value == pytest.approx(29.752, rel=0.005)
-    assert result.relative_residual < 0.01
+    assert large_distance_gamma() == pytest.approx(29.752, rel=0.005)
     assert time.perf_counter() - start < 60.0
 
 
 def test_05_large_separation_evanescent_coefficient_beta() -> None:
     start = time.perf_counter()
-    result = fit_beta_ev()
-    assert result.value == pytest.approx(1.62399, rel=0.001)
+    assert large_distance_beta_ev() == pytest.approx(1.62399, rel=0.001)
     assert time.perf_counter() - start < 60.0
 
 

@@ -413,7 +413,12 @@ class TestDispersion:
 # relative, err_eta_ev by 4.6e-6, beta_ev by 4.7e-11 and its fit residual by
 # 5.2e-8; no other column moved.  verify-csv, verify-json and dispersion-json
 # were pinned before the commands' CSV and JSON rendering became one function,
-# to hold the bytes of the outputs that no other digest covered.
+# to hold the bytes of the outputs that no other digest covered.  constants
+# was re-pinned when gamma and beta_ev became limit integrals in place of a
+# square-root fit at Omega_P = 1e3, 1e4, 1e5: gamma moved by -6.4e-5 and
+# beta_ev by -3.1e-4 relative, onto mpmath and the Richardson limit of the
+# closed forms (test_decomposition.TestAsymptoticLimits); alpha and the sign
+# change kept their bits; fit_residuals gave way to error_estimates.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -453,7 +458,7 @@ class TestDispersion:
         ),
         (
             ["constants"],
-            "be09f87dde49bb3c0f17bc2d8c4f5425150ded3e3154b04be675b7db60a8a41e",
+            "8c830c1f6c0b12a6befd82ec1508c854b5edcfa85dc2e6b343e64bef66d9686d",
         ),
         (
             ["verify"],
@@ -507,14 +512,16 @@ class TestConstants:
             "gamma",
             "beta_ev",
             "sign_change_L_over_lambdaP",
-            "fit_residuals",
+            "error_estimates",
         ]
         assert data["alpha"] == pytest.approx(1.193, abs=1e-3)
         assert data["gamma"] == pytest.approx(29.752, rel=5e-3)
         assert data["beta_ev"] == pytest.approx(1.62399, rel=1e-3)
         assert data["sign_change_L_over_lambdaP"] == pytest.approx(0.0757, abs=1e-3)
-        assert set(data["fit_residuals"]) == {"gamma", "beta_ev"}
-        assert all(v < 0.01 for v in data["fit_residuals"].values())
+        assert data["gamma"] == pytest.approx(29.7527891716, rel=1e-8)
+        assert data["beta_ev"] == pytest.approx(1.623985562, rel=1e-8)
+        assert list(data["error_estimates"]) == list(data)[1:5]
+        assert all(0.0 < v < 1e-8 for v in data["error_estimates"].values())
 
 
 # ----------------------------------------------------------------------

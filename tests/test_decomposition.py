@@ -12,7 +12,10 @@ Dual routes exercised here:
 * the closure ``eta_pl + eta_ph = eta_total`` tying the decomposition back to
   the independently computed total;
 * each of the three surface-mode integrals against ``mpmath`` at 30 digits,
-  where the reported error estimate must cover the distance.
+  where the reported error estimate must cover the distance;
+* the large-separation limits ``gamma`` and ``beta_ev`` against ``mpmath``
+  evaluations of their limit integrals and against a Richardson
+  extrapolation of the closed forms up to ``Omega_P = 1e15``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import pytest
 
 from casimir_plasmons import decomposition, modes
 from casimir_plasmons.decomposition import (
-    ASYMPTOTIC_FIT_WINDOW,
     AsymptoticReport,
     EtaBreakdown,
     _branch_sum_integral,
@@ -33,15 +35,15 @@ from casimir_plasmons.decomposition import (
     _direct_integrand,
     _eta_evanescent_detailed,
     _eta_plasmonic_detailed,
-    _fit_sqrt_law,
+    _large_distance_branch_sum,
     _reference_correction_integral,
     asymptotic_report,
     compute_eta_breakdown,
     eta_evanescent,
     eta_plasmonic,
     eta_plasmonic_direct,
-    fit_beta_ev,
-    fit_gamma,
+    large_distance_beta_ev,
+    large_distance_gamma,
     locate_sign_change,
     propagative_part_identity,
     short_distance_alpha,
@@ -49,7 +51,7 @@ from casimir_plasmons.decomposition import (
 from casimir_plasmons.errors import DomainError, ExtrapolationUnstable
 from casimir_plasmons.lifshitz import eta_total
 from casimir_plasmons.modes import branch_constants, g_branch_combination
-from casimir_plasmons.numerics import DEFAULT_QUADRATURE, QuadratureSpec
+from casimir_plasmons.numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate
 
 
 # ----------------------------------------------------------------------
@@ -560,61 +562,91 @@ class TestSignChange:
 
 
 # ----------------------------------------------------------------------
-# Large-separation fits
+# Large-separation limits
 # ----------------------------------------------------------------------
 
 
-def _sqrt_law_normal_equations(samples):
-    """Least squares of ``y = c*sqrt(x) + d`` from its 2x2 normal equations.
+def _mp_branch_sum_limit(s) -> mp.mpf:
+    """The literal ``2 s^(3/2) (sqrt(coth(s/2)) + sqrt(tanh(s/2)) - 2)``."""
+    return 2 * s**1.5 * (mp.sqrt(mp.coth(s / 2)) + mp.sqrt(mp.tanh(s / 2)) - 2)
 
-    Solved by Cramer's rule with compensated sums, independently of the
-    library's ``lstsq`` path.  Returns ``(c, d, relative_residual)``.
+
+def _mp_large_distance():
+    """``(gamma, beta_ev, B)`` from the limit integrals ``B`` and ``C`` at 30 digits.
+
+    Beyond ``s`` of about 35 the literal branch-sum integrand cancels to
+    nothing at 30 digits, but all it drops there is below 1e-30.
     """
-    n = len(samples)
-    s = [math.sqrt(x) for x, _ in samples]
-    y = [v for _, v in samples]
-    s_ss, s_s = math.fsum(t * t for t in s), math.fsum(s)
-    s_sy, s_y = math.fsum(t * v for t, v in zip(s, y)), math.fsum(y)
-    det = n * s_ss - s_s * s_s
-    c = (n * s_sy - s_s * s_y) / det
-    d = (s_ss * s_y - s_s * s_sy) / det
-    residual = math.sqrt(math.fsum((v - c * t - d) ** 2 for t, v in zip(s, y)))
-    return c, d, residual / math.sqrt(math.fsum(v * v for v in y))
+    with mp.workdps(30):
+        b = mp.quad(_mp_branch_sum_limit, [0, 1, 4, 16, 64, mp.inf])
+        c = mp.quad(lambda u: 2 * u * mp.sqrt(u * mp.cot(u / 2)), [0, mp.pi])
+        prefactor = 180 / (2 * mp.pi**3)
+        gamma, beta = prefactor * (b + c), prefactor * (4 * mp.sqrt(2) / 5 - b)
+        return float(gamma), float(beta), float(b)
 
 
-class TestAsymptoticFits:
+def _richardson_sqrt_law(eta) -> float:
+    """The limit of ``eta(Omega_P) / sqrt(Omega_P)`` from the closed form alone.
+
+    Samples at 1e11, 1e13 and 1e15 (the surface-mode limit), where the
+    correction is a series in ``t = Omega_P**-0.5``; two Richardson steps
+    remove its ``t`` and ``t**2`` terms.
+    """
+    a1, a2, a3 = (eta(w) / math.sqrt(w) for w in (1e11, 1e13, 1e15))
+    r1, r2 = (10.0 * a2 - a1) / 9.0, (10.0 * a3 - a2) / 9.0
+    return (100.0 * r2 - r1) / 99.0
+
+
+class TestAsymptoticLimits:
     def test_gamma(self) -> None:
-        result = fit_gamma()
-        assert result.value == pytest.approx(29.752, rel=5e-3)
-        assert result.value == pytest.approx(29.75469613119935, rel=1e-6)
-        assert result.relative_residual < 0.01
-        assert tuple(w for w, _ in result.samples) == ASYMPTOTIC_FIT_WINDOW
+        gamma = large_distance_gamma()
+        assert gamma == pytest.approx(29.752, rel=5e-3)
+        assert gamma == pytest.approx(29.75278917156393, rel=1e-6)
 
     def test_beta_ev(self) -> None:
-        result = fit_beta_ev()
-        assert result.value == pytest.approx(1.62399, rel=1e-3)
-        assert result.value == pytest.approx(1.6244872815088551, rel=1e-6)
-        assert result.relative_residual < 0.01
+        beta = large_distance_beta_ev()
+        assert beta == pytest.approx(1.62399, rel=1e-3)
+        assert beta == pytest.approx(1.6239855619810197, rel=1e-6)
 
-    def test_fits_match_the_normal_equations(self) -> None:
-        # gamma is the magnitude of a negative slope, beta_ev a positive one.
-        for result, sign in ((fit_gamma(), -1.0), (fit_beta_ev(), 1.0)):
-            c, _, residual = _sqrt_law_normal_equations(result.samples)
-            assert sign * c == pytest.approx(result.value, rel=1e-12)
-            assert residual == pytest.approx(result.relative_residual, rel=1e-12)
+    # Out to s = 300, where the literal sum of O(1) terms has lost every digit.
+    @pytest.mark.parametrize("s", [1e-20, 1.0, 20.0, 40.0, 300.0])
+    def test_branch_sum_integrand_does_not_cancel(self, s: float) -> None:
+        with mp.workdps(400):
+            reference = _mp_branch_sum_limit(mp.mpf(s))
+            value = float(_large_distance_branch_sum(np.array([s]))[0])
+            assert float(abs(value - reference) / reference) <= 1e-14
 
-    def test_fit_with_offset_recovers_both_terms(self) -> None:
-        samples = [(x, 2.0 * math.sqrt(x) + 5.0) for x in (1.0, 4.0, 16.0, 25.0)]
-        fit = _fit_sqrt_law(samples)
-        assert fit.value == pytest.approx(2.0, rel=1e-10)
-        assert fit.relative_residual < 1e-12
-        assert fit.samples == tuple(samples)
+    def test_branch_sum_converges_at_a_tight_tolerance(self) -> None:
+        # No TailBoundViolated from noise in the exp-sinh tail probes.
+        value, error = integrate(
+            _large_distance_branch_sum, 0.0, math.inf, QuadratureSpec(rel_tol=1e-12)
+        )
+        assert abs(value - _mp_large_distance()[2]) <= error < 1e-12 * value
 
-    def test_gamma_is_stable_against_a_wider_window(self) -> None:
-        window = [10.0**e for e in (3.0, 3.5, 4.0, 4.5, 5.0)]
-        samples = [(w, eta_plasmonic(w)) for w in window]
-        c, _, _ = _sqrt_law_normal_equations(samples)
-        assert abs(c) == pytest.approx(fit_gamma().value, rel=1e-3)
+    def test_limits_match_mpmath_and_the_closed_forms(self) -> None:
+        report = asymptotic_report()
+        mp_gamma, mp_beta, _ = _mp_large_distance()
+        cases = (
+            ("gamma", large_distance_gamma(), (mp_gamma, -_richardson_sqrt_law(eta_plasmonic))),
+            ("beta_ev", large_distance_beta_ev(), (mp_beta, _richardson_sqrt_law(eta_evanescent))),
+        )
+        for name, value, (mp_value, richardson) in cases:
+            assert value == getattr(report, name)
+            # The two oracles are independent of each other and of the value.
+            assert richardson == pytest.approx(mp_value, rel=1e-13)
+            for oracle in (mp_value, richardson):
+                assert value == pytest.approx(oracle, rel=1e-8)
+                assert abs(value - oracle) <= report.error_estimates[name]
+
+    def test_alpha_estimate_covers_mpmath(self) -> None:
+        report = asymptotic_report()
+        assert abs(report.alpha - _mp_alpha()) <= report.error_estimates["alpha"]
+
+    def test_sign_change_estimate_covers_a_tight_root(self) -> None:
+        report = asymptotic_report()
+        estimate = report.error_estimates["sign_change_L_over_lambdaP"]
+        tight = locate_sign_change(QuadratureSpec(rel_tol=1e-12))
+        assert abs(report.sign_change_L_over_lambdaP - tight) <= estimate < 1e-9
 
     def test_report_bundles_everything(self) -> None:
         report = asymptotic_report()
@@ -622,7 +654,10 @@ class TestAsymptoticFits:
         assert report.gamma == pytest.approx(29.752, rel=5e-3)
         assert report.beta_ev == pytest.approx(1.62399, rel=1e-3)
         assert report.sign_change_L_over_lambdaP == pytest.approx(0.0757, abs=1e-3)
-        assert set(report.fit_residuals) == {"gamma", "beta_ev"}
+        names = ["alpha", "gamma", "beta_ev", "sign_change_L_over_lambdaP"]
+        assert list(report.error_estimates) == names
+        for name in names:
+            assert 0.0 < report.error_estimates[name] < 1e-8 * getattr(report, name)
 
     def test_report_validation(self) -> None:
         with pytest.raises(DomainError):
