@@ -38,14 +38,17 @@ from .errors import (
     ExtrapolationUnstable,
     require_positive_finite,
 )
+from . import numerics  # numerics.quad by name, as tracers wrap it
 from .lifshitz import _eta_total_detailed, eta_total
 from .modes import (
+    BranchConstants,
     CoupledBranch,
+    _branch_combination,
     _check_continuation,
     _continued_g_squared,
     _evanescent_g_squared,
     branch_constants,
-    g_branch_combination,
+    g_branch_combination,  # unused here, but kept bound: perfbench/tracing.py wraps it
     invert_branch,
     omega0,
 )
@@ -141,72 +144,102 @@ def _per_node(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]
     return lambda x: np.array([f(node) for node in x.tolist()], dtype=float)
 
 
+def _quad(label: str, Omega_P: float, f, a, b, spec: QuadratureSpec, tail_bound=None):
+    """``(value, error)`` of :func:`numerics.quad`; a failure raises, named by ``label``."""
+    out = numerics.quad(f, a, b, spec, tail_bound)
+    if len(out) > 3:
+        raise ConvergenceFailure(f"{label} at Omega_P={Omega_P:g}: {out[3]}")
+    return out[:2]
+
+
+def _branch_sum_tail_bound(Omega_P: float, reach: float) -> float:
+    """Bound on ``Int_X^inf |2 s (g_plus + g_minus - 2 g_zero)(s**2)| ds`` at ``X = reach``.
+
+    From the factors of :func:`modes._branch_combination` at ``s >= 1``:
+    ``g_zero <= Omega_P/sqrt(2)``, ``decay_sum <= 2 e^-s``, each of the two
+    non-negative terms of ``numerator`` is at most ``4.63 e^-s`` and the
+    denominator is at least ``2 (1 - e^-2)``.  So the combination is at most
+    ``4 Omega_P e^(-2 s)`` in magnitude, and its tail at most ``2 Omega_P
+    (2 X + 1) e^(-2 X)``.  Infinite below ``X = 1``, which the exp-sinh
+    rule, reaching ``7e6`` with its core, never asks for.
+    """
+    if reach < 1.0:
+        return math.inf
+    return 2.0 * Omega_P * (2.0 * reach + 1.0) * math.exp(-2.0 * reach)
+
+
 def _branch_sum_integral(
     Omega_P: float, spec: QuadratureSpec
 ) -> Tuple[float, float]:
     """``Int_0^inf (g_plus + g_minus - 2 g_zero) dz`` with error estimate.
 
-    Evaluated in the variable ``s = sqrt(z)`` where the integrand is smooth
+    Evaluated in the variable ``s = sqrt(z)``, where the integrand is smooth
     at the origin; the plateau cancellation makes it decay like
-    ``exp(-2 s)``, well inside the envelope required by the semi-infinite
-    integrator.
+    ``exp(-2 s)``, and :func:`_branch_sum_tail_bound` bounds what lies beyond
+    the rule's reach.
     """
 
     def integrand(s: np.ndarray) -> np.ndarray:
-        return 2.0 * s * g_branch_combination(s * s, Omega_P)
+        return 2.0 * s * _branch_combination(s, Omega_P)
 
-    return _run_labelled(
-        f"surface-mode branch-sum integral at Omega_P={Omega_P:g}",
-        lambda: integrate(integrand, 0.0, math.inf, spec),
+    return _quad(
+        "surface-mode branch-sum integral",
+        Omega_P,
+        integrand,
+        0.0,
+        math.inf,
+        spec,
+        lambda reach: _branch_sum_tail_bound(Omega_P, reach),
     )
 
 
-def _continuation_integral(
-    Omega_P: float, y_plus: float, spec: QuadratureSpec
-) -> Tuple[float, float]:
-    """``Int_0^{y_plus} 2 u g_plus(-u**2) du``: the plus branch below the light cone."""
+def _finite_integrals(
+    Omega_P: float, constants: BranchConstants, spec: QuadratureSpec
+) -> Tuple[Tuple[float, float], Tuple[float, float]]:
+    """The plus branch below the light cone and the reference correction, in one call.
+
+    ``Int_0^{y_plus} 2 u g_plus(-u**2) du`` and ``Int_{sqrt(depth)}^0 2 s
+    g_zero(s**2) ds`` with ``depth = -z_0P``, the second signed, so not
+    positive; each ``(value, error)``.  ``g_zero`` grows like ``sqrt(s)``
+    from 0: a square-root endpoint singularity of the derivative, which the
+    tanh-sinh rule absorbs.
+    """
+    y_plus = constants.y_plus
     _check_continuation(CoupledBranch.PLUS, y_plus, Omega_P)  # once: no node exceeds y_plus
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return 2.0 * u * np.sqrt(_continued_g_squared(u, Omega_P, np.sqrt, np.tan))
+    def integrand(x: np.ndarray) -> np.ndarray:
+        u, s = x
+        out = np.empty_like(x)
+        out[0] = 2.0 * u * np.sqrt(_continued_g_squared(u, Omega_P, np.sqrt, np.tan))
+        out[1] = 2.0 * s * _evanescent_g_squared(CoupledBranch.ZERO, s, Omega_P, np, root=True)
+        return out
 
-    return _run_labelled(
-        f"plus-branch continuation integral at Omega_P={Omega_P:g}",
-        lambda: integrate(integrand, 0.0, y_plus, spec),
+    (continuation, correction), (continuation_err, correction_err) = _quad(
+        "plus-branch continuation (row 0) and evanescent reference-correction (row 1) integrals",
+        Omega_P,
+        integrand,
+        0.0,
+        (y_plus, math.sqrt(-constants.z_0P)),
+        spec,
     )
+    return (continuation, continuation_err), (-correction, correction_err)
 
 
-def _reference_correction_integral(
-    Omega_P: float, depth: float, spec: QuadratureSpec
-) -> Tuple[float, float]:
-    """``Int_{sqrt(depth)}^0 2 s g_zero(s**2) ds``, signed, so not positive.
-
-    ``g_zero`` grows like ``sqrt(s)`` from 0: a square-root endpoint
-    singularity of the derivative, which the tanh-sinh rule absorbs.
-    """
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return 2.0 * s * _evanescent_g_squared(CoupledBranch.ZERO, s, Omega_P, np, root=True)
-
-    return _run_labelled(
-        f"evanescent reference-correction integral at Omega_P={Omega_P:g}",
-        lambda: integrate(integrand, math.sqrt(depth), 0.0, spec),
-    )
+def _surface_parts(Omega_P: float, spec: QuadratureSpec) -> tuple:
+    """The branch constants, the branch sum and the two :func:`_finite_integrals`."""
+    constants = branch_constants(Omega_P)
+    branch_sum = _branch_sum_integral(Omega_P, spec)
+    return (constants, branch_sum, *_finite_integrals(Omega_P, constants, spec))
 
 
 def _eta_plasmonic_detailed(
-    Omega_P: float,
-    spec: QuadratureSpec,
-    branch_sum: Optional[Tuple[float, float]] = None,
+    Omega_P: float, spec: QuadratureSpec, parts: Optional[tuple] = None
 ) -> Tuple[float, float]:
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    constants = branch_constants(Omega_P)
+    constants, (total, err), (below_lightcone, below_err), _ = parts or _surface_parts(
+        Omega_P, spec
+    )
     y_plus = constants.y_plus
-    if branch_sum is None:
-        branch_sum = _branch_sum_integral(Omega_P, spec)
-    total, err = branch_sum
-
-    below_lightcone, below_err = _continuation_integral(Omega_P, y_plus, spec)
     value = -_CLOSED_PREFACTOR * (
         total + below_lightcone - (2.0 / 3.0) * y_plus**3
     )
@@ -311,23 +344,18 @@ def eta_plasmonic_direct(
 
 
 def _eta_evanescent_detailed(
-    Omega_P: float,
-    spec: QuadratureSpec,
-    branch_sum: Optional[Tuple[float, float]] = None,
+    Omega_P: float, spec: QuadratureSpec, parts: Optional[tuple] = None
 ) -> Tuple[float, float]:
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    constants = branch_constants(Omega_P)
+    constants, (total, err), _, (correction, correction_err) = parts or _surface_parts(
+        Omega_P, spec
+    )
     k_p = constants.k_P
     w = omega0(k_p, Omega_P)  # the reference branch's frequency at K = k_P
     # Depth of the reference branch below the light cone at K = k_P; the
-    # correction integral runs from this positive abscissa DOWN to zero, so
-    # its signed value is negative.
+    # correction integral runs from its square root DOWN to zero, so its
+    # signed value is negative.
     depth = -constants.z_0P
-    if branch_sum is None:
-        branch_sum = _branch_sum_integral(Omega_P, spec)
-    total, err = branch_sum
-
-    correction, correction_err = _reference_correction_integral(Omega_P, depth, spec)
     # k_P^3 - w^3 = (k_P^2 - w^2)(k_P^2 + k_P w + w^2)/(k_P + w), from the
     # depth, so that no difference of nearly equal cubes is formed.
     cube_gap = depth * ((k_p * k_p + k_p * w + w * w) / (k_p + w))
@@ -365,10 +393,10 @@ def compute_eta_breakdown(
     ``1.795 * Omega_P**3`` within 1e-3 down to ``1e-7``, also at 1e-13.
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    branch_sum = _branch_sum_integral(Omega_P, spec)
     # The surface-mode parts first: they hold the narrower domain.
-    plasmonic, plasmonic_err = _eta_plasmonic_detailed(Omega_P, spec, branch_sum)
-    evanescent, evanescent_err = _eta_evanescent_detailed(Omega_P, spec, branch_sum)
+    parts = _surface_parts(Omega_P, spec)
+    plasmonic, plasmonic_err = _eta_plasmonic_detailed(Omega_P, spec, parts)
+    evanescent, evanescent_err = _eta_evanescent_detailed(Omega_P, spec, parts)
     total, total_err = _eta_total_detailed(Omega_P, spec)
     return EtaBreakdown(
         Omega_P=Omega_P,
@@ -396,12 +424,12 @@ def propagative_part_identity(
     the closed forms, the branch constants and the dispersion inversion.
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    branch_sum = _branch_sum_integral(Omega_P, spec)
+    parts = _surface_parts(Omega_P, spec)
     lhs = (
-        _eta_plasmonic_detailed(Omega_P, spec, branch_sum)[0]
-        - _eta_evanescent_detailed(Omega_P, spec, branch_sum)[0]
+        _eta_plasmonic_detailed(Omega_P, spec, parts)[0]
+        - _eta_evanescent_detailed(Omega_P, spec, parts)[0]
     )
-    k_p = branch_constants(Omega_P).k_P
+    k_p = parts[0].k_P
     inner_spec = QuadratureSpec(rel_tol=min(spec.rel_tol, 1e-12))
 
     def integrand(K: float) -> float:

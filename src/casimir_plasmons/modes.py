@@ -318,6 +318,31 @@ def g_branch(kind: Union[CoupledBranch, str], z, Omega_P: float):
     return _g_squared_checked(_coerce_branch(kind), z, Omega_P, root=True)[1]
 
 
+def _branch_combination(root_z, Omega_P: float):
+    """:func:`g_branch_combination` at ``z = root_z**2`` for an array ``root_z > 0``, unchecked."""
+    total = root_z + np.hypot(root_z, Omega_P)
+    decay = np.exp(-root_z)
+    one_minus_decay = -np.expm1(-root_z)
+    # Omega_P / total is at most 1; at root_z = 0 the factors below divide by zero.
+    scaled = Omega_P / total
+    scaled_sq = scaled * scaled
+    ratio = decay * scaled_sq
+    one_minus_ratio = 2.0 * root_z / total + scaled_sq * one_minus_decay
+    g_zero = Omega_P * np.sqrt(root_z / total)
+    plus_factor = np.sqrt((1.0 + decay) / one_minus_ratio)
+    minus_factor = np.sqrt(one_minus_decay / (1.0 + ratio))
+    factor_sum = minus_factor + plus_factor
+    decay_sum = decay + ratio
+    one_minus_ratio_sq = one_minus_ratio * (1.0 + ratio)
+    numerator = ratio * (factor_sum + 2.0) - 2.0 * decay_sum / (one_minus_ratio_sq * factor_sum)
+    return (
+        g_zero
+        * decay_sum
+        * numerator
+        / (one_minus_ratio_sq * (plus_factor + 1.0) * (minus_factor + 1.0))
+    )
+
+
 def g_branch_combination(z, Omega_P: float):
     """The combination ``g_plus + g_minus - 2*g_zero`` without cancellation.
 
@@ -330,32 +355,9 @@ def g_branch_combination(z, Omega_P: float):
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     z_array = np.asarray(require_real("z", z, "non-negative", array=True))
-    root_z = np.sqrt(z_array)
-    total = root_z + np.hypot(root_z, Omega_P)
-    decay = np.exp(-root_z)
-    one_minus_decay = -np.expm1(-root_z)
-    # Omega_P / total is at most 1; at z = 0 the factors below divide by
-    # zero unseen, and that entry is replaced after.
-    scaled = Omega_P / total
-    scaled_sq = scaled * scaled
+    # At z = 0 the kernel divides by zero unseen, and that entry is replaced after.
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = decay * scaled_sq
-        one_minus_ratio = 2.0 * root_z / total + scaled_sq * one_minus_decay
-        g_zero = Omega_P * np.sqrt(root_z / total)
-        plus_factor = np.sqrt((1.0 + decay) / one_minus_ratio)
-        minus_factor = np.sqrt(one_minus_decay / (1.0 + ratio))
-        factor_sum = minus_factor + plus_factor
-        decay_sum = decay + ratio
-        one_minus_ratio_sq = one_minus_ratio * (1.0 + ratio)
-        numerator = ratio * (factor_sum + 2.0) - 2.0 * decay_sum / (
-            one_minus_ratio_sq * factor_sum
-        )
-        combination = (
-            g_zero
-            * decay_sum
-            * numerator
-            / (one_minus_ratio_sq * (plus_factor + 1.0) * (minus_factor + 1.0))
-        )
+        combination = _branch_combination(np.sqrt(z_array), Omega_P)
     if z_array.min() == 0.0:
         # g_minus and g_zero vanish at z = 0; only the plus branch survives.
         at_zero = _plus_g_squared_at_zero(Omega_P, root=True)

@@ -12,7 +12,8 @@ Dual routes exercised here:
 * the closure ``eta_pl + eta_ph = eta_total`` tying the decomposition back to
   the independently computed total;
 * each of the three surface-mode integrals against ``mpmath`` at 30 digits,
-  where the reported error estimate must cover the distance;
+  where the reported error estimate must cover the distance, and the bound
+  on the branch sum's tail against the tail itself;
 * the large-separation limits ``gamma`` and ``beta_ev`` against ``mpmath``
   evaluations of their limit integrals and against a Richardson
   extrapolation of the closed forms up to ``Omega_P = 1e15``.
@@ -26,17 +27,17 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from casimir_plasmons import decomposition, modes
+from casimir_plasmons import decomposition, modes, numerics
 from casimir_plasmons.decomposition import (
     AsymptoticReport,
     EtaBreakdown,
     _branch_sum_integral,
-    _continuation_integral,
+    _branch_sum_tail_bound,
     _direct_integrand,
     _eta_evanescent_detailed,
     _eta_plasmonic_detailed,
+    _finite_integrals,
     _large_distance_branch_sum,
-    _reference_correction_integral,
     asymptotic_report,
     compute_eta_breakdown,
     eta_evanescent,
@@ -97,24 +98,29 @@ class TestShortDistanceAlpha:
 SURFACE_OMEGAS = [1e-7, 1e-5, 1e-3, 0.5, 2.0 * math.pi, 1e5]
 
 
+def _mp_branch_integrand(w: mp.mpf, s: mp.mpf) -> mp.mpf:
+    """``2 s (g_plus + g_minus - 2 g_zero)(s^2)`` as the naive sum of the hyperbolic forms."""
+    if s == 0:
+        return mp.mpf(0)
+    root_sum = mp.sqrt(s * s + w**2)
+    g = [
+        mp.sqrt(w**2 * s / (s + root_sum * coupling))
+        for coupling in (mp.tanh(s / 2), mp.coth(s / 2), mp.mpf(1))
+    ]
+    return 2 * s * (g[0] + g[1] - 2 * g[2])
+
+
 def _mp_branch_sum(omega_p: float) -> mp.mpf:
     """``Int_0^inf 2 s (g_plus + g_minus - 2 g_zero)(s^2) ds`` at 30 digits.
 
-    The naive sum of the hyperbolic forms: at 30 digits its cancellation
-    costs at most about 1e-26 of the value.
+    At 30 digits the naive sum's cancellation costs at most about 1e-26 of
+    the value.
     """
     with mp.workdps(30):
         w = mp.mpf(omega_p)
 
         def integrand(s):
-            if s == 0:
-                return mp.mpf(0)
-            root_sum = mp.sqrt(s * s + w**2)
-            g = [
-                mp.sqrt(w**2 * s / (s + root_sum * coupling))
-                for coupling in (mp.tanh(s / 2), mp.coth(s / 2), mp.mpf(1))
-            ]
-            return 2 * s * (g[0] + g[1] - 2 * g[2])
+            return _mp_branch_integrand(w, s)
 
         # Breakpoints at the scale omega_p, where g_zero turns over, and
         # along the exp(-2 s) decay.
@@ -169,19 +175,57 @@ class TestSurfaceIntegralsAgainstMpmath:
 
     @pytest.mark.parametrize("omega_p", SURFACE_OMEGAS)
     def test_plus_branch_continuation(self, omega_p: float) -> None:
-        y_plus = branch_constants(omega_p).y_plus
+        constants = branch_constants(omega_p)
         self._assert_covered(
-            _continuation_integral(omega_p, y_plus, DEFAULT_QUADRATURE),
-            _mp_continuation(omega_p, y_plus),
+            _finite_integrals(omega_p, constants, DEFAULT_QUADRATURE)[0],
+            _mp_continuation(omega_p, constants.y_plus),
         )
 
     @pytest.mark.parametrize("omega_p", SURFACE_OMEGAS)
     def test_reference_correction(self, omega_p: float) -> None:
-        depth = -branch_constants(omega_p).z_0P
+        constants = branch_constants(omega_p)
         self._assert_covered(
-            _reference_correction_integral(omega_p, depth, DEFAULT_QUADRATURE),
-            _mp_reference_correction(omega_p, depth),
+            _finite_integrals(omega_p, constants, DEFAULT_QUADRATURE)[1],
+            _mp_reference_correction(omega_p, -constants.z_0P),
         )
+
+
+def _mp_branch_sum_tail(omega_p: float, reach: float) -> mp.mpf:
+    """``Int_X^inf |2 s (g_plus + g_minus - 2 g_zero)(s^2)| ds`` to 30 digits.
+
+    The naive sum of the hyperbolic forms, at enough working digits that its
+    cancellation, about ``e^(-2 X)`` of each ``g``, leaves 30 of them.
+    """
+    with mp.workdps(30 + int(2 * reach / math.log(10))):
+        w, X = mp.mpf(omega_p), mp.mpf(reach)
+        return mp.quad(
+            lambda s: abs(_mp_branch_integrand(w, s)), [X, X + 1, X + 4, X + 16, X + 64, mp.inf]
+        )
+
+
+class TestBranchSumKernel:
+    """The branch sum's unchecked kernel and the bound on its tail."""
+
+    @pytest.mark.parametrize("omega_p", [1e-8, 1e-3, 2.0 * math.pi, 1e5, 1e15])
+    @pytest.mark.parametrize("reach", [1.0, 4.0, 16.0, 64.0])
+    def test_tail_bound_covers_the_tail(self, omega_p: float, reach: float) -> None:
+        tail = _mp_branch_sum_tail(omega_p, reach)
+        assert 0.0 < float(tail) <= _branch_sum_tail_bound(omega_p, reach)
+
+    def test_tail_bound_holds_only_from_one(self) -> None:
+        assert _branch_sum_tail_bound(2.0 * math.pi, 0.5) == math.inf
+        # The exp-sinh rule's core alone reaches beyond 7e6, where it is 0.
+        assert _branch_sum_tail_bound(1e15, 7e6) == 0.0
+
+    @pytest.mark.parametrize("omega_p", [1e-8, 1e-3, 2.0 * math.pi, 1e5, 1e15])
+    def test_public_combination_is_the_kernel_on_every_exp_sinh_node(self, omega_p) -> None:
+        # The branch-sum integrand calls the kernel on s itself, where the
+        # public function takes z = s*s and its root back: the same bits.
+        s = np.concatenate([numerics._de_nodes("exp-sinh", level)[0] for level in range(9)])
+        assert s.size == 3841
+        assert np.sqrt(s * s).tobytes() == s.tobytes()
+        kernel = modes._branch_combination(s, omega_p)
+        assert g_branch_combination(s * s, omega_p).tobytes() == kernel.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -508,21 +552,31 @@ class TestBreakdown:
         assert 0 < len(calls) <= 2
 
     @pytest.mark.parametrize("omega_p", [1e-8, 2.0 * math.pi, 1e5])
-    def test_evaluates_the_branch_combination_at_most_three_times(
+    def test_makes_two_quad_calls_and_two_branch_kernel_calls(
         self, omega_p, monkeypatch
     ) -> None:
-        # The branch sum's integrand: once for the tail probe, once for the
-        # core of its window and once per growth step, which carry the
-        # nodes of levels 1 to 3 along.
-        calls = []
+        # The branch sum, with its proved tail bound and no envelope probe,
+        # calls the kernel on the core of its window and on its one growth
+        # step; the continuation and the reference correction share the
+        # other quad call.  Every call goes through numerics.quad, which
+        # tracers wrap by name.
+        kernel, rules = [], []
+        rule = numerics.quad
 
-        def counted(z, Omega_P):
-            calls.append(np.size(z))
-            return g_branch_combination(z, Omega_P)
+        def counted_kernel(root_z, Omega_P):
+            kernel.append(np.size(root_z))
+            return modes._branch_combination(root_z, Omega_P)
 
-        monkeypatch.setattr(decomposition, "g_branch_combination", counted)
+        def counted_rule(*args):
+            out = rule(*args)
+            rules.append(out[2]["calls"])
+            return out
+
+        monkeypatch.setattr(decomposition, "_branch_combination", counted_kernel)
+        monkeypatch.setattr(numerics, "quad", counted_rule)
         compute_eta_breakdown(omega_p)
-        assert 0 < len(calls) <= 3
+        assert len(kernel) == 2
+        assert rules == [2, 2]
 
     def test_record_validation(self) -> None:
         with pytest.raises(DomainError):

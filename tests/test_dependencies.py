@@ -34,6 +34,31 @@ def test_import_loads_no_scipy() -> None:
     assert result.stdout.strip() == "[]"
 
 
+def test_import_fills_no_cache() -> None:
+    # Import does no numerical work: every lru_cache of the package is still
+    # empty once the package and its command-line interface are imported.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, casimir_plasmons, casimir_plasmons.cli\n"
+        "caches = {}\n"
+        "for name, module in list(sys.modules.items()):\n"
+        "    if name.startswith('casimir_plasmons.'):\n"
+        "        for attribute, value in vars(module).items():\n"
+        "            if hasattr(value, 'cache_info') and value.__module__ == name:\n"
+        "                caches[attribute] = value.cache_info().currsize\n"
+        "print(sorted(caches.items()))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    caches = dict(ast.literal_eval(result.stdout.strip()))
+    named = {"_de_nodes", "_de_layout", "_de_strip", "_quadrant_level",
+             "_branch_constants_cached", "_scan_grid"}
+    assert named <= set(caches)
+    assert {name: size for name, size in caches.items() if size} == {}
+
+
 def _third_party_imports() -> set:
     names = set()
     for path in PACKAGE.glob("*.py"):
