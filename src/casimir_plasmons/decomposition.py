@@ -41,7 +41,6 @@ from .errors import (
 from . import numerics  # numerics.quad by name, as tracers wrap it
 from .lifshitz import _eta_total_detailed, eta_total
 from .modes import (
-    BranchConstants,
     CoupledBranch,
     _branch_combination,
     _check_continuation,
@@ -193,53 +192,54 @@ def _branch_sum_integral(
     )
 
 
-def _finite_integrals(
-    Omega_P: float, constants: BranchConstants, spec: QuadratureSpec
-) -> Tuple[Tuple[float, float], Tuple[float, float]]:
-    """The plus branch below the light cone and the reference correction, in one call.
-
-    ``Int_0^{y_plus} 2 u g_plus(-u**2) du`` and ``Int_{sqrt(depth)}^0 2 s
-    g_zero(s**2) ds`` with ``depth = -z_0P``, the second signed, so not
-    positive; each ``(value, error)``.  ``g_zero`` grows like ``sqrt(s)``
-    from 0: a square-root endpoint singularity of the derivative, which the
-    tanh-sinh rule absorbs.
-    """
-    y_plus = constants.y_plus
+def _continuation_integral(
+    Omega_P: float, y_plus: float, spec: QuadratureSpec
+) -> Tuple[float, float]:
+    """``Int_0^{y_plus} 2 u g_plus(-u**2) du``: the plus branch below the light cone."""
     _check_continuation(CoupledBranch.PLUS, y_plus, Omega_P)  # once: no node exceeds y_plus
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        u, s = x
-        out = np.empty_like(x)
-        out[0] = 2.0 * u * np.sqrt(_continued_g_squared(u, Omega_P, np.sqrt, np.tan))
-        out[1] = 2.0 * s * _evanescent_g_squared(CoupledBranch.ZERO, s, Omega_P, np, root=True)
-        return out
+    def integrand(u: np.ndarray) -> np.ndarray:
+        return 2.0 * u * np.sqrt(_continued_g_squared(u, Omega_P, np.sqrt, np.tan))
 
-    (continuation, correction), (continuation_err, correction_err) = _quad(
-        "plus-branch continuation (row 0) and evanescent reference-correction (row 1) integrals",
+    return _quad("plus-branch continuation integral", Omega_P, integrand, 0.0, y_plus, spec)
+
+
+def _reference_correction_integral(
+    Omega_P: float, depth: float, spec: QuadratureSpec
+) -> Tuple[float, float]:
+    """``Int_{sqrt(depth)}^0 2 s g_zero(s**2) ds``, signed, so not positive.
+
+    ``g_zero`` grows like ``sqrt(s)`` from 0: a square-root endpoint
+    singularity of the derivative, which the tanh-sinh rule absorbs.
+    """
+
+    def integrand(s: np.ndarray) -> np.ndarray:
+        return 2.0 * s * _evanescent_g_squared(CoupledBranch.ZERO, s, Omega_P, np, root=True)
+
+    value, error = _quad(
+        "evanescent reference-correction integral",
         Omega_P,
         integrand,
         0.0,
-        (y_plus, math.sqrt(-constants.z_0P)),
+        math.sqrt(depth),
         spec,
     )
-    return (continuation, continuation_err), (-correction, correction_err)
-
-
-def _surface_parts(Omega_P: float, spec: QuadratureSpec) -> tuple:
-    """The branch constants, the branch sum and the two :func:`_finite_integrals`."""
-    constants = branch_constants(Omega_P)
-    branch_sum = _branch_sum_integral(Omega_P, spec)
-    return (constants, branch_sum, *_finite_integrals(Omega_P, constants, spec))
+    return -value, error
 
 
 def _eta_plasmonic_detailed(
-    Omega_P: float, spec: QuadratureSpec, parts: Optional[tuple] = None
+    Omega_P: float,
+    spec: QuadratureSpec,
+    branch_sum: Optional[Tuple[float, float]] = None,
 ) -> Tuple[float, float]:
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    constants, (total, err), (below_lightcone, below_err), _ = parts or _surface_parts(
-        Omega_P, spec
-    )
+    constants = branch_constants(Omega_P)
     y_plus = constants.y_plus
+    if branch_sum is None:
+        branch_sum = _branch_sum_integral(Omega_P, spec)
+    total, err = branch_sum
+
+    below_lightcone, below_err = _continuation_integral(Omega_P, y_plus, spec)
     value = -_CLOSED_PREFACTOR * (
         total + below_lightcone - (2.0 / 3.0) * y_plus**3
     )
@@ -344,18 +344,23 @@ def eta_plasmonic_direct(
 
 
 def _eta_evanescent_detailed(
-    Omega_P: float, spec: QuadratureSpec, parts: Optional[tuple] = None
+    Omega_P: float,
+    spec: QuadratureSpec,
+    branch_sum: Optional[Tuple[float, float]] = None,
 ) -> Tuple[float, float]:
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    constants, (total, err), _, (correction, correction_err) = parts or _surface_parts(
-        Omega_P, spec
-    )
+    constants = branch_constants(Omega_P)
     k_p = constants.k_P
     w = omega0(k_p, Omega_P)  # the reference branch's frequency at K = k_P
     # Depth of the reference branch below the light cone at K = k_P; the
-    # correction integral runs from its square root DOWN to zero, so its
-    # signed value is negative.
+    # correction integral runs from this positive abscissa DOWN to zero, so
+    # its signed value is negative.
     depth = -constants.z_0P
+    if branch_sum is None:
+        branch_sum = _branch_sum_integral(Omega_P, spec)
+    total, err = branch_sum
+
+    correction, correction_err = _reference_correction_integral(Omega_P, depth, spec)
     # k_P^3 - w^3 = (k_P^2 - w^2)(k_P^2 + k_P w + w^2)/(k_P + w), from the
     # depth, so that no difference of nearly equal cubes is formed.
     cube_gap = depth * ((k_p * k_p + k_p * w + w * w) / (k_p + w))
@@ -393,10 +398,10 @@ def compute_eta_breakdown(
     ``1.795 * Omega_P**3`` within 1e-3 down to ``1e-7``, also at 1e-13.
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
+    branch_sum = _branch_sum_integral(Omega_P, spec)
     # The surface-mode parts first: they hold the narrower domain.
-    parts = _surface_parts(Omega_P, spec)
-    plasmonic, plasmonic_err = _eta_plasmonic_detailed(Omega_P, spec, parts)
-    evanescent, evanescent_err = _eta_evanescent_detailed(Omega_P, spec, parts)
+    plasmonic, plasmonic_err = _eta_plasmonic_detailed(Omega_P, spec, branch_sum)
+    evanescent, evanescent_err = _eta_evanescent_detailed(Omega_P, spec, branch_sum)
     total, total_err = _eta_total_detailed(Omega_P, spec)
     return EtaBreakdown(
         Omega_P=Omega_P,
@@ -424,12 +429,12 @@ def propagative_part_identity(
     the closed forms, the branch constants and the dispersion inversion.
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    parts = _surface_parts(Omega_P, spec)
+    branch_sum = _branch_sum_integral(Omega_P, spec)
     lhs = (
-        _eta_plasmonic_detailed(Omega_P, spec, parts)[0]
-        - _eta_evanescent_detailed(Omega_P, spec, parts)[0]
+        _eta_plasmonic_detailed(Omega_P, spec, branch_sum)[0]
+        - _eta_evanescent_detailed(Omega_P, spec, branch_sum)[0]
     )
-    k_p = parts[0].k_P
+    k_p = branch_constants(Omega_P).k_P
     inner_spec = QuadratureSpec(rel_tol=min(spec.rel_tol, 1e-12))
 
     def integrand(K: float) -> float:

@@ -272,7 +272,7 @@ def _quadrant_level(
 def quad(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
-    b: float | Sequence[float],
+    b: float,
     spec: QuadratureSpec,
     tail_bound: Optional[Callable[[float], float]] = None,
 ):
@@ -295,133 +295,90 @@ def quad(
     level-0 cell of the window, at most 112.  An integral whose window grows
     once takes 105 nodes in two calls up to level 3.
 
-    ``b`` may also be a tuple or list of ``k`` upper ends, all finite or all
-    ``inf``.  Then ``f`` maps a ``(k, n)`` array, whose row ``i`` holds nodes
-    on ``[a, b[i]]``, to the ``(k, n)`` array of its values, and the ``k``
-    integrals share its calls: a scalar ``f`` is ``k = 1``.
-    Each row grows its own window, takes its own tail bound and stops at its
-    own level, so its value and estimate are, bit for bit, those of its
-    integral alone; a call holds every row's nodes, and a row that has
-    stopped is not summed again.
-
     Returns ``(value, error_estimate, {"neval": nodes, "calls": calls of f,
     "last": halvings})``, and a fourth element, the reason, when the finest
-    level allowed misses ``rel_tol`` times the integral of ``|f|``.  For
-    ``k`` ends the value and the estimate are tuples of one float per row,
-    ``"last"`` counts the halvings of the row that took most, and the reason
-    is that of the first row that failed, after its index.  Raises
+    level allowed misses ``rel_tol`` times the integral of ``|f|``.  Raises
     :class:`NonFiniteIntegrand` when ``f`` returns NaN or infinity at a node
     that the levels summed hold.
     """
-    lower, stacked = a, isinstance(b, (tuple, list))
-    if stacked:
-        uppers = [float(end) for end in b]
-        b = np.array(uppers)[:, np.newaxis]
-        a = np.full(b.shape, float(lower))
-    infinite = math.inf in uppers if stacked else b == math.inf
-    rule = "exp-sinh" if infinite else "tanh-sinh"
-    width = 1.0 if infinite else b - a
+    rule = "exp-sinh" if b == math.inf else "tanh-sinh"
+    scale = 1.0 if b == math.inf else b - a
     layout, starts = _de_layout(rule)
-    stored = [np.empty(layout.size) for _ in (uppers if stacked else [b])]  # levels 0 to 3, per row
-    finer = {}  # (level, lo, hi): f on those nodes of a level beyond 3, per row
+    stored = np.empty(layout.size)  # f on the nodes of levels 0 to 3
+    sums = [0.0, 0.0]
     neval = calls = 0
 
     def abscissae(offset: np.ndarray) -> np.ndarray:
-        if infinite:
+        if b == math.inf:
             return a + offset
-        return np.where(offset > 0.0, a, b) + width * offset
+        return np.where(offset > 0.0, a, b) + scale * offset
 
     def evaluate(offset: np.ndarray) -> np.ndarray:
-        """``f`` at the nodes ``offset``, per row."""
         nonlocal neval, calls
-        x = abscissae(offset)
         neval, calls = neval + offset.size, calls + 1
-        fx = np.asarray(f(x), dtype=float)
-        if fx.shape != x.shape:  # storing fx would broadcast it
-            raise ValueError(f"integrand returned shape {fx.shape} for nodes of shape {x.shape}")
-        return fx if stacked else (fx,)
+        return np.asarray(f(abscissae(offset)), dtype=float)
 
     def strip(nodes: Sequence[int], cells: Sequence[int]) -> None:
         """Evaluate ``f`` on a strip of the window and store its values."""
         index = _de_strip(rule, nodes, cells)
-        for values, row_fx in zip(stored, evaluate(layout[index])):
-            values[index] = row_fx
+        fx = evaluate(layout[index])
+        if fx.shape != index.shape:  # stored[index] = fx would broadcast it
+            raise ValueError(f"integrand returned shape {fx.shape} for {index.size} nodes")
+        stored[index] = fx
 
+    def add(level: int, index) -> np.ndarray:
+        """Add the nodes ``index`` of ``level`` to the sums; return their ``|w f|``."""
+        offsets, weights = _de_nodes(rule, level)
+        weight = weights[index]
+        if level <= _DE_STRIP_LEVELS:
+            fx = stored[starts[level] : starts[level + 1]][index]
+        else:
+            fx = evaluate(offsets[index])
+        total = float(weight @ fx)
+        if not math.isfinite(total):
+            bad = ~np.isfinite(fx)
+            if bad.any():
+                i = int(np.flatnonzero(bad)[0])
+                x = float(abscissae(offsets[index][i : i + 1])[0])
+                raise NonFiniteIntegrand(f"integrand returned {float(fx[i])!r} at x={x!r}")
+        magnitudes = weight * np.abs(fx)
+        sums[0] += total
+        sums[1] += float(magnitudes.sum())
+        return magnitudes
+
+    # First level: the core, then one node further on each side whose
+    # outermost term still counts.
     last = _de_nodes(rule, 0)[0].size - 1
     centre = round(-_DE_WINDOWS[rule][0] / _DE_STEP)
-    core = centre - round(_DE_CORE / _DE_STEP), centre + round(_DE_CORE / _DE_STEP)
-    strip(range(core[0], core[1] + 1), range(core[0], core[1]))
-    held = list(core)  # the level-0 nodes whose strips are stored
+    lo, hi = centre - round(_DE_CORE / _DE_STEP), centre + round(_DE_CORE / _DE_STEP)
+    strip(range(lo, hi + 1), range(lo, hi))
+    core = add(0, slice(lo, hi + 1))
+    edges = [core[0], core[-1]]
+    while True:
+        grow = [lo > 0 and edges[0] > _EPS * sums[1], hi < last and edges[1] > _EPS * sums[1]]
+        if not any(grow):
+            break
+        index = tuple(i for i, g in ((lo - 1, grow[0]), (hi + 1, grow[1])) if g)
+        strip(index, tuple(j for j, g in ((lo - 1, grow[0]), (hi, grow[1])) if g))
+        terms = add(0, np.array(index))
+        if grow[0]:
+            lo, edges[0] = lo - 1, terms[0]
+        if grow[1]:
+            hi, edges[1] = hi + 1, terms[-1]
+    tail = 0.0
+    if tail_bound is not None:
+        tail = tail_bound(a + float(_de_nodes(rule, 0)[0][hi]))
 
-    def integral(row: int) -> Tuple[float, float, int, str]:
-        """``_refine``'s outcome for ``row``, which it sums as if it were alone."""
-        nonlocal held
-        values = stored[row]
-        scale = float(width[row, 0]) if stacked and not infinite else width
-        sums = [0.0, 0.0]
+    def level_value(level: int) -> Tuple[float, float]:
+        if level:
+            # The new nodes of this level between those of the window's ends.
+            add(level, slice(lo << (level - 1), hi << (level - 1)))
+        step = scale * _DE_STEP / 2**level
+        return sums[0] * step, sums[1] * step
 
-        def add(level: int, index) -> np.ndarray:
-            """Add the nodes ``index`` of ``level`` to the sums; return their ``|w f|``."""
-            offsets, weights = _de_nodes(rule, level)
-            weight = weights[index]
-            if level <= _DE_STRIP_LEVELS:
-                fx = values[starts[level] : starts[level + 1]][index]
-            else:
-                key = level, index.start, index.stop
-                if key not in finer:
-                    finer[key] = evaluate(offsets[index])
-                fx = finer[key][row]
-            total = float(weight @ fx)
-            if not math.isfinite(total):
-                bad = ~np.isfinite(fx)
-                if bad.any():
-                    i = int(np.flatnonzero(bad)[0])
-                    x = float(np.ravel(abscissae(offsets[index][i : i + 1]))[row])
-                    raise NonFiniteIntegrand(f"integrand returned {float(fx[i])!r} at x={x!r}")
-            magnitudes = weight * np.abs(fx)
-            sums[0] += total
-            sums[1] += float(magnitudes.sum())
-            return magnitudes
-
-        # First level: the core, then one node further on each side whose
-        # outermost term still counts; a node beyond those stored takes a
-        # strip of its own, for every row.
-        lo, hi = core
-        terms = add(0, slice(lo, hi + 1))
-        edges = [terms[0], terms[-1]]
-        while True:
-            grow = [lo > 0 and edges[0] > _EPS * sums[1], hi < last and edges[1] > _EPS * sums[1]]
-            if not any(grow):
-                break
-            index = tuple(i for i, g in ((lo - 1, grow[0]), (hi + 1, grow[1])) if g)
-            if index[0] < held[0] or index[-1] > held[1]:
-                new = tuple(i for i in index if not held[0] <= i <= held[1])
-                strip(new, tuple(i if i < lo else i - 1 for i in new))
-                held = [min(held[0], new[0]), max(held[1], new[-1])]
-            terms = add(0, np.array(index))
-            if grow[0]:
-                lo, edges[0] = lo - 1, terms[0]
-            if grow[1]:
-                hi, edges[1] = hi + 1, terms[-1]
-        tail = 0.0
-        if tail_bound is not None:
-            tail = tail_bound(lower + float(_de_nodes(rule, 0)[0][hi]))
-
-        def level_value(level: int) -> Tuple[float, float]:
-            if level:
-                # The new nodes of this level between those of the window's ends.
-                add(level, slice(lo << (level - 1), hi << (level - 1)))
-            step = scale * _DE_STEP / 2**level
-            return sums[0] * step, sums[1] * step
-
-        return _refine(level_value, _DE_LEVELS, spec.rel_tol, tail)
-
-    values, errors, halvings, failures = zip(*map(integral, range(len(stored))))
-    failure = next((f"row {r}: {text}" if stacked else text for r, text in enumerate(failures) if text), "")
-    if not stacked:
-        values, errors = values[0], errors[0]
-    info = {"neval": neval, "calls": calls, "last": max(halvings)}
-    return (values, errors, info, failure) if failure else (values, errors, info)
+    value, error, halvings, failure = _refine(level_value, _DE_LEVELS, spec.rel_tol, tail)
+    info = {"neval": neval, "calls": calls, "last": halvings}
+    return (value, error, info, failure) if failure else (value, error, info)
 
 
 def integrate(

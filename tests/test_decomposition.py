@@ -33,11 +33,12 @@ from casimir_plasmons.decomposition import (
     EtaBreakdown,
     _branch_sum_integral,
     _branch_sum_tail_bound,
+    _continuation_integral,
     _direct_integrand,
     _eta_evanescent_detailed,
     _eta_plasmonic_detailed,
-    _finite_integrals,
     _large_distance_branch_sum,
+    _reference_correction_integral,
     asymptotic_report,
     compute_eta_breakdown,
     eta_evanescent,
@@ -175,18 +176,18 @@ class TestSurfaceIntegralsAgainstMpmath:
 
     @pytest.mark.parametrize("omega_p", SURFACE_OMEGAS)
     def test_plus_branch_continuation(self, omega_p: float) -> None:
-        constants = branch_constants(omega_p)
+        y_plus = branch_constants(omega_p).y_plus
         self._assert_covered(
-            _finite_integrals(omega_p, constants, DEFAULT_QUADRATURE)[0],
-            _mp_continuation(omega_p, constants.y_plus),
+            _continuation_integral(omega_p, y_plus, DEFAULT_QUADRATURE),
+            _mp_continuation(omega_p, y_plus),
         )
 
     @pytest.mark.parametrize("omega_p", SURFACE_OMEGAS)
     def test_reference_correction(self, omega_p: float) -> None:
-        constants = branch_constants(omega_p)
+        depth = -branch_constants(omega_p).z_0P
         self._assert_covered(
-            _finite_integrals(omega_p, constants, DEFAULT_QUADRATURE)[1],
-            _mp_reference_correction(omega_p, -constants.z_0P),
+            _reference_correction_integral(omega_p, depth, DEFAULT_QUADRATURE),
+            _mp_reference_correction(omega_p, depth),
         )
 
 
@@ -552,14 +553,14 @@ class TestBreakdown:
         assert 0 < len(calls) <= 2
 
     @pytest.mark.parametrize("omega_p", [1e-8, 2.0 * math.pi, 1e5])
-    def test_makes_two_quad_calls_and_two_branch_kernel_calls(
+    def test_makes_three_quad_calls_and_two_branch_kernel_calls(
         self, omega_p, monkeypatch
     ) -> None:
         # The branch sum, with its proved tail bound and no envelope probe,
         # calls the kernel on the core of its window and on its one growth
-        # step; the continuation and the reference correction share the
-        # other quad call.  Every call goes through numerics.quad, which
-        # tracers wrap by name.
+        # step, as the continuation and the reference correction call their
+        # integrands.  Every call goes through numerics.quad, which tracers
+        # wrap by name.
         kernel, rules = [], []
         rule = numerics.quad
 
@@ -576,7 +577,7 @@ class TestBreakdown:
         monkeypatch.setattr(numerics, "quad", counted_rule)
         compute_eta_breakdown(omega_p)
         assert len(kernel) == 2
-        assert rules == [2, 2]
+        assert rules == [2, 2, 2]
 
     def test_record_validation(self) -> None:
         with pytest.raises(DomainError):

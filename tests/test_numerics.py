@@ -330,84 +330,6 @@ def test_quad_calls_f_once_per_strip_and_finer_level(name, tol):
         assert (info["calls"], info["neval"]) == (len(calls), sum(calls))
 
 
-# Cases integrated as the rows of one call, from a common lower end.  The
-# windows of most pairs grow apart; the NaN cases raise from their row only
-# where that row sums the level that holds the NaN.
-ROW_CASES = {
-    **QUAD_CASES,
-    "cos(x) on [0, 3]": (np.cos, 0.0, 3.0),
-    "x exp(-x) on [0, inf)": (lambda x: x * np.exp(-x), 0.0, math.inf),
-}
-STACKED_CASES = [
-    ("x**2",),
-    ("x**2", "cos(x) on [0, 3]"),
-    ("0.5/sqrt(x)", "1/sqrt(x(1-x))"),
-    ("sqrt|x-0.3537|", "log(x)**2"),
-    ("x**2", "NaN at level 3"),
-    ("NaN at level 2", "NaN at level 5"),
-    ("exp(-x) on [0, inf)", "x exp(-x) on [0, inf)"),
-]
-
-
-def _stacked_outcome(names, tol):
-    """What one call with a row per case returns (or raises), as hex."""
-    cases = [ROW_CASES[name] for name in names]
-
-    def f(x):
-        return np.array([case[0](row) for case, row in zip(cases, x)])
-
-    spec = QuadratureSpec(rel_tol=tol)
-    try:
-        out = quad(f, 0.0, [case[2] for case in cases], spec)
-    except NonFiniteIntegrand as exc:
-        return ("NonFiniteIntegrand", str(exc))
-    values, errors, info = out[:3]
-    return [v.hex() for v in values], [e.hex() for e in errors], info["last"], out[3:]
-
-
-def _alone_outcome(names, tol):
-    """The same from one call per case, in row order."""
-    outs = []
-    for name in names:
-        f, a, b = ROW_CASES[name]
-        try:
-            outs.append(quad(f, a, b, QuadratureSpec(rel_tol=tol)))
-        except NonFiniteIntegrand as exc:
-            return ("NonFiniteIntegrand", str(exc))
-    failures = [f"row {r}: {out[3]}" for r, out in enumerate(outs) if len(out) > 3]
-    return (
-        [out[0].hex() for out in outs],
-        [out[1].hex() for out in outs],
-        max(out[2]["last"] for out in outs),
-        tuple(failures[:1]),
-    )
-
-
-@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-13])
-@pytest.mark.parametrize("names", STACKED_CASES, ids="+".join)
-def test_stacked_rows_keep_the_bits_of_their_integrals_alone(names, tol):
-    # Each row grows its own window and stops at its own level; a call
-    # reports the most halvings of any row and the first row's failure.
-    assert _stacked_outcome(names, tol) == _alone_outcome(names, tol)
-
-
-def test_stacked_rows_share_the_calls_of_f():
-    # x**2 on [0, 1] and on [0, 2] grow the same window: two calls of f,
-    # each with both rows' nodes, where one call per row makes two each.
-    rows = []
-
-    def f(x):
-        rows.append(x.shape)
-        return x * x
-
-    values, errors, info = quad(f, 0.0, (1.0, 2.0), DEFAULT_QUADRATURE)
-    alone = [quad(lambda x: x * x, 0.0, b, DEFAULT_QUADRATURE) for b in (1.0, 2.0)]
-    assert [v.hex() for v in values] == [out[0].hex() for out in alone]
-    assert [e.hex() for e in errors] == [out[1].hex() for out in alone]
-    assert info["calls"] == alone[0][2]["calls"] == len(rows) == 2
-    assert info["neval"] == alone[0][2]["neval"] and rows[0][0] == 2
-
-
 @pytest.mark.parametrize(
     "level, index, b",
     [(4, 60, 1.0), (4, 100, 1.0), (6, 300, 1.0), (4, 50, math.inf)],
