@@ -45,7 +45,6 @@ from .modes import (
     _branch_combination,
     _check_continuation,
     _continued_g_squared,
-    _evanescent_g_squared,
     branch_constants,
     g_branch_combination,  # unused here, but kept bound: perfbench/tracing.py wraps it
     invert_branch,
@@ -79,6 +78,9 @@ __all__ = [
 _CLOSED_PREFACTOR = 180.0 / (2.0 * math.pi**3)
 # Prefactor of the direct wavevector integrals over inverted branch frequencies.
 _DIRECT_PREFACTOR = 180.0 / math.pi**3
+
+# The reference correction's series cut in W**2, and its bound in ulp (44 * 2**-53 relative).
+_SERIES_CUT, _REFERENCE_ULPS = 0.6, 48
 
 # L/lambda_p interval known to bracket the unique sign change of eta_pl.
 SIGN_CHANGE_BRACKET = (0.01, 0.5)
@@ -204,27 +206,31 @@ def _continuation_integral(
     return _quad("plus-branch continuation integral", Omega_P, integrand, 0.0, y_plus, spec)
 
 
-def _reference_correction_integral(
-    Omega_P: float, depth: float, spec: QuadratureSpec
-) -> Tuple[float, float]:
-    """``Int_{sqrt(depth)}^0 2 s g_zero(s**2) ds``, signed, so not positive.
+def _reference_correction_integral(Omega_P: float, depth: float) -> Tuple[float, float]:
+    """``Int_{sqrt(depth)}^0 2 s g_zero(s**2) ds`` in closed form, with its rounding bound.
 
-    ``g_zero`` grows like ``sqrt(s)`` from 0: a square-root endpoint
-    singularity of the derivative, which the tanh-sinh rule absorbs.
+    By ``s = Omega_P sinh t`` it is ``-(sqrt(2)/4) Omega_P**3 F(W)`` with ``W**2 = 1 - e^(-2t)
+    = 2a/(h + a)`` and ``1 - W**2 = q**2``, ``q = Omega_P/(h + a)`` (``a = sqrt(depth)``,
+    ``h = hypot(Omega_P, a)``, no cancellation): ``F = W/(2 q**2) - log((1 + W)/q)/2 - W**3/3``,
+    or below the cut, where that cancels, ``sum_{n>=2} n W^(2n+1)/(2n+1)`` to a rest under
+    ``2**-55`` of it.  ``W**2`` is at most 0.764.  To first order in each rounding (``hypot``
+    within an ulp) the value is within ``44 * 2**-53`` of itself, the most at the cut.
     """
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return 2.0 * s * _evanescent_g_squared(CoupledBranch.ZERO, s, Omega_P, np, root=True)
-
-    value, error = _quad(
-        "evanescent reference-correction integral",
-        Omega_P,
-        integrand,
-        0.0,
-        math.sqrt(depth),
-        spec,
-    )
-    return -value, error
+    a = math.sqrt(depth)
+    span = math.hypot(Omega_P, a) + a
+    x = 2.0 * a / span  # W**2
+    W = math.sqrt(x)
+    if x < _SERIES_CUT:  # sum_k (k + 2)/(2k + 5) x**k, its rest below 2**-55 of it
+        terms = math.ceil(math.log(0.8 * 2**-55 * (1.0 - x)) / math.log(x))  # at most 77
+        F = 0.0
+        for k in reversed(range(terms)):
+            F = F * x + (k + 2) / (2 * k + 5)
+        F *= x * x * W
+    else:
+        q = Omega_P / span
+        F = W / (2.0 * q * q) - 0.5 * math.log((1.0 + W) / q) - W * x / 3.0
+    value = -(math.sqrt(0.125) * F) * Omega_P**3
+    return value, _REFERENCE_ULPS * math.ulp(value)
 
 
 def _eta_plasmonic_detailed(
@@ -360,7 +366,7 @@ def _eta_evanescent_detailed(
         branch_sum = _branch_sum_integral(Omega_P, spec)
     total, err = branch_sum
 
-    correction, correction_err = _reference_correction_integral(Omega_P, depth, spec)
+    correction, correction_err = _reference_correction_integral(Omega_P, depth)
     # k_P^3 - w^3 = (k_P^2 - w^2)(k_P^2 + k_P w + w^2)/(k_P + w), from the
     # depth, so that no difference of nearly equal cubes is formed.
     cube_gap = depth * ((k_p * k_p + k_p * w + w * w) / (k_p + w))

@@ -42,6 +42,7 @@ where the value meets the tests' polar oracle within about 1e-15.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Tuple
@@ -54,7 +55,7 @@ from .errors import (
     require_positive_finite,
     require_real,
 )
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate_quadrant
+from .numerics import _QUADRANT_BLOCK, DEFAULT_QUADRATURE, QuadratureSpec, integrate_quadrant
 from .optics import SPEED_OF_LIGHT, PlasmaMirror, _decay_constants
 from .optics import reflection_sq_imag_axis  # unused; perfbench/tracing.py patches it by name
 
@@ -71,6 +72,8 @@ __all__ = [
 REDUCED_PLANCK = 1.054_571_817e-34  # J * s
 _NODE_RANGE = (1e-31, 1e7)  # integrate_quadrant's nodes: each K, and each Xi / min(1, Omega_P)
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest float below 1
+_BUFFERS = 7  # arrays in each thread's kernel workspace
+_workspace = threading.local()  # see _buffers
 
 
 @dataclass(frozen=True)
@@ -127,8 +130,10 @@ def casimir_ideal_energy(setup: PhysicalSetup) -> float:
     )
 
 
-def _log_one_minus(kappa: np.ndarray, x: np.ndarray, damping: np.ndarray) -> np.ndarray:
-    """``ln(1 - r^2 e^(-2 kappa))`` for one polarization, in a new array.
+def _log_one_minus(
+    kappa: np.ndarray, x: np.ndarray, damping: np.ndarray, out=None, width=None
+) -> np.ndarray:
+    """``ln(1 - r^2 e^(-2 kappa))`` for one polarization, in ``out`` or a new array.
 
     With ``x`` the transverse decay constant of the polarization
     (``kappa_t`` for TE, ``kappa_t/eps`` for TM), ``r = (kappa - x)/(kappa + x)``
@@ -140,9 +145,10 @@ def _log_one_minus(kappa: np.ndarray, x: np.ndarray, damping: np.ndarray) -> np.
     integrand).  ``p`` rounds to 1 only at level 0's outermost corner nodes
     (``K`` and ``Xi`` near 2e-31, outside every trimmed window); there it is
     clamped to the largest float below 1, so the logarithm stays finite.
+    ``width``, if given, is overwritten with ``kappa + x``.
     """
-    p = kappa - x
-    p /= kappa + x
+    p = np.subtract(kappa, x, out)
+    p /= np.add(kappa, x, width)
     p *= p
     p *= damping
     np.minimum(p, _BELOW_ONE, out=p)
@@ -150,14 +156,46 @@ def _log_one_minus(kappa: np.ndarray, x: np.ndarray, damping: np.ndarray) -> np.
     return np.log1p(p, out=p)
 
 
+def _buffers(K: np.ndarray, Xi: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``_BUFFERS`` arrays of the broadcast shape of ``K`` and ``Xi``, in this thread's workspace.
+
+    One allocation per thread (numpy releases the GIL inside a ufunc), made on first use, of
+    ``_BUFFERS`` blocks of ``_QUADRANT_BLOCK`` doubles, each on a 64-byte boundary: numpy's
+    own arrays are 16-byte aligned, and a pass over a level-3 block into one 16 or 32 bytes
+    off takes about twice as long.  The views are kept for up to 64 pairs of shapes, as
+    building them costs about what the alignment saves; a larger block gets new arrays.
+    """
+    key = (K.shape, Xi.shape)
+    views = getattr(_workspace, "views", None)
+    if views is None:
+        raw = np.empty(_BUFFERS * _QUADRANT_BLOCK + 7)
+        start = -raw.ctypes.data % 64 // raw.itemsize
+        _workspace.blocks = raw[start : start + _BUFFERS * _QUADRANT_BLOCK].reshape(_BUFFERS, -1)
+        views = _workspace.views = {}
+    elif key in views:
+        return views[key]
+    shape = np.broadcast_shapes(*key)
+    size = math.prod(shape)
+    if size > _QUADRANT_BLOCK:
+        return tuple(np.empty((_BUFFERS, *shape)))
+    if len(views) == 64:
+        views.clear()
+    views[key] = tuple(block[:size].reshape(shape) for block in _workspace.blocks)
+    return views[key]
+
+
 def _mode_sum_integrand(
     K: np.ndarray, Xi: np.ndarray, Omega_P: float, lo: float, hi: float
 ) -> np.ndarray:
-    """``K * sum_pol ln(1 - r_pol^2 e^(-2 kappa))`` on nodes bounded by ``lo`` and ``hi``."""
-    kappa, kappa_t, reduced = _decay_constants(K, Xi, Omega_P, lo, hi)
-    damping = np.exp(-2.0 * kappa)
-    total = _log_one_minus(kappa, kappa_t, damping)
-    total += _log_one_minus(kappa, reduced, damping)
+    """``K * sum_pol ln(1 - r_pol^2 e^(-2 kappa))`` on nodes bounded by ``lo`` and ``hi``.
+
+    A new array; every pass before the last writes into :func:`_buffers`.
+    """
+    kappa, kappa_t, reduced, damping, te, tm, width = _buffers(K, Xi)
+    kappa, kappa_t, reduced = _decay_constants(K, Xi, Omega_P, lo, hi, (kappa, kappa_t, reduced))
+    np.exp(np.multiply(-2.0, kappa, damping), damping)
+    total = _log_one_minus(kappa, kappa_t, damping, te, width)
+    total += _log_one_minus(kappa, reduced, damping, tm, width)
     # Strictly negative and finite wherever the mirror is imperfect; any
     # other value signals a broken decay constant.
     if not (-math.inf < total.min() and total.max() <= 0.0):
@@ -165,8 +203,7 @@ def _mode_sum_integrand(
             f"mode-sum integrand invalid in the block K in [{K.min():g}, {K.max():g}], "
             f"Xi in [{Xi.min():g}, {Xi.max():g}] at Omega_P={Omega_P:g}"
         )
-    total *= K
-    return total
+    return np.multiply(total, K)
 
 
 def _eta_total_detailed(

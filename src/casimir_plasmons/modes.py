@@ -189,14 +189,13 @@ def omega0(K: float, Omega_P: float) -> float:
 def _evanescent_g_squared(branch: CoupledBranch, root_z, Omega_P: float, ops, root: bool):
     """``g(z)^2`` (or ``g`` if ``root``) at ``z = root_z**2 > 0``; ``ops`` is math or numpy."""
     root_sum = ops.hypot(root_z, Omega_P)
-    decay = ops.exp(-root_z)
-    one_minus_decay = -ops.expm1(-root_z)
-    if branch is CoupledBranch.ZERO:
-        coupling = 1.0
-    elif branch is CoupledBranch.PLUS:
-        coupling = one_minus_decay / (1.0 + decay)
-    else:
-        coupling = (1.0 + decay) / one_minus_decay
+    coupling = 1.0  # the reference branch's, which needs no decay
+    if branch is not CoupledBranch.ZERO:
+        decay, one_minus_decay = ops.exp(-root_z), -ops.expm1(-root_z)
+        if branch is CoupledBranch.PLUS:
+            coupling = one_minus_decay / (1.0 + decay)
+        else:
+            coupling = (1.0 + decay) / one_minus_decay
     # Divided through by root_sum, which root_sum * coth(sqrt(z)/2) could overflow at
     # small z.  scaled is at most Omega_P, so scaled * Omega_P overflows only where g^2
     # does; g, the product of the roots, is finite wherever g is.

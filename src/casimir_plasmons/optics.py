@@ -113,7 +113,9 @@ def classify(K: float, Omega: float) -> Sector:
     return Sector.PROPAGATIVE if Omega > K else Sector.EVANESCENT
 
 
-def _decay_constants(K: ArrayOrFloat, Xi: ArrayOrFloat, Omega_P: float, lo: float, hi: float):
+def _decay_constants(
+    K: ArrayOrFloat, Xi: ArrayOrFloat, Omega_P: float, lo: float, hi: float, out=None
+):
     """``(kappa, kappa_t, kappa_t / eps(i Xi))``: the three decay constants.
 
     The amplitudes of the mode-sum integrand are ``(kappa - x)/(kappa + x)``
@@ -124,14 +126,24 @@ def _decay_constants(K: ArrayOrFloat, Xi: ArrayOrFloat, Omega_P: float, lo: floa
     If ``lo >= 1e-150`` and ``hi, Omega_P <= 1e150``, ``kappa`` and ``kappa_t``
     are roots of ``K*K + Xi*Xi`` and of it plus ``Omega_P*Omega_P`` (no square
     over- or underflows to matter; within 6e-16 of ``hypot`` and 5 times faster).
-    Its arrays are new, so callers may overwrite them.
+    Its arrays are new, or, where they are not formed by ``hypot`` or from a
+    ``Xi`` at most ``1e-150 * Omega_P``, the three arrays ``out`` of the
+    broadcast shape; either way callers may overwrite them.
     """
     Xi_block = isinstance(Xi, np.ndarray)
     Xi_lo = Xi.min() if Xi_block else Xi
     ops = np if Xi_block or isinstance(K, np.ndarray) else math
+    if ops is np and out is None:
+        out = np.empty((3, *np.broadcast_shapes(np.shape(K), np.shape(Xi))))
     if 1e-150 <= lo and max(hi, Omega_P) <= 1e150:
-        sum_sq = K * K + Xi * Xi
-        kappa, kappa_t = ops.sqrt(sum_sq), ops.sqrt(sum_sq + Omega_P * Omega_P)
+        if ops is np:
+            kappa, sum_sq, reduced = out
+            np.add(np.multiply(K, K, sum_sq), np.multiply(Xi, Xi, reduced), sum_sq)
+            kappa = np.sqrt(sum_sq, kappa)
+            kappa_t = np.sqrt(np.add(sum_sq, Omega_P * Omega_P, sum_sq), sum_sq)
+        else:
+            sum_sq = K * K + Xi * Xi
+            kappa, kappa_t = math.sqrt(sum_sq), math.sqrt(sum_sq + Omega_P * Omega_P)
     else:
         kappa = ops.hypot(K, Xi)
         kappa_t = ops.hypot(kappa, Omega_P)
@@ -141,6 +153,11 @@ def _decay_constants(K: ArrayOrFloat, Xi: ArrayOrFloat, Omega_P: float, lo: floa
         q_sq = (Xi / Omega_P) ** 2
         reduced = kappa_t * q_sq
         reduced /= 1.0 + q_sq
+    elif ops is np:
+        reduced = np.divide(Omega_P, Xi, out[2])
+        reduced *= reduced
+        reduced += 1.0
+        reduced = np.divide(kappa_t, reduced, reduced)
     else:
         ratio = Omega_P / Xi
         reduced = kappa_t / (1.0 + ratio * ratio)

@@ -14,6 +14,9 @@ Dual routes exercised here:
 * each of the three surface-mode integrals against ``mpmath`` at 30 digits,
   where the reported error estimate must cover the distance, and the bound
   on the branch sum's tail against the tail itself;
+* the reference correction's closed form against its own ``mpmath``
+  evaluation at 90 digits, within its stated rounding bound, and ``eta_ev``
+  against the ``mpmath`` parts, within its estimate;
 * the large-separation limits ``gamma`` and ``beta_ev`` against ``mpmath``
   evaluations of their limit integrals and against a Richardson
   extrapolation of the closed forms up to ``Omega_P = 1e15``.
@@ -186,9 +189,80 @@ class TestSurfaceIntegralsAgainstMpmath:
     def test_reference_correction(self, omega_p: float) -> None:
         depth = -branch_constants(omega_p).z_0P
         self._assert_covered(
-            _reference_correction_integral(omega_p, depth, DEFAULT_QUADRATURE),
+            _reference_correction_integral(omega_p, depth),
             _mp_reference_correction(omega_p, depth),
         )
+
+    @pytest.mark.parametrize("omega_p", SURFACE_OMEGAS)
+    def test_eta_ev_against_the_mpmath_parts(self, omega_p: float) -> None:
+        # eta_ev = -P (branch sum - reference correction - (2/3) cube gap),
+        # each part from mpmath; the cube gap k_P**3 - w**3 is formed from
+        # the depth k_P**2 - w**2 at 30 digits.
+        constants = branch_constants(omega_p)
+        k_p, depth = constants.k_P, -constants.z_0P
+        w = modes.omega0(k_p, omega_p)
+        with mp.workdps(30):
+            k, w = mp.mpf(k_p), mp.mpf(w)
+            cube_gap = mp.mpf(depth) * (k * k + k * w + w * w) / (k + w)
+            parts = (
+                _mp_branch_sum(omega_p)
+                - _mp_reference_correction(omega_p, depth)
+                - cube_gap * 2 / 3
+            )
+            reference = -parts * 180 / (2 * mp.pi**3)
+        self._assert_covered(_eta_evanescent_detailed(omega_p, DEFAULT_QUADRATURE), reference)
+
+
+def _mp_closed_form(omega_p: float, depth: float) -> mp.mpf:
+    """The reference correction's closed form at 90 digits, through ``t``.
+
+    ``-(sqrt(2)/4) Omega_P**3 F(W)`` with ``W**2 = 1 - e^(-2 t)``,
+    ``t = asinh(sqrt(depth)/Omega_P)`` and ``F`` in its atanh form, which at
+    90 digits loses none of the digits that matter to its cancellation.
+    """
+    with mp.workdps(90):
+        w = mp.mpf(omega_p)
+        x = 1 - mp.exp(-2 * mp.asinh(mp.sqrt(mp.mpf(depth)) / w))
+        W = mp.sqrt(x)
+        F = W / (2 * (1 - x)) - mp.atanh(W) / 2 - W**3 / 3
+        return -(mp.sqrt(2) * w**3 / 4) * F
+
+
+def _depth_at(omega_p: float, x: float) -> float:
+    """The depth at which ``W**2`` is ``x``: ``a = Omega_P sinh t``, ``e^(-2 t) = 1 - x``."""
+    return (omega_p * math.sinh(-0.5 * math.log1p(-x))) ** 2
+
+
+class TestReferenceCorrectionClosedForm:
+    """The closed form holds its rounding bound, and the large-distance law."""
+
+    @staticmethod
+    def _assert_within_bound(omega_p: float, depth: float) -> None:
+        value, bound = _reference_correction_integral(omega_p, depth)
+        assert bound == decomposition._REFERENCE_ULPS * math.ulp(value)
+        assert abs(value - _mp_closed_form(omega_p, depth)) <= bound
+
+    def test_within_its_bound_on_the_breakdown_depths(self) -> None:
+        # W**2 runs from 0.764 (small Omega_P) through the cut near
+        # Omega_P = 2 down to about 4e-15 at 1e15.
+        for omega_p in np.geomspace(1e-8, 1e15, 231):
+            omega_p = float(omega_p)
+            self._assert_within_bound(omega_p, -branch_constants(omega_p).z_0P)
+
+    @pytest.mark.parametrize("omega_p", [1e-8, 1.0, 1e15])
+    def test_within_its_bound_on_both_sides_of_the_cut(self, omega_p: float) -> None:
+        cut = decomposition._SERIES_CUT
+        for x in (1e-15, 1e-6, 0.3, cut * (1 - 1e-15), cut, cut * (1 + 1e-15), 0.7, 0.764):
+            self._assert_within_bound(omega_p, _depth_at(omega_p, x))
+
+    def test_follows_the_large_distance_law(self) -> None:
+        # F is about 2 W**5 / 5 and W**2 about 2 sqrt(depth) / Omega_P with
+        # depth -> 4, so the correction tends to -(16 sqrt(2)/5) sqrt(Omega_P),
+        # the 4 sqrt(2)/5 term of large_distance_beta_ev.
+        omega_p = 1e15
+        value, _ = _reference_correction_integral(omega_p, -branch_constants(omega_p).z_0P)
+        law = -16.0 * math.sqrt(2.0) / 5.0 * math.sqrt(omega_p)
+        assert value == pytest.approx(law, rel=1e-12)
 
 
 def _mp_branch_sum_tail(omega_p: float, reach: float) -> mp.mpf:
@@ -399,7 +473,7 @@ class TestBreakdown:
                     "eta_total": ("0x1.878cb996b0f40p-29", "0x1.f5fcdaa98be69p-75"),
                     "eta_pl": ("0x1.878cb996b0f3ap-29", "0x1.58bf27c5b98c1p-62"),
                     "eta_ph": ("0x1.8000000000000p-79", "0x1.58ced7ac8ed87p-62"),
-                    "eta_ev": ("0x1.878cb996b0f3dp-29", "0x1.58bf27c5b98c3p-62"),
+                    "eta_ev": ("0x1.878cb996b0f3dp-29", "0x1.58bf27c5b98c1p-62"),
                 },
             ),
             (
@@ -408,7 +482,7 @@ class TestBreakdown:
                     "eta_total": ("0x1.7e5f6d2800d06p-19", "0x1.e9465da36bb11p-65"),
                     "eta_pl": ("0x1.7e5f6d23f65b3p-19", "0x1.4d9bef087eb23p-52"),
                     "eta_ph": ("0x1.029d4c0000000p-49", "0x1.4dab393b6bcd9p-52"),
-                    "eta_ev": ("0x1.7e5f6d274412bp-19", "0x1.4d9bef09b8e21p-52"),
+                    "eta_ev": ("0x1.7e5f6d274412bp-19", "0x1.4d9bef087dffap-52"),
                 },
             ),
             (
@@ -417,7 +491,7 @@ class TestBreakdown:
                     "eta_total": ("0x1.2ab9481ab5e3fp-12", "0x1.341ebe14193dfp-58"),
                     "eta_pl": ("0x1.2ab8cd4fddbf4p-12", "0x1.30b6d97566de2p-45"),
                     "eta_ph": ("0x1.eb2b6092c0000p-30", "0x1.30c07a6b577efp-45"),
-                    "eta_ev": ("0x1.2ab9320f0279dp-12", "0x1.30b6feaee4ca7p-45"),
+                    "eta_ev": ("0x1.2ab9320f0279dp-12", "0x1.30b6d9607992ap-45"),
                 },
             ),
             (
@@ -426,7 +500,7 @@ class TestBreakdown:
                     "eta_total": ("0x1.e5b8f3d363032p-4", "0x1.44148924a213ap-49"),
                     "eta_pl": ("-0x1.7018d1722a806p-7", "0x1.d5dbd32093a59p-35"),
                     "eta_ph": ("0x1.09de0700d4299p-3", "0x1.d5e0e372b8382p-35"),
-                    "eta_ev": ("0x1.eed2820cde0ecp-4", "0x1.2cef2496494e1p-36"),
+                    "eta_ev": ("0x1.eed2820cde0e9p-4", "0x1.01bde51ade57cp-36"),
                 },
             ),
             (
@@ -435,7 +509,7 @@ class TestBreakdown:
                     "eta_total": ("0x1.3549e9e69ddd2p-1", "0x1.2951cb39be600p-46"),
                     "eta_pl": ("-0x1.57020cc539bcbp+4", "0x1.a4989b109390dp-31"),
                     "eta_ph": ("0x1.60ac5c146eabap+4", "0x1.a49aedb42a045p-31"),
-                    "eta_ev": ("0x1.2874d35115ae3p+1", "0x1.c39b09671914ep-32"),
+                    "eta_ev": ("0x1.2874d35115ad8p+1", "0x1.4c005f3edce00p-32"),
                 },
             ),
             (
@@ -444,7 +518,7 @@ class TestBreakdown:
                     "eta_total": ("0x1.d11458dd3122cp-1", "0x1.7c766d4a90f34p-46"),
                     "eta_pl": ("-0x1.fc3cf0533430ep+6", "0x1.58e383bff6eacp-24"),
                     "eta_ph": ("0x1.ffdf1904ee932p+6", "0x1.58e389b1d09ffp-24"),
-                    "eta_ev": ("0x1.2b896eeab5ea9p+3", "0x1.3202d442a914bp-30"),
+                    "eta_ev": ("0x1.2b896eeab5ea4p+3", "0x1.735b3325cbf38p-31"),
                 },
             ),
             (
@@ -453,7 +527,7 @@ class TestBreakdown:
                     "eta_total": ("0x1.fffac1defc46cp-1", "0x1.24e6af4605796p-45"),
                     "eta_pl": ("-0x1.24249844f4440p+13", "0x1.79211d74d0762p-22"),
                     "eta_ph": ("0x1.242c982ffbbffp+13", "0x1.79211fbe9dd4bp-22"),
-                    "eta_ev": ("0x1.00c3e095482f3p+9", "0x1.444b07de1a87fp-22"),
+                    "eta_ev": ("0x1.00c3e095482ffp+9", "0x1.1f3af3fb9d0fap-22"),
                 },
             ),
             (
@@ -462,7 +536,7 @@ class TestBreakdown:
                     "eta_total": ("0x1.fffffffff7347p-1", "0x1.24f23dd21e51cp-45"),
                     "eta_pl": ("-0x1.c5fd992be9dabp+24", "0x1.37af1f916e043p-10"),
                     "eta_ph": ("0x1.c5fd9a2be9dabp+24", "0x1.37af1f9192a27p-10"),
-                    "eta_ev": ("0x1.8c7b18fdd97f9p+20", "0x1.f4e8138e9ee47p-11"),
+                    "eta_ev": ("0x1.8c7b18fdd97e1p+20", "0x1.bbaf87f13d921p-11"),
                 },
             ),
         ],
@@ -485,7 +559,12 @@ class TestBreakdown:
         # of mpmath): the value moved by 5.0e-4 relative at 1e12 (the old one
         # broke the sqrt(Omega_P) law), 4.0e-11 at 1e5 (within its 5.9e-10
         # estimate) and at most 1.2e-15 elsewhere, its estimate by at most
-        # 1.9e-5 relative.
+        # 1.9e-5 relative.  eta_ev and its estimate of every row were
+        # re-pinned when the reference correction became a closed form with a
+        # rounding bound (within 1.4e-15 of 90-digit mpmath): the value moved
+        # by at most 3.4e-15 relative, the estimate fell by at most 0.39 of
+        # itself (it had held the correction's quadrature estimate), and
+        # each value lies within its estimate of the mpmath parts.
         breakdown = compute_eta_breakdown(omega_p)
         assert {
             name: (getattr(breakdown, name).hex(), breakdown.error_estimates[name].hex())
@@ -498,17 +577,17 @@ class TestBreakdown:
             (
                 1e-3,
                 ("0x1.2ab8cd4fddbf1p-12", "0x1.365825a8507c3p-58"),
-                ("0x1.2ab9320f0279ap-12", "0x1.3655a85de0c16p-58"),
+                ("0x1.2ab9320f0279ap-12", "0x1.365587fee0f23p-58"),
             ),
             (
                 2.0 * math.pi,
                 ("-0x1.57020cc539bcbp+4", "0x1.793a6e752da6bp-41"),
-                ("0x1.2874d35115ae3p+1", "0x1.01158ee91a80ap-42"),
+                ("0x1.2874d35115ad8p+1", "0x1.52844173ba2f8p-43"),
             ),
             (
                 1e5,
                 ("-0x1.24249844f43ebp+13", "0x1.3e43ba95d5360p-32"),
-                ("0x1.00c3e095482f3p+9", "0x1.24694bd9f6965p-34"),
+                ("0x1.00c3e095482ffp+9", "0x1.58440fd2d0209p-35"),
             ),
         ],
     )
@@ -521,7 +600,9 @@ class TestBreakdown:
         # quantity: eta_ev moved by 1.1e-15 relative, the estimates by < 1e-2.
         # Re-pinned there again with the cancellation-free depth and cube
         # gap: eta_ev moved by 1.2e-15 and 4.0e-11, its estimate by 1.3e-15
-        # and 1.9e-2 relative.
+        # and 1.9e-2 relative.  eta_ev re-pinned again with the closed-form
+        # reference correction: it moved by at most 2.7e-15 relative, its
+        # estimate by at most 0.41 of itself (1.6e-6 at 1e-3).
         spec = QuadratureSpec(rel_tol=1e-13)
         plasmonic = _eta_plasmonic_detailed(omega_p, spec)
         evanescent = _eta_evanescent_detailed(omega_p, spec)
@@ -553,14 +634,14 @@ class TestBreakdown:
         assert 0 < len(calls) <= 2
 
     @pytest.mark.parametrize("omega_p", [1e-8, 2.0 * math.pi, 1e5])
-    def test_makes_three_quad_calls_and_two_branch_kernel_calls(
+    def test_makes_two_quad_calls_and_two_branch_kernel_calls(
         self, omega_p, monkeypatch
     ) -> None:
         # The branch sum, with its proved tail bound and no envelope probe,
         # calls the kernel on the core of its window and on its one growth
-        # step, as the continuation and the reference correction call their
-        # integrands.  Every call goes through numerics.quad, which tracers
-        # wrap by name.
+        # step, as the continuation calls its integrand; the reference
+        # correction is a closed form.  Every call goes through numerics.quad,
+        # which tracers wrap by name.
         kernel, rules = [], []
         rule = numerics.quad
 
@@ -577,7 +658,7 @@ class TestBreakdown:
         monkeypatch.setattr(numerics, "quad", counted_rule)
         compute_eta_breakdown(omega_p)
         assert len(kernel) == 2
-        assert rules == [2, 2, 2]
+        assert rules == [2, 2]
 
     def test_record_validation(self) -> None:
         with pytest.raises(DomainError):

@@ -36,7 +36,8 @@ def test_import_loads_no_scipy() -> None:
 
 def test_import_fills_no_cache() -> None:
     # Import does no numerical work: every lru_cache of the package is still
-    # empty once the package and its command-line interface are imported.
+    # empty once the package and its command-line interface are imported,
+    # and no thread has a kernel workspace yet.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = (
@@ -47,16 +48,19 @@ def test_import_fills_no_cache() -> None:
         "        for attribute, value in vars(module).items():\n"
         "            if hasattr(value, 'cache_info') and value.__module__ == name:\n"
         "                caches[attribute] = value.cache_info().currsize\n"
-        "print(sorted(caches.items()))"
+        "print(sorted(caches.items()))\n"
+        "print(sorted(vars(sys.modules['casimir_plasmons.lifshitz']._workspace)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    caches = dict(ast.literal_eval(result.stdout.strip()))
+    cache_line, workspace_line = result.stdout.splitlines()
+    caches = dict(ast.literal_eval(cache_line))
     named = {"_de_nodes", "_de_layout", "_de_strip", "_quadrant_level",
              "_branch_constants_cached", "_scan_grid"}
     assert named <= set(caches)
     assert {name: size for name, size in caches.items() if size} == {}
+    assert workspace_line == "[]"
 
 
 def _third_party_imports() -> set:

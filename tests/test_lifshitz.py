@@ -11,6 +11,9 @@ below the advertised tolerance, and within the two reported error estimates.
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -438,6 +441,61 @@ class TestQuadrantLayoutCache:
     def test_the_cache_is_bounded(self) -> None:
         # Levels 4 and 5, at tight tolerances, hold up to 173,280 nodes.
         assert 0 < numerics._quadrant_level.cache_info().maxsize <= 16
+
+
+class TestKernelWorkspace:
+    """The kernel's passes write into one aligned workspace per thread."""
+
+    def test_threads_get_the_sequential_bits(self) -> None:
+        # numpy releases the GIL inside a ufunc, so threads sharing one
+        # workspace would overwrite each other's passes.  More threads than
+        # cores, switching often, each at its own Omega_P and window.
+        omegas = (1e-6, 1e-3, 2.0 * math.pi, 1e4)
+        expected = [_eta_total_detailed(omega_p) for omega_p in omegas]
+        results = tuple([] for _ in omegas)
+        start = threading.Barrier(len(omegas))
+
+        def run(i: int) -> None:
+            start.wait(timeout=60)
+            for _ in range(20):
+                results[i].append(_eta_total_detailed(omegas[i]))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(omegas))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i in range(len(omegas)):
+            assert results[i] == [expected[i]] * 20
+
+    def test_a_warm_call_allocates_only_its_result(self) -> None:
+        # A level-3 block at 1e-6 holds 6,816 nodes; once the workspace and
+        # its views exist, the kernel's one new array is the one it returns.
+        K = np.geomspace(1e-3, 30.0, 6816)
+        args = (K, K[::-1].copy(), 2.0 * math.pi, *lifshitz._NODE_RANGE)
+        lifshitz._mode_sum_integrand(*args)
+        tracemalloc.start()
+        try:
+            value = lifshitz._mode_sum_integrand(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value.nbytes <= peak <= value.nbytes + 1024
+
+    def test_buffers_lie_on_64_byte_boundaries(self) -> None:
+        K = np.geomspace(1e-3, 30.0, 6816)
+        for shape in [(K.size,), (16, 1)]:
+            x = K[: math.prod(shape)].reshape(shape)
+            buffers = lifshitz._buffers(x, x.T if shape[1:] else x)
+            assert len(buffers) == lifshitz._BUFFERS
+            assert all(b.ctypes.data % 64 == 0 for b in buffers)
+            assert len({b.ctypes.data for b in buffers}) == lifshitz._BUFFERS
 
 
 # ----------------------------------------------------------------------
