@@ -197,11 +197,17 @@ def _branch_sum_integral(
 def _continuation_integral(
     Omega_P: float, y_plus: float, spec: QuadratureSpec
 ) -> Tuple[float, float]:
-    """``Int_0^{y_plus} 2 u g_plus(-u**2) du``: the plus branch below the light cone."""
+    """``Int_0^{y_plus} 2 u (g_plus(-u**2) - u) du``: the plus branch below the light cone.
+
+    That is the branch's part, ``Int 2 u g_plus du``, less ``(2/3) y_plus**3``, the part
+    of ``Int 2 u**2 du`` up to the light-cone crossing.  ``g_plus >= u`` up to ``y_plus``,
+    where ``g_plus = u``: the integrand keeps its sign and vanishes at both ends, so the
+    tanh-sinh rule needs no more than its core.
+    """
     _check_continuation(CoupledBranch.PLUS, y_plus, Omega_P)  # once: no node exceeds y_plus
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        return 2.0 * u * np.sqrt(_continued_g_squared(u, Omega_P, np.sqrt, np.tan))
+        return 2.0 * u * (np.sqrt(_continued_g_squared(u, Omega_P, np.sqrt, np.tan)) - u)
 
     return _quad("plus-branch continuation integral", Omega_P, integrand, 0.0, y_plus, spec)
 
@@ -239,16 +245,13 @@ def _eta_plasmonic_detailed(
     branch_sum: Optional[Tuple[float, float]] = None,
 ) -> Tuple[float, float]:
     Omega_P = require_positive_finite("Omega_P", Omega_P)
-    constants = branch_constants(Omega_P)
-    y_plus = constants.y_plus
+    y_plus = branch_constants(Omega_P).y_plus
     if branch_sum is None:
         branch_sum = _branch_sum_integral(Omega_P, spec)
     total, err = branch_sum
 
     below_lightcone, below_err = _continuation_integral(Omega_P, y_plus, spec)
-    value = -_CLOSED_PREFACTOR * (
-        total + below_lightcone - (2.0 / 3.0) * y_plus**3
-    )
+    value = -_CLOSED_PREFACTOR * (total + below_lightcone)
     return value, _CLOSED_PREFACTOR * (err + below_err)
 
 

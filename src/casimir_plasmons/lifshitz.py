@@ -13,11 +13,12 @@ wavevector ``K`` and the rotated frequency ``Xi`` (both scaled by ``L/c``):
 
 with ``kappa = sqrt(Xi**2 + K**2)`` and the squared reflection amplitudes of
 :func:`casimir_plasmons.optics.reflection_sq_imag_axis`.  On the imaginary
-axis the integrand is smooth and strictly negative.  Each quadrature level
-calls the optics kernel once on its new nodes; it checks nothing (every
-``K`` lies in [1e-31, 1e7], every ``Xi`` below 1e7) and forms ``kappa``,
-``kappa_t`` and ``kappa_t/eps`` from sums of squares where ``Omega_P`` is
-at most 1e150, by ``hypot`` above.  Every node takes ``log1p(-p)`` with
+axis the integrand is smooth and strictly negative.  The quadrature calls
+the optics kernel once on level 0, once on the new nodes of levels 1 to 3
+and once per finer level.  The kernel checks nothing (every ``K`` lies in
+[1e-31, 1e7], every ``Xi`` below 1e7) and forms ``kappa``, ``kappa_t`` and
+``kappa_t/eps`` from sums of squares where ``Omega_P`` is at most 1e150, by
+``hypot`` above.  Every node takes ``log1p(-p)`` with
 ``p = r**2 e^(-2 kappa)`` clamped below 1 (it rounds to 1 only at level 0's
 corner nodes), accurate relative to the summed ``|terms|``, not per node
 (see :func:`_log_one_minus`).

@@ -21,8 +21,9 @@ the quadrant rule, which scales the difference by its rate of fall.
   level.  :func:`integrate` is the checked entry point.
 * On the quadrant ``[0, inf)**2`` the rule is the product of two exp-sinh
   rules: each level adds the nodes new on either axis.  Those nodes depend
-  only on the level and the window, so each level's layout is built once
-  per window, cached, and passed to the integrand read-only.
+  only on the level and the window, so their layout is built once per
+  window (levels 1 to 3 together, as the 1-D rule's strips, then one per
+  level), cached, and passed to the integrand read-only.
 
 Roots come from Brent's bracketing hybrid (Brent 1973, *Algorithms for
 Minimization without Derivatives*, ch. 4).  Everything is deterministic for
@@ -80,12 +81,14 @@ _DE_STEP = 0.5
 _DE_WINDOWS = {"tanh-sinh": (-4.0, 4.0), "exp-sinh": (-4.5, 3.0)}
 _DE_CORE = 3.0
 _DE_LEVELS = 8
-# The finest level that quad evaluates together with level 0, strip by strip.
+# The finest level that quad evaluates together with level 0, strip by strip,
+# and integrate_quadrant together with level 1.
 _DE_STRIP_LEVELS = 3
 # integrate_quadrant: the most step halvings (level 3 meets rel_tol 1e-9 and
-# level 4 1e-13 on eta_total), and the most nodes passed to f in one call.
+# level 4 1e-13 on eta_total), and the most nodes passed to f in one call:
+# room for levels 1 to 3 of eta_total at rel_tol 1e-9 (7,077 to 8,988 nodes).
 _QUADRANT_LEVELS = 5
-_QUADRANT_BLOCK = 8192
+_QUADRANT_BLOCK = 9216
 
 
 @dataclass(frozen=True)
@@ -232,21 +235,24 @@ def _de_strip(rule: str, nodes: Sequence[int], cells: Sequence[int]) -> np.ndarr
     return strip
 
 
-# At most 16 layouts are kept.  That is room for levels 1 to 3 of each of
-# the four windows eta_total takes for Omega_P from 1e-8 to 1e5, and it keeps
-# those of levels 4 and 5 (up to about 2.8 MB each) from piling up.
+# At most 16 layouts are kept: one per window for levels 1 to 3 (at most
+# 0.15 MB for eta_total), and one per window and finer level.  That is room
+# for levels 1 to 4 of each of the four windows eta_total takes for Omega_P
+# from 1e-8 to 1e5, and it keeps those of levels 4 and 5 (up to about 2.8 MB
+# each) from piling up.
 @lru_cache(maxsize=16)
-def _quadrant_level(
-    reach: Tuple[Tuple[int, int], Tuple[int, int]], level: int
-) -> Tuple[np.ndarray, np.ndarray, Tuple[Tuple[np.ndarray, np.ndarray], ...]]:
-    """The nodes that ``level >= 1`` of :func:`integrate_quadrant` adds.
+def _quadrant_levels(
+    reach: Tuple[Tuple[int, int], Tuple[int, int]], first: int, last: int
+) -> Tuple[np.ndarray, np.ndarray, Tuple[Tuple[Tuple[slice, np.ndarray, np.ndarray], ...], ...]]:
+    """The nodes new at levels ``first >= 1`` to ``last`` of :func:`integrate_quadrant`.
 
     ``reach`` holds the window's first and last level-0 node on the ``x`` and
-    on the ``y`` axis.  An axis's old nodes are those of levels 0 to
-    ``level - 1`` in its window, level by level, and its new ones those of
-    ``level``.  Returns ``(x, y, arms)``, read-only: the L of new nodes as
-    two flat arrays, new ``x`` by every ``y`` and then old ``x`` by new
-    ``y``, and the ``(wx, wy)`` weights of those two arms.
+    on the ``y`` axis.  At level ``n`` an axis's old nodes are those of levels
+    0 to ``n - 1`` in its window, level by level, and its new ones those of
+    ``n``.  Returns ``(x, y, arms)``, read-only: the L of each level's new
+    nodes, level after level, as two flat arrays, new ``x`` by every ``y`` and
+    then old ``x`` by new ``y``; and per level, the ``(part, wx, wy)`` of
+    those two arms: the slice of ``x`` it fills and its weights.
     """
     def nodes(lo: int, hi: int, levels: Sequence[int]) -> Tuple[np.ndarray, ...]:
         """Offsets and weights of ``levels`` in the window from level-0 node ``lo`` to ``hi``."""
@@ -256,15 +262,18 @@ def _quadrant_level(
         parts = [tuple(a[c] for a in _de_nodes("exp-sinh", n)) for n, c in zip(levels, cuts)]
         return tuple(map(np.concatenate, zip(*parts)))
 
-    (x_new, wx_new), (x_old, wx_old) = (nodes(*reach[0], n) for n in ([level], range(level)))
-    (y_new, wy_new), (y_all, wy_all) = (nodes(*reach[1], n) for n in ([level], range(level + 1)))
-    split = x_new.size * y_all.size
-    x, y = np.empty((2, split + x_old.size * y_new.size))
-    for part, xs, ys in ((slice(split), x_new, y_all), (slice(split, None), x_old, y_new)):
-        x[part].reshape(xs.size, ys.size)[...] = xs[:, np.newaxis]
-        y[part].reshape(xs.size, ys.size)[...] = ys
-    arms = ((wx_new, wy_all), (wx_old, wy_new))
-    for array in (x, y, *(w for arm in arms for w in arm)):
+    xs, ys, arms, start = [], [], [], 0
+    for k in range(first, last + 1):
+        (x_new, wx_new), (x_old, wx_old) = (nodes(*reach[0], n) for n in ([k], range(k)))
+        (y_new, wy_new), (y_all, wy_all) = (nodes(*reach[1], n) for n in ([k], range(k + 1)))
+        arms.append([])
+        for xa, ya, wx, wy in ((x_new, y_all, wx_new, wy_all), (x_old, y_new, wx_old, wy_new)):
+            xs.append(np.repeat(xa, ya.size))
+            ys.append(np.tile(ya, xa.size))
+            arms[-1].append((slice(start, start + xs[-1].size), wx, wy))
+            start += xs[-1].size
+    x, y, arms = np.concatenate(xs), np.concatenate(ys), tuple(map(tuple, arms))
+    for array in (x, y, *(w for ell in arms for _, wx, wy in ell for w in (wx, wy))):
         array.flags.writeable = False
     return x, y, arms
 
@@ -479,11 +488,16 @@ def integrate_quadrant(
     whole window, ``2e-31`` to ``7e6`` on each axis, passed as a column of
     ``x`` and a row of ``y``; on each side of each axis the finer levels
     reach out to its first row (column) whose ``|w f|`` is below machine
-    epsilon times the total, as in :func:`quad`.  Each finer level passes
-    only its new nodes (new ``x`` by every ``y``, old ``x`` by new ``y``)
-    as two flat arrays, in calls of at most 8192 nodes: one up to level 3.
-    Those arrays depend only on the level and the window, so each is built
-    once per window and kept (the 16 last used); ``f`` gets them read-only.
+    epsilon times the total, as in :func:`quad`.  A finer level evaluates
+    only its new nodes (new ``x`` by every ``y``, old ``x`` by new ``y``),
+    as two flat arrays in calls of at most 9216 nodes.  As in :func:`quad`,
+    level 1 evaluates levels 1 to 3 at once (one call for ``eta_total`` at
+    ``rel_tol`` 1e-9), levels 2 and 3 only sum stored values, and each finer
+    level is evaluated on its own.  So ``f`` may see nodes of levels 2 and 3
+    that a rule stopping early does not sum: a value it returns there is
+    never checked, but an exception it raises there propagates.  The arrays
+    depend only on the levels and the window, so each is built once per
+    window and kept (the 16 last used); ``f`` gets them read-only.
 
     Returns ``(value, error_estimate)``.  Refinement stops once the last two
     levels differ, plus a rounding allowance, by at most ``rel_tol * |value|``
@@ -504,20 +518,20 @@ def integrate_quadrant(
     kept = [np.flatnonzero(magnitudes.sum(axis) >= floor) for axis in (1, 0)]
     reach = tuple((max(int(k[0]) - 1, 0), min(int(k[-1]) + 1, offset.size - 1)) for k in kept)
     weighted_sum = float(terms[tuple(slice(lo, hi + 1) for lo, hi in reach)].sum())
-    values = []
+    values, pending = [], []  # pending: f's values and the arms of levels not yet summed
 
     def level_value(level: int) -> Tuple[float, float]:
         nonlocal weighted_sum
         if level:
-            x, y, arms = _quadrant_level(reach, level)
-            n = _QUADRANT_BLOCK  # nodes per call of f
-            blocks = [f(x[i : i + n], y[i : i + n]) for i in range(0, x.size, n)]
-            fxy = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            start = 0
-            for wx, wy in arms:
-                stop = start + wx.size * wy.size
-                weighted_sum += float(wx @ (fxy[start:stop].reshape(wx.size, -1) @ wy))
-                start = stop
+            if not pending:  # levels 1 to _DE_STRIP_LEVELS together, then one at a time
+                x, y, arms = _quadrant_levels(reach, level, max(level, _DE_STRIP_LEVELS))
+                n = _QUADRANT_BLOCK  # nodes per call of f
+                blocks = [f(x[i : i + n], y[i : i + n]) for i in range(0, x.size, n)]
+                fxy = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+                pending.extend((fxy, arm) for arm in arms)
+            fxy, arm = pending.pop(0)
+            for part, wx, wy in arm:
+                weighted_sum += float(wx @ (fxy[part].reshape(wx.size, -1) @ wy))
         step = _DE_STEP / 2**level
         values.append(weighted_sum * step * step)
         return values[-1], abs(values[-1])

@@ -30,7 +30,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from casimir_plasmons import decomposition, modes, numerics
+from casimir_plasmons import decomposition, lifshitz, modes, numerics
 from casimir_plasmons.decomposition import (
     AsymptoticReport,
     EtaBreakdown,
@@ -179,10 +179,13 @@ class TestSurfaceIntegralsAgainstMpmath:
 
     @pytest.mark.parametrize("omega_p", SURFACE_OMEGAS)
     def test_plus_branch_continuation(self, omega_p: float) -> None:
+        # The rule integrates 2 u (g_plus - u): the branch's part less the
+        # (2/3) y_plus**3 of 2 u**2.
         y_plus = branch_constants(omega_p).y_plus
+        with mp.workdps(30):
+            reference = _mp_continuation(omega_p, y_plus) - mp.mpf(y_plus) ** 3 * 2 / 3
         self._assert_covered(
-            _continuation_integral(omega_p, y_plus, DEFAULT_QUADRATURE),
-            _mp_continuation(omega_p, y_plus),
+            _continuation_integral(omega_p, y_plus, DEFAULT_QUADRATURE), reference
         )
 
     @pytest.mark.parametrize("omega_p", SURFACE_OMEGAS)
@@ -192,6 +195,20 @@ class TestSurfaceIntegralsAgainstMpmath:
             _reference_correction_integral(omega_p, depth),
             _mp_reference_correction(omega_p, depth),
         )
+
+    @pytest.mark.parametrize("omega_p", SURFACE_OMEGAS)
+    def test_eta_pl_against_the_mpmath_parts(self, omega_p: float) -> None:
+        # eta_pl = -P (branch sum + continuation - (2/3) y_plus**3), each part
+        # from mpmath at 30 digits.
+        y_plus = branch_constants(omega_p).y_plus
+        with mp.workdps(30):
+            parts = (
+                _mp_branch_sum(omega_p)
+                + _mp_continuation(omega_p, y_plus)
+                - mp.mpf(y_plus) ** 3 * 2 / 3
+            )
+            reference = -parts * 180 / (2 * mp.pi**3)
+        self._assert_covered(_eta_plasmonic_detailed(omega_p, DEFAULT_QUADRATURE), reference)
 
     @pytest.mark.parametrize("omega_p", SURFACE_OMEGAS)
     def test_eta_ev_against_the_mpmath_parts(self, omega_p: float) -> None:
@@ -471,8 +488,8 @@ class TestBreakdown:
                 1e-8,
                 {
                     "eta_total": ("0x1.878cb996b0f40p-29", "0x1.f5fcdaa98be69p-75"),
-                    "eta_pl": ("0x1.878cb996b0f3ap-29", "0x1.58bf27c5b98c1p-62"),
-                    "eta_ph": ("0x1.8000000000000p-79", "0x1.58ced7ac8ed87p-62"),
+                    "eta_pl": ("0x1.878cb996b0f3ap-29", "0x1.58bf27c5b98c3p-62"),
+                    "eta_ph": ("0x1.8000000000000p-79", "0x1.58ced7ac8ed89p-62"),
                     "eta_ev": ("0x1.878cb996b0f3dp-29", "0x1.58bf27c5b98c1p-62"),
                 },
             ),
@@ -480,8 +497,8 @@ class TestBreakdown:
                 1e-5,
                 {
                     "eta_total": ("0x1.7e5f6d2800d06p-19", "0x1.e9465da36bb11p-65"),
-                    "eta_pl": ("0x1.7e5f6d23f65b3p-19", "0x1.4d9bef087eb23p-52"),
-                    "eta_ph": ("0x1.029d4c0000000p-49", "0x1.4dab393b6bcd9p-52"),
+                    "eta_pl": ("0x1.7e5f6d23f65b4p-19", "0x1.4d9bef0a54e43p-52"),
+                    "eta_ph": ("0x1.029d480000000p-49", "0x1.4dab393d41ff9p-52"),
                     "eta_ev": ("0x1.7e5f6d274412bp-19", "0x1.4d9bef087dffap-52"),
                 },
             ),
@@ -489,8 +506,8 @@ class TestBreakdown:
                 1e-3,
                 {
                     "eta_total": ("0x1.2ab9481ab5e3fp-12", "0x1.341ebe14193dfp-58"),
-                    "eta_pl": ("0x1.2ab8cd4fddbf4p-12", "0x1.30b6d97566de2p-45"),
-                    "eta_ph": ("0x1.eb2b6092c0000p-30", "0x1.30c07a6b577efp-45"),
+                    "eta_pl": ("0x1.2ab8cd4fddbf4p-12", "0x1.30b71182909c1p-45"),
+                    "eta_ph": ("0x1.eb2b6092c0000p-30", "0x1.30c0b278813cep-45"),
                     "eta_ev": ("0x1.2ab9320f0279dp-12", "0x1.30b6d9607992ap-45"),
                 },
             ),
@@ -498,8 +515,8 @@ class TestBreakdown:
                 0.5,
                 {
                     "eta_total": ("0x1.e5b8f3d363032p-4", "0x1.44148924a213ap-49"),
-                    "eta_pl": ("-0x1.7018d1722a806p-7", "0x1.d5dbd32093a59p-35"),
-                    "eta_ph": ("0x1.09de0700d4299p-3", "0x1.d5e0e372b8382p-35"),
+                    "eta_pl": ("-0x1.7018d1722a800p-7", "0x1.1aad0852f92e8p-34"),
+                    "eta_ph": ("0x1.09de0700d4299p-3", "0x1.1aaf907c0b77cp-34"),
                     "eta_ev": ("0x1.eed2820cde0e9p-4", "0x1.01bde51ade57cp-36"),
                 },
             ),
@@ -507,8 +524,8 @@ class TestBreakdown:
                 2.0 * math.pi,
                 {
                     "eta_total": ("0x1.3549e9e69ddd2p-1", "0x1.2951cb39be600p-46"),
-                    "eta_pl": ("-0x1.57020cc539bcbp+4", "0x1.a4989b109390dp-31"),
-                    "eta_ph": ("0x1.60ac5c146eabap+4", "0x1.a49aedb42a045p-31"),
+                    "eta_pl": ("-0x1.57020cc539bc9p+4", "0x1.2ed010481fa1dp-30"),
+                    "eta_ph": ("0x1.60ac5c146eab8p+4", "0x1.2ed13999eadb9p-30"),
                     "eta_ev": ("0x1.2874d35115ad8p+1", "0x1.4c005f3edce00p-32"),
                 },
             ),
@@ -516,8 +533,8 @@ class TestBreakdown:
                 40.0,
                 {
                     "eta_total": ("0x1.d11458dd3122cp-1", "0x1.7c766d4a90f34p-46"),
-                    "eta_pl": ("-0x1.fc3cf0533430ep+6", "0x1.58e383bff6eacp-24"),
-                    "eta_ph": ("0x1.ffdf1904ee932p+6", "0x1.58e389b1d09ffp-24"),
+                    "eta_pl": ("-0x1.fc3cf0533430ep+6", "0x1.63cf8295f9fcap-24"),
+                    "eta_ph": ("0x1.ffdf1904ee932p+6", "0x1.63cf8887d3b1dp-24"),
                     "eta_ev": ("0x1.2b896eeab5ea4p+3", "0x1.735b3325cbf38p-31"),
                 },
             ),
@@ -525,8 +542,8 @@ class TestBreakdown:
                 1e5,
                 {
                     "eta_total": ("0x1.fffac1defc46cp-1", "0x1.24e6af4605796p-45"),
-                    "eta_pl": ("-0x1.24249844f4440p+13", "0x1.79211d74d0762p-22"),
-                    "eta_ph": ("0x1.242c982ffbbffp+13", "0x1.79211fbe9dd4bp-22"),
+                    "eta_pl": ("-0x1.24249844f443fp+13", "0x1.75f70b6fb2e78p-22"),
+                    "eta_ph": ("0x1.242c982ffbbfep+13", "0x1.75f70db980461p-22"),
                     "eta_ev": ("0x1.00c3e095482ffp+9", "0x1.1f3af3fb9d0fap-22"),
                 },
             ),
@@ -534,8 +551,8 @@ class TestBreakdown:
                 1e12,
                 {
                     "eta_total": ("0x1.fffffffff7347p-1", "0x1.24f23dd21e51cp-45"),
-                    "eta_pl": ("-0x1.c5fd992be9dabp+24", "0x1.37af1f916e043p-10"),
-                    "eta_ph": ("0x1.c5fd9a2be9dabp+24", "0x1.37af1f9192a27p-10"),
+                    "eta_pl": ("-0x1.c5fd992be9dabp+24", "0x1.37ae65c8db6d7p-10"),
+                    "eta_ph": ("0x1.c5fd9a2be9dabp+24", "0x1.37ae65c9000bbp-10"),
                     "eta_ev": ("0x1.8c7b18fdd97e1p+20", "0x1.bbaf87f13d921p-11"),
                 },
             ),
@@ -564,7 +581,12 @@ class TestBreakdown:
         # rounding bound (within 1.4e-15 of 90-digit mpmath): the value moved
         # by at most 3.4e-15 relative, the estimate fell by at most 0.39 of
         # itself (it had held the correction's quadrature estimate), and
-        # each value lies within its estimate of the mpmath parts.
+        # each value lies within its estimate of the mpmath parts.  eta_pl
+        # and eta_ph were re-pinned when the continuation integral took
+        # 2 u (g_plus - u): eta_pl moved by at most 9.3e-16 relative (eta_ph
+        # by the same amount, 2.4e-7 of itself at 1e-5), their estimates by a
+        # factor of 0.99 to 1.44, and eta_pl lies within its estimate of the
+        # mpmath parts.
         breakdown = compute_eta_breakdown(omega_p)
         assert {
             name: (getattr(breakdown, name).hex(), breakdown.error_estimates[name].hex())
@@ -576,17 +598,17 @@ class TestBreakdown:
         [
             (
                 1e-3,
-                ("0x1.2ab8cd4fddbf1p-12", "0x1.365825a8507c3p-58"),
+                ("0x1.2ab8cd4fddbf1p-12", "0x1.3655a79eb74e8p-58"),
                 ("0x1.2ab9320f0279ap-12", "0x1.365587fee0f23p-58"),
             ),
             (
                 2.0 * math.pi,
-                ("-0x1.57020cc539bcbp+4", "0x1.793a6e752da6bp-41"),
+                ("-0x1.57020cc539bc9p+4", "0x1.570cc619ac207p-42"),
                 ("0x1.2874d35115ad8p+1", "0x1.52844173ba2f8p-43"),
             ),
             (
                 1e5,
-                ("-0x1.24249844f43ebp+13", "0x1.3e43ba95d5360p-32"),
+                ("-0x1.24249844f43ebp+13", "0x1.3be034a055d1dp-32"),
                 ("0x1.00c3e095482ffp+9", "0x1.58440fd2d0209p-35"),
             ),
         ],
@@ -602,7 +624,9 @@ class TestBreakdown:
         # gap: eta_ev moved by 1.2e-15 and 4.0e-11, its estimate by 1.3e-15
         # and 1.9e-2 relative.  eta_ev re-pinned again with the closed-form
         # reference correction: it moved by at most 2.7e-15 relative, its
-        # estimate by at most 0.41 of itself (1.6e-6 at 1e-3).
+        # estimate by at most 0.41 of itself (1.6e-6 at 1e-3).  eta_pl
+        # re-pinned with the continuation of 2 u (g_plus - u): it moved by at
+        # most 3.3e-16 relative, its estimate by a factor of 0.46 to 1.
         spec = QuadratureSpec(rel_tol=1e-13)
         plasmonic = _eta_plasmonic_detailed(omega_p, spec)
         evanescent = _eta_evanescent_detailed(omega_p, spec)
@@ -612,9 +636,11 @@ class TestBreakdown:
     def test_alpha_and_the_propagative_identity_keep_their_bits(self) -> None:
         # Both integrate per node (alpha through libm, the identity through
         # root finds), and every one of their integrals reaches level 2 or 3.
+        # The left side (eta_pl - eta_ev) moved by 1 ulp onto the right side
+        # when the continuation integral took 2 u (g_plus - u).
         assert short_distance_alpha().hex() == "0x1.317efeed6a700p+0"
         assert [x.hex() for x in propagative_part_identity(5.0)] == [
-            "-0x1.17b9ea488f4e6p+4",
+            "-0x1.17b9ea488f4e5p+4",
             "-0x1.17b9ea488f4e5p+4",
         ]
 
@@ -639,9 +665,10 @@ class TestBreakdown:
     ) -> None:
         # The branch sum, with its proved tail bound and no envelope probe,
         # calls the kernel on the core of its window and on its one growth
-        # step, as the continuation calls its integrand; the reference
-        # correction is a closed form.  Every call goes through numerics.quad,
-        # which tracers wrap by name.
+        # step.  The continuation's integrand vanishes at both ends, so its
+        # window never grows: one call.  The reference correction is a closed
+        # form.  Every call goes through numerics.quad, which tracers wrap by
+        # name.
         kernel, rules = [], []
         rule = numerics.quad
 
@@ -658,7 +685,31 @@ class TestBreakdown:
         monkeypatch.setattr(numerics, "quad", counted_rule)
         compute_eta_breakdown(omega_p)
         assert len(kernel) == 2
-        assert rules == [2, 2]
+        assert rules == [2, 1]
+
+    @pytest.mark.parametrize("omega_p", [1e-8, 2.0 * math.pi, 1e5])
+    def test_makes_five_integrand_calls(self, omega_p, monkeypatch) -> None:
+        # The branch sum (shared by eta_pl and eta_ev): its core and its one
+        # growth step.  The continuation: its core.  eta_total: level 0, then
+        # levels 1 to 3 together.
+        calls = []
+
+        def counting(rule, name):
+            def counted_rule(f, *args):
+                def counted(*nodes):
+                    calls.append(name)
+                    return f(*nodes)
+
+                return rule(counted, *args)
+
+            return counted_rule
+
+        monkeypatch.setattr(numerics, "quad", counting(numerics.quad, "quad"))
+        monkeypatch.setattr(
+            lifshitz, "integrate_quadrant", counting(numerics.integrate_quadrant, "quadrant")
+        )
+        compute_eta_breakdown(omega_p)
+        assert calls == ["quad"] * 3 + ["quadrant"] * 2
 
     def test_record_validation(self) -> None:
         with pytest.raises(DomainError):

@@ -56,7 +56,7 @@ def test_import_fills_no_cache() -> None:
     )
     cache_line, workspace_line = result.stdout.splitlines()
     caches = dict(ast.literal_eval(cache_line))
-    named = {"_de_nodes", "_de_layout", "_de_strip", "_quadrant_level",
+    named = {"_de_nodes", "_de_layout", "_de_strip", "_quadrant_levels",
              "_branch_constants_cached", "_scan_grid"}
     assert named <= set(caches)
     assert {name: size for name, size in caches.items() if size} == {}

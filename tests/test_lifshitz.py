@@ -211,8 +211,9 @@ class TestReductionFactor:
 
     @pytest.mark.parametrize("omega_p", [1e-8, 2.0 * math.pi, 1e5])
     def test_default_tolerance_takes_at_most_three_halvings(self, omega_p, monkeypatch) -> None:
-        # Level 3 of the product rule has 121 nodes per axis.  Each level
-        # evaluates its new nodes in one call of the kernel: four calls.
+        # Level 3 of the product rule has 121 nodes per axis.  Level 0 is one
+        # call of the kernel, and levels 1 to 3 (7,077 to 8,988 new nodes)
+        # another: two calls.
         total = 9244 if omega_p < 1.0 else 7333
         nodes = []
 
@@ -222,9 +223,8 @@ class TestReductionFactor:
 
         monkeypatch.setattr(lifshitz, "_mode_sum_integrand", counted)
         eta_total(omega_p)
-        assert sum(nodes) == total <= 121**2
-        assert len(nodes) == 4
-        assert max(nodes) <= 8192
+        assert nodes == [16 * 16, total - 16 * 16]
+        assert total <= 121**2 and max(nodes) <= numerics._QUADRANT_BLOCK
 
     @pytest.mark.parametrize("omega_p", [5e-5, 1e-4, 3e-4])
     def test_converges_where_nested_quadrature_failed(self, omega_p) -> None:
@@ -402,22 +402,22 @@ class TestModeSumIntegrand:
 
 
 class TestQuadrantLayoutCache:
-    """Each level's nodes are built once per window and shared by every Omega_P."""
+    """The nodes of levels 1 to 3 are built once per window and shared by every Omega_P."""
 
     # Three windows of the product rule: 1e-6 reaches one level-0 node
     # further along Xi than 1e-2, and 1e-2 two further than 2*pi.
     @pytest.mark.parametrize("omega_p", [1e-6, 1e-2, 2.0 * math.pi])
     def test_cold_and_warm_layouts_give_the_same_bits(self, omega_p) -> None:
-        numerics._quadrant_level.cache_clear()
+        numerics._quadrant_levels.cache_clear()
         cold = _eta_total_detailed(omega_p)
-        assert numerics._quadrant_level.cache_info().misses == 3
+        assert numerics._quadrant_levels.cache_info().misses == 1  # levels 1 to 3
         warm = _eta_total_detailed(omega_p)
-        assert numerics._quadrant_level.cache_info().hits == 3
+        assert numerics._quadrant_levels.cache_info().hits == 1
         assert [x.hex() for x in warm] == [x.hex() for x in cold]
 
     def test_levels_share_read_only_nodes_within_a_window(self, monkeypatch) -> None:
-        # 1 and 1e3 share a window, so levels 1 to 3 hand the kernel views of
-        # the same cached arrays; f can write into none of them.
+        # 1 and 1e3 share a window, so the call of levels 1 to 3 hands the
+        # kernel views of the same cached arrays; f can write into none of them.
         calls = []
 
         def recorded(f, spec):
@@ -430,8 +430,8 @@ class TestQuadrantLayoutCache:
         monkeypatch.setattr(lifshitz, "integrate_quadrant", recorded)
         for omega_p in (1.0, 1e3):
             eta_total(omega_p)
-        assert len(calls) == 8  # levels 0 to 3, one call each
-        first, second = calls[1:4], calls[5:]
+        assert len(calls) == 4  # level 0, then levels 1 to 3, for each Omega_P
+        first, second = calls[1:2], calls[3:]
         for (x, y), (x2, y2) in zip(first, second):
             assert not (x.flags.writeable or y.flags.writeable)
             assert x.base is x2.base is not None and y.base is y2.base
@@ -440,7 +440,7 @@ class TestQuadrantLayoutCache:
 
     def test_the_cache_is_bounded(self) -> None:
         # Levels 4 and 5, at tight tolerances, hold up to 173,280 nodes.
-        assert 0 < numerics._quadrant_level.cache_info().maxsize <= 16
+        assert 0 < numerics._quadrant_levels.cache_info().maxsize <= 16
 
 
 class TestKernelWorkspace:

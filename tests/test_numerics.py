@@ -407,8 +407,9 @@ def test_quadrant_skips_nodes_below_machine_epsilon():
 
 
 def test_quadrant_integrand_works_elementwise():
-    # Level 0 passes a column and a row; every finer level two flat arrays
-    # of equal length, on which an elementwise integrand gives the same sums.
+    # Level 0 passes a column and a row; levels 1 to 3 together, and every
+    # finer level, two flat arrays of equal length, on which an elementwise
+    # integrand gives the same sums.
     calls = []
 
     def flat(x, y):
@@ -418,12 +419,13 @@ def test_quadrant_integrand_works_elementwise():
         return _gamma_product(x, y)
 
     assert integrate_quadrant(flat) == integrate_quadrant(_gamma_product)
-    assert len(calls) > 1 and max(calls) <= 8192
+    assert len(calls) > 1 and max(calls) <= numerics._QUADRANT_BLOCK
 
 
-def test_quadrant_cuts_a_level_into_calls_of_at_most_8192_nodes(monkeypatch):
-    # Level 4 of this integrand has 27,840 new nodes: four calls, whose
-    # values sum as those of one call would.
+def test_quadrant_cuts_a_level_into_calls_of_at_most_a_block(monkeypatch):
+    # Levels 1 to 3 of this integrand have 9,240 new nodes and level 4
+    # 27,840: calls of at most _QUADRANT_BLOCK (9,216) nodes, whose values
+    # sum as those of one call would.
     spec = QuadratureSpec(rel_tol=1e-13)
     nodes = []
 
@@ -432,7 +434,8 @@ def test_quadrant_cuts_a_level_into_calls_of_at_most_8192_nodes(monkeypatch):
         return np.exp(-x - y) / (1.0 + x * y)
 
     chunked = integrate_quadrant(f, spec)
-    assert nodes[4:] == [8192, 8192, 8192, 3264]
+    block = numerics._QUADRANT_BLOCK
+    assert nodes == [16 * 16, block, 9240 - block, block, block, block, 27840 - 3 * block]
     monkeypatch.setattr(numerics, "_QUADRANT_BLOCK", 10**6)
     assert integrate_quadrant(f, spec) == chunked
 
@@ -500,41 +503,74 @@ def _quadrant_reference(f, spec=DEFAULT_QUADRATURE):
     ids=["gamma-product", "slow-tail"],
 )
 def test_quadrant_passes_the_nodes_of_repeat_and_tile(f, tol, monkeypatch):
-    # Each call of f sees the same x and y, in the same order, as the
-    # reference's, and the sums keep their bits.  A level of at most 8192
-    # nodes is one call.
+    # f sees the same x and y, in the same order, as the reference's, and
+    # the sums keep their bits.  Levels 1 to 3 are one evaluation, at level
+    # 1: the reference's calls of those levels concatenated, cut into calls
+    # of at most _QUADRANT_BLOCK nodes.  Each finer level is one evaluation,
+    # cut as the reference cuts it.
     spec = QuadratureSpec(rel_tol=tol)
-    calls, per_level = [], []
     refine = numerics._refine
 
-    def recorded(x, y):
-        calls.append((np.array(x), np.array(y)))
+    def run(rule):
+        """The rule's result, its first call of f and, per level, the (x, y) of its calls."""
+        calls, per_level = [], []
+
+        def recorded(x, y):
+            calls.append(np.broadcast_arrays(np.array(x), np.array(y)))
+            return f(x, y)
+
+        def counted_refine(level_value, *args):
+            def counted(level):
+                before = len(calls)
+                out = level_value(level)
+                per_level.append(calls[before:])
+                return out
+
+            return refine(counted, *args)
+
+        monkeypatch.setattr(numerics, "_refine", counted_refine)
+        return rule(recorded, spec), calls[0], per_level
+
+    result, first, levels = run(integrate_quadrant)
+    expected, reference_first, reference_levels = run(_quadrant_reference)
+    assert result == expected
+    assert len(levels) == len(reference_levels) > 4
+    # Level 0 (the 16 by 16 grid) runs before the refinement.
+    assert levels[0] == reference_levels[0] == [] and first[0].size == 16 * 16
+    assert all((a == b).all() for a, b in zip(first, reference_first))
+    assert levels[2] == levels[3] == []  # summed from the values of level 1's call
+    groups = [levels[1]] + levels[4:]
+    reference_groups = [sum(reference_levels[1:4], [])] + reference_levels[4:]
+    n = numerics._QUADRANT_BLOCK
+    for calls, reference_calls in zip(groups, reference_groups):
+        x, y = (np.concatenate([xy[i] for xy in calls]) for i in (0, 1))
+        x_ref, y_ref = (np.concatenate([xy[i] for xy in reference_calls]) for i in (0, 1))
+        assert (x == x_ref).all() and (y == y_ref).all()
+        assert [xy[0].size for xy in calls] == [min(n, x.size - i) for i in range(0, x.size, n)]
+    assert len(levels[4]) > 1  # level 4 is cut into blocks
+
+
+@pytest.mark.parametrize(
+    "f",
+    [_gamma_product, lambda x, y: np.exp(-x - y) / (1.0 + x * y)],
+    ids=["gamma-product", "slow-tail"],
+)
+def test_quadrant_stopping_before_level_3_keeps_the_reference_bits(f):
+    # At rel_tol 1e-4 the rule stops at level 2.  f has already seen the
+    # nodes of level 3, which are never summed: the result keeps the bits
+    # of the reference, which stops after its call of level 2.
+    spec = QuadratureSpec(rel_tol=1e-4)
+    sizes = []
+
+    def counted(x, y):
+        sizes.append(np.broadcast(x, y).size)
         return f(x, y)
 
-    def counted_refine(level_value, *args):
-        def counted(level):
-            before = len(calls)
-            out = level_value(level)
-            per_level.append([np.broadcast(*xy).size for xy in calls[before:]])
-            return out
-
-        return refine(counted, *args)
-
-    monkeypatch.setattr(numerics, "_refine", counted_refine)
-    result = integrate_quadrant(recorded, spec)
-    monkeypatch.setattr(numerics, "_refine", refine)
-    new_calls, calls[:] = calls[:], []
-    assert result == _quadrant_reference(recorded, spec)
-    assert len(new_calls) == len(calls) > 4
-    for (x, y), (x_ref, y_ref) in zip(new_calls, calls):
-        assert x.shape == x_ref.shape and y.shape == y_ref.shape
-        assert (x == x_ref).all() and (y == y_ref).all()
-    # Level 0 (the 16 by 16 grid) runs before the refinement.
-    assert per_level[0] == [] and np.broadcast(*new_calls[0]).size == 16 * 16
-    for sizes in per_level[1:]:
-        assert len(sizes) == -(-sum(sizes) // 8192) and max(sizes) <= 8192
-    counts = [len(sizes) for sizes in per_level[1:]]
-    assert counts[:3] == [1, 1, 1] and counts[3] > 1  # level 4 is cut into blocks
+    result = integrate_quadrant(counted, spec)
+    evaluated, sizes[:] = sum(sizes[1:]), []
+    assert result == _quadrant_reference(counted, spec)
+    assert len(sizes) == 3  # levels 0, 1 and 2
+    assert evaluated > sum(sizes[1:])
 
 
 def test_quadrant_is_deterministic():
