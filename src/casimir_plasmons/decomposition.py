@@ -82,6 +82,10 @@ _DIRECT_PREFACTOR = 180.0 / math.pi**3
 # The reference correction's series cut in W**2, and its bound in ulp (44 * 2**-53 relative).
 _SERIES_CUT, _REFERENCE_ULPS = 0.6, 48
 
+# s = v**2/(_BRANCH_SHIFT + v) in the branch sum.  Over Omega_P in [1.5e-154, 1e15] its
+# window grows at 1e-5, and from 1e-3 some Omega_P need level 4 at rel_tol 1e-9.
+_BRANCH_SHIFT = 1e-4
+
 # L/lambda_p interval known to bracket the unique sign change of eta_pl.
 SIGN_CHANGE_BRACKET = (0.01, 0.5)
 
@@ -154,15 +158,16 @@ def _quad(label: str, Omega_P: float, f, a, b, spec: QuadratureSpec, tail_bound=
 
 
 def _branch_sum_tail_bound(Omega_P: float, reach: float) -> float:
-    """Bound on ``Int_X^inf |2 s (g_plus + g_minus - 2 g_zero)(s**2)| ds`` at ``X = reach``.
+    """Bound on ``Int_S^inf |2 s (g_plus + g_minus - 2 g_zero)(s**2)| ds`` at ``S = reach``.
 
     From the factors of :func:`modes._branch_combination` at ``s >= 1``:
     ``g_zero <= Omega_P/sqrt(2)``, ``decay_sum <= 2 e^-s``, each of the two
     non-negative terms of ``numerator`` is at most ``4.63 e^-s`` and the
     denominator is at least ``2 (1 - e^-2)``.  So the combination is at most
     ``4 Omega_P e^(-2 s)`` in magnitude, and its tail at most ``2 Omega_P
-    (2 X + 1) e^(-2 X)``.  Infinite below ``X = 1``, which the exp-sinh
-    rule, reaching ``7e6`` with its core, never asks for.
+    (2 S + 1) e^(-2 S)``; infinite below ``S = 1``.  The rule runs in ``v``, where
+    ``s = v**2/(_BRANCH_SHIFT + v)`` increases from 0: its tail beyond ``v = X`` is
+    this one at ``S = s(X)``, and its core reaches ``s = 7e6 - _BRANCH_SHIFT``.
     """
     if reach < 1.0:
         return math.inf
@@ -174,14 +179,18 @@ def _branch_sum_integral(
 ) -> Tuple[float, float]:
     """``Int_0^inf (g_plus + g_minus - 2 g_zero) dz`` with error estimate.
 
-    Evaluated in the variable ``s = sqrt(z)``, where the integrand is smooth
-    at the origin; the plateau cancellation makes it decay like
-    ``exp(-2 s)``, and :func:`_branch_sum_tail_bound` bounds what lies beyond
-    the rule's reach.
+    In ``s = sqrt(z)`` the integrand is smooth at the origin and, as the plateaus
+    cancel, decays like ``exp(-2 s)``.  The rule runs in ``v``: ``s = v**2/(_BRANCH_SHIFT
+    + v)``, ``ds/dv = r (2 - r)`` with ``r = v/(_BRANCH_SHIFT + v)``.  The integrand
+    vanishes like ``v**3`` at 0, so the window never grows (one call of 97 nodes up
+    to level 3), and far out ``s`` is ``v - _BRANCH_SHIFT``.  :func:`_branch_sum_tail_bound`
+    bounds what lies beyond the rule's reach.
     """
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return 2.0 * s * _branch_combination(s, Omega_P)
+    def integrand(v: np.ndarray) -> np.ndarray:
+        r = v / (_BRANCH_SHIFT + v)
+        s = v * r
+        return 2.0 * s * r * (2.0 - r) * _branch_combination(s, Omega_P)
 
     return _quad(
         "surface-mode branch-sum integral",
@@ -190,7 +199,7 @@ def _branch_sum_integral(
         0.0,
         math.inf,
         spec,
-        lambda reach: _branch_sum_tail_bound(Omega_P, reach),
+        lambda reach: _branch_sum_tail_bound(Omega_P, reach * reach / (_BRANCH_SHIFT + reach)),
     )
 
 
@@ -401,10 +410,10 @@ def compute_eta_breakdown(
     integral stops on ``spec.rel_tol``, however small its value, so at the
     default tolerance ``eta_ph`` (about ``1.8 * Omega_P**3`` against
     ``eta_pl`` of about ``0.28 * Omega_P``) has an estimate below its value
-    from ``Omega_P`` of about ``4e-6`` up (0.16 of it at ``1e-5``).  Below
+    from ``Omega_P`` of about ``4e-6`` up (0.13 of it at ``1e-5``).  Below
     that the estimate, almost all of it ``eta_pl``'s, exceeds the value (16
     times at ``1e-6``), yet the value is resolved: it follows
-    ``1.795 * Omega_P**3`` within 1e-3 down to ``1e-7``, also at 1e-13.
+    ``1.795 * Omega_P**3`` within 1e-3 to ``1e-6``, 5e-3 to ``1e-7`` (3e-4, 3e-3 at 1e-13).
     """
     Omega_P = require_positive_finite("Omega_P", Omega_P)
     branch_sum = _branch_sum_integral(Omega_P, spec)

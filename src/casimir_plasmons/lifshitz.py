@@ -138,7 +138,8 @@ def _log_one_minus(
 
     With ``x`` the transverse decay constant of the polarization
     (``kappa_t`` for TE, ``kappa_t/eps`` for TM), ``r = (kappa - x)/(kappa + x)``
-    and ``p = r^2 e^(-2 kappa)``, every node takes ``log1p(-p)``.  The rule
+    and ``p = r^2 e^(-2 kappa)``, every node takes ``log1p(-p)``, with ``-p`` formed
+    from ``damping = -e^(-2 kappa)`` (negated once for both).  The rule
     needs terms accurate relative to the summed ``|terms|``, not per node:
     ``kappa - x`` cancels where ``Omega_P << kappa``, and near ``p = 1`` the
     logarithm multiplies the rounding of ``p`` by ``p/(1 - p)``, yet neither
@@ -152,8 +153,7 @@ def _log_one_minus(
     p /= np.add(kappa, x, width)
     p *= p
     p *= damping
-    np.minimum(p, _BELOW_ONE, out=p)
-    np.negative(p, out=p)
+    np.maximum(p, -_BELOW_ONE, out=p)
     return np.log1p(p, out=p)
 
 
@@ -194,12 +194,12 @@ def _mode_sum_integrand(
     """
     kappa, kappa_t, reduced, damping, te, tm, width = _buffers(K, Xi)
     kappa, kappa_t, reduced = _decay_constants(K, Xi, Omega_P, lo, hi, (kappa, kappa_t, reduced))
-    np.exp(np.multiply(-2.0, kappa, damping), damping)
+    np.negative(np.exp(np.multiply(-2.0, kappa, damping), damping), damping)
     total = _log_one_minus(kappa, kappa_t, damping, te, width)
     total += _log_one_minus(kappa, reduced, damping, tm, width)
-    # Strictly negative and finite wherever the mirror is imperfect; any
-    # other value signals a broken decay constant.
-    if not (-math.inf < total.min() and total.max() <= 0.0):
+    # Strictly negative and finite wherever the mirror is imperfect; any other value
+    # (max propagates NaN; p <= _BELOW_ONE rules out -inf) signals a broken decay constant.
+    if not total.max() <= 0.0:
         raise NonFiniteIntegrand(
             f"mode-sum integrand invalid in the block K in [{K.min():g}, {K.max():g}], "
             f"Xi in [{Xi.min():g}, {Xi.max():g}] at Omega_P={Omega_P:g}"
@@ -215,7 +215,8 @@ def _eta_total_detailed(
     xi_unit = min(1.0, Omega_P)
 
     def integrand(K: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _mode_sum_integrand(K, xi_unit * u, Omega_P, *_NODE_RANGE)
+        Xi = u if xi_unit == 1.0 else xi_unit * u  # u itself: 1.0 * u would be a copy
+        return _mode_sum_integrand(K, Xi, Omega_P, *_NODE_RANGE)
 
     try:
         value, error = integrate_quadrant(integrand, spec)

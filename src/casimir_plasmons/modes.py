@@ -320,19 +320,21 @@ def g_branch(kind: Union[CoupledBranch, str], z, Omega_P: float):
 def _branch_combination(root_z, Omega_P: float):
     """:func:`g_branch_combination` at ``z = root_z**2`` for an array ``root_z > 0``, unchecked."""
     total = root_z + np.hypot(root_z, Omega_P)
-    decay = np.exp(-root_z)
-    one_minus_decay = -np.expm1(-root_z)
+    negated = -root_z
+    decay = np.exp(negated)
+    one_minus_decay = -np.expm1(negated)
     # Omega_P / total is at most 1; at root_z = 0 the factors below divide by zero.
     scaled = Omega_P / total
     scaled_sq = scaled * scaled
     ratio = decay * scaled_sq
+    one_plus_ratio = 1.0 + ratio
     one_minus_ratio = 2.0 * root_z / total + scaled_sq * one_minus_decay
     g_zero = Omega_P * np.sqrt(root_z / total)
     plus_factor = np.sqrt((1.0 + decay) / one_minus_ratio)
-    minus_factor = np.sqrt(one_minus_decay / (1.0 + ratio))
+    minus_factor = np.sqrt(one_minus_decay / one_plus_ratio)
     factor_sum = minus_factor + plus_factor
     decay_sum = decay + ratio
-    one_minus_ratio_sq = one_minus_ratio * (1.0 + ratio)
+    one_minus_ratio_sq = one_minus_ratio * one_plus_ratio
     numerator = ratio * (factor_sum + 2.0) - 2.0 * decay_sum / (one_minus_ratio_sq * factor_sum)
     return (
         g_zero

@@ -428,6 +428,11 @@ class TestDispersion:
 # less (2/3) y_plus**3: eta_pl moved by at most 1.5e-15 relative, eta_ph by
 # 9.2e-16, the sign change by 3.7e-16; err_eta_pl and err_eta_ph by a factor
 # of 1.17 to 1.44, the sign change's estimate by 1.19; no other column moved.
+# eta-csv, eta-json, sweep-physical-json and constants were re-pinned when the
+# branch sum took s = v**2/(1e-4 + v): eta_pl moved by at most 1.5e-15
+# relative and eta_ev by 5.3e-16 (sweep-physical-json only); err_eta_pl and
+# err_eta_ph rose by at most 5.4e-3 of themselves, err_eta_ev by 1.8e-2, the
+# sign change's estimate by 5.2e-3; no other column moved.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -448,11 +453,11 @@ class TestDispersion:
         ),
         (
             ["eta", "--l-over-lambda-p", "1"],
-            "8bd3ff7551a66227fb4b830b624c5cb7de6ce90483e41955891b4a715c1ad17c",
+            "4312ab73c9db3f5ccdada68baedccd3ef1e2bd49949c543bb09baa6fc56530a7",
         ),
         (
             ["eta", "--l-over-lambda-p", "0.25", "--format", "json"],
-            "9cc7e8e7e0494da5fdf2f851edab219f631315a1f432d40e5c2fc65671ee1b47",
+            "57104400f333058555236d5430eea4eb0d524f2ae6b719f1444ba30e9f4fc326",
         ),
         (
             ["sweep", "--range", "0.01:10", "--points", "20"],
@@ -463,11 +468,11 @@ class TestDispersion:
                 "sweep", "--range", "1e-8:1e-6", "--lambda-p", "137e-9",
                 "--points", "7", "--format", "json",
             ],
-            "64d3257ea6bfade75b0bcfcac587d202c97a77621364fdfec2c02a051ca2f80f",
+            "f9f737b091f0e6953b7b2c5cb927647fd2af5b5230978190a58f4f87e688b2f5",
         ),
         (
             ["constants"],
-            "789845115c07b83d9889304f6a5d5d83bb89b68774e5d56b8782dcdfa59fd7f8",
+            "abf57f0dd03a31d1c94d92dd181cd07f97e9f4c935d56ee5fc5fa49e6c3b9b79",
         ),
         (
             ["verify"],

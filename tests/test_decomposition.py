@@ -295,6 +295,23 @@ def _mp_branch_sum_tail(omega_p: float, reach: float) -> mp.mpf:
         )
 
 
+def _mp_mapped_branch_sum_tail(omega_p: float, reach: float) -> mp.mpf:
+    """The branch sum's tail beyond ``v = X`` in the variable of its rule, to 30 digits.
+
+    ``Int_X^inf |2 s (g_plus + g_minus - 2 g_zero)(s^2)| ds/dv dv`` with
+    ``s = v^2/(shift + v)`` and ``ds/dv = v (2 shift + v)/(shift + v)^2``.
+    """
+    with mp.workdps(30 + int(2 * reach / math.log(10))):
+        w, X = mp.mpf(omega_p), mp.mpf(reach)
+        shift = mp.mpf(decomposition._BRANCH_SHIFT)
+
+        def integrand(v):
+            s = v * v / (shift + v)
+            return abs(_mp_branch_integrand(w, s)) * v * (2 * shift + v) / (shift + v) ** 2
+
+        return mp.quad(integrand, [X, X + 1, X + 4, X + 16, X + 64, mp.inf])
+
+
 class TestBranchSumKernel:
     """The branch sum's unchecked kernel and the bound on its tail."""
 
@@ -310,14 +327,44 @@ class TestBranchSumKernel:
         assert _branch_sum_tail_bound(1e15, 7e6) == 0.0
 
     @pytest.mark.parametrize("omega_p", [1e-8, 1e-3, 2.0 * math.pi, 1e5, 1e15])
+    @pytest.mark.parametrize("reach", [1.001, 4.0, 16.0, 64.0])
+    def test_tail_bound_covers_the_tail_in_v(self, omega_p: float, reach: float) -> None:
+        # The rule integrates in v, with s = v**2/(shift + v): its tail beyond
+        # v = X is the tail in s beyond s(X), bounded there (s(1.001) > 1).
+        shift = decomposition._BRANCH_SHIFT
+        tail = _mp_mapped_branch_sum_tail(omega_p, reach)
+        assert 0.0 < float(tail) <= _branch_sum_tail_bound(omega_p, reach * reach / (shift + reach))
+
+    @pytest.mark.parametrize("omega_p", [1e-8, 1e-3, 2.0 * math.pi, 1e5, 1e15])
     def test_public_combination_is_the_kernel_on_every_exp_sinh_node(self, omega_p) -> None:
-        # The branch-sum integrand calls the kernel on s itself, where the
+        # The branch-sum integrand calls the kernel on s(v) itself, where the
         # public function takes z = s*s and its root back: the same bits.
-        s = np.concatenate([numerics._de_nodes("exp-sinh", level)[0] for level in range(9)])
-        assert s.size == 3841
+        v = np.concatenate([numerics._de_nodes("exp-sinh", level)[0] for level in range(9)])
+        assert v.size == 3841
+        r = v / (decomposition._BRANCH_SHIFT + v)
+        s = v * r
         assert np.sqrt(s * s).tobytes() == s.tobytes()
         kernel = modes._branch_combination(s, omega_p)
         assert g_branch_combination(s * s, omega_p).tobytes() == kernel.tobytes()
+
+    def test_window_never_grows(self, monkeypatch) -> None:
+        # Near v = 0 the integrand vanishes like v**3, so the exp-sinh rule
+        # keeps its core: one call of 97 nodes up to level 3, and one more of
+        # the 96 level-4 nodes between them where rel_tol 1e-12 asks for it.
+        infos = []
+        rule = numerics.quad
+
+        def counted_rule(*args):
+            out = rule(*args)
+            infos.append(out[2])
+            return out
+
+        monkeypatch.setattr(numerics, "quad", counted_rule)
+        for rel_tol, expected in ((1e-4, (1, 97)), (1e-9, (1, 97)), (1e-12, (2, 193))):
+            for omega_p in np.geomspace(modes._MIN_SURFACE_OMEGA_P, 1e15, 60):
+                infos.clear()
+                _branch_sum_integral(float(omega_p), QuadratureSpec(rel_tol=rel_tol))
+                assert [(i["calls"], i["neval"]) for i in infos] == [expected], omega_p
 
 
 # ----------------------------------------------------------------------
@@ -466,7 +513,7 @@ class TestBreakdown:
     def test_eta_ph_is_resolved_from_1e_minus_5_up(self) -> None:
         # eta_ph ~ 1.8 * Omega_P**3 is a near-cancelling difference of eta_total
         # and eta_pl at small Omega_P; at the default tolerance its error
-        # estimate stays below it from 1e-5 up (0.16 of it there).
+        # estimate stays below it from 1e-5 up (0.13 of it there).
         for omega_p in np.geomspace(1e-5, 1e5, 61):
             breakdown = compute_eta_breakdown(float(omega_p))
             assert breakdown.error_estimates["eta_ph"] < abs(breakdown.eta_ph), omega_p
@@ -488,72 +535,72 @@ class TestBreakdown:
                 1e-8,
                 {
                     "eta_total": ("0x1.878cb996b0f40p-29", "0x1.f5fcdaa98be69p-75"),
-                    "eta_pl": ("0x1.878cb996b0f3ap-29", "0x1.58bf27c5b98c3p-62"),
-                    "eta_ph": ("0x1.8000000000000p-79", "0x1.58ced7ac8ed89p-62"),
-                    "eta_ev": ("0x1.878cb996b0f3dp-29", "0x1.58bf27c5b98c1p-62"),
+                    "eta_pl": ("0x1.878cb996b0f3bp-29", "0x1.5567f732463fcp-62"),
+                    "eta_ph": ("0x1.4000000000000p-79", "0x1.5577a7191b8c2p-62"),
+                    "eta_ev": ("0x1.878cb996b0f3ep-29", "0x1.5567f732463fap-62"),
                 },
             ),
             (
                 1e-5,
                 {
                     "eta_total": ("0x1.7e5f6d2800d06p-19", "0x1.e9465da36bb11p-65"),
-                    "eta_pl": ("0x1.7e5f6d23f65b4p-19", "0x1.4d9bef0a54e43p-52"),
-                    "eta_ph": ("0x1.029d480000000p-49", "0x1.4dab393d41ff9p-52"),
-                    "eta_ev": ("0x1.7e5f6d274412bp-19", "0x1.4d9bef087dffap-52"),
+                    "eta_pl": ("0x1.7e5f6d23f66e5p-19", "0x1.1029fe5fbcccbp-52"),
+                    "eta_ph": ("0x1.0298840000000p-49", "0x1.10394892a9e81p-52"),
+                    "eta_ev": ("0x1.7e5f6d274425cp-19", "0x1.1029fe5de5e82p-52"),
                 },
             ),
             (
                 1e-3,
                 {
                     "eta_total": ("0x1.2ab9481ab5e3fp-12", "0x1.341ebe14193dfp-58"),
-                    "eta_pl": ("0x1.2ab8cd4fddbf4p-12", "0x1.30b71182909c1p-45"),
-                    "eta_ph": ("0x1.eb2b6092c0000p-30", "0x1.30c0b278813cep-45"),
-                    "eta_ev": ("0x1.2ab9320f0279dp-12", "0x1.30b6d9607992ap-45"),
+                    "eta_pl": ("0x1.2ab8cd4fddbfcp-12", "0x1.2d3cdd96715ccp-45"),
+                    "eta_ph": ("0x1.eb2b6090c0000p-30", "0x1.2d467e8c61fd9p-45"),
+                    "eta_ev": ("0x1.2ab9320f027a6p-12", "0x1.2d3ca5745a536p-45"),
                 },
             ),
             (
                 0.5,
                 {
                     "eta_total": ("0x1.e5b8f3d363032p-4", "0x1.44148924a213ap-49"),
-                    "eta_pl": ("-0x1.7018d1722a800p-7", "0x1.1aad0852f92e8p-34"),
-                    "eta_ph": ("0x1.09de0700d4299p-3", "0x1.1aaf907c0b77cp-34"),
-                    "eta_ev": ("0x1.eed2820cde0e9p-4", "0x1.01bde51ade57cp-36"),
+                    "eta_pl": ("-0x1.7018d1722a7f5p-7", "0x1.1c16c6174a9bbp-34"),
+                    "eta_ph": ("0x1.09de0700d4298p-3", "0x1.1c194e405ce4fp-34"),
+                    "eta_ev": ("0x1.eed2820cde0ecp-4", "0x1.0764dc2c240cap-36"),
                 },
             ),
             (
                 2.0 * math.pi,
                 {
                     "eta_total": ("0x1.3549e9e69ddd2p-1", "0x1.2951cb39be600p-46"),
-                    "eta_pl": ("-0x1.57020cc539bc9p+4", "0x1.2ed010481fa1dp-30"),
-                    "eta_ph": ("0x1.60ac5c146eab8p+4", "0x1.2ed13999eadb9p-30"),
-                    "eta_ev": ("0x1.2874d35115ad8p+1", "0x1.4c005f3edce00p-32"),
+                    "eta_pl": ("-0x1.57020cc539bc9p+4", "0x1.2f6c08f8aaa9cp-30"),
+                    "eta_ph": ("0x1.60ac5c146eab8p+4", "0x1.2f6d324a75e38p-30"),
+                    "eta_ev": ("0x1.2874d35115ad8p+1", "0x1.4e70420108ffdp-32"),
                 },
             ),
             (
                 40.0,
                 {
                     "eta_total": ("0x1.d11458dd3122cp-1", "0x1.7c766d4a90f34p-46"),
-                    "eta_pl": ("-0x1.fc3cf0533430ep+6", "0x1.63cf8295f9fcap-24"),
-                    "eta_ph": ("0x1.ffdf1904ee932p+6", "0x1.63cf8887d3b1dp-24"),
-                    "eta_ev": ("0x1.2b896eeab5ea4p+3", "0x1.735b3325cbf38p-31"),
+                    "eta_pl": ("-0x1.fc3cf0533430ep+6", "0x1.63c90de5727bdp-24"),
+                    "eta_ph": ("0x1.ffdf1904ee932p+6", "0x1.63c913d74c310p-24"),
+                    "eta_ev": ("0x1.2b896eeab5ea4p+3", "0x1.7020dae20b922p-31"),
                 },
             ),
             (
                 1e5,
                 {
                     "eta_total": ("0x1.fffac1defc46cp-1", "0x1.24e6af4605796p-45"),
-                    "eta_pl": ("-0x1.24249844f443fp+13", "0x1.75f70b6fb2e78p-22"),
-                    "eta_ph": ("0x1.242c982ffbbfep+13", "0x1.75f70db980461p-22"),
-                    "eta_ev": ("0x1.00c3e095482ffp+9", "0x1.1f3af3fb9d0fap-22"),
+                    "eta_pl": ("-0x1.24249844f443fp+13", "0x1.75b04af97e76ap-22"),
+                    "eta_ph": ("0x1.242c982ffbbfep+13", "0x1.75b04d434bd53p-22"),
+                    "eta_ev": ("0x1.00c3e095482ffp+9", "0x1.1ef43385689ecp-22"),
                 },
             ),
             (
                 1e12,
                 {
                     "eta_total": ("0x1.fffffffff7347p-1", "0x1.24f23dd21e51cp-45"),
-                    "eta_pl": ("-0x1.c5fd992be9dabp+24", "0x1.37ae65c8db6d7p-10"),
-                    "eta_ph": ("0x1.c5fd9a2be9dabp+24", "0x1.37ae65c9000bbp-10"),
-                    "eta_ev": ("0x1.8c7b18fdd97e1p+20", "0x1.bbaf87f13d921p-11"),
+                    "eta_pl": ("-0x1.c5fd992be9dabp+24", "0x1.3777bf11a76edp-10"),
+                    "eta_ph": ("0x1.c5fd9a2be9dabp+24", "0x1.3777bf11cc0d1p-10"),
+                    "eta_ev": ("0x1.8c7b18fdd97e1p+20", "0x1.bb423a82d594fp-11"),
                 },
             ),
         ],
@@ -586,7 +633,11 @@ class TestBreakdown:
         # 2 u (g_plus - u): eta_pl moved by at most 9.3e-16 relative (eta_ph
         # by the same amount, 2.4e-7 of itself at 1e-5), their estimates by a
         # factor of 0.99 to 1.44, and eta_pl lies within its estimate of the
-        # mpmath parts.
+        # mpmath parts.  eta_pl, eta_ph and eta_ev were re-pinned when the
+        # branch sum took s = v**2/(1e-4 + v): eta_pl and eta_ev moved by at
+        # most 4.6e-14 relative (4.5e-4 of their estimates; eta_ph by the same
+        # amount, 7.2e-5 of itself at 1e-5), their estimates by a factor of
+        # 0.82 to 1.02, and each lies within its estimate of the mpmath parts.
         breakdown = compute_eta_breakdown(omega_p)
         assert {
             name: (getattr(breakdown, name).hex(), breakdown.error_estimates[name].hex())
@@ -598,13 +649,13 @@ class TestBreakdown:
         [
             (
                 1e-3,
-                ("0x1.2ab8cd4fddbf1p-12", "0x1.3655a79eb74e8p-58"),
-                ("0x1.2ab9320f0279ap-12", "0x1.365587fee0f23p-58"),
+                ("0x1.2ab8cd4fddbf1p-12", "0x1.592a8f31d93ddp-58"),
+                ("0x1.2ab9320f0279ap-12", "0x1.592a6f9202e17p-58"),
             ),
             (
                 2.0 * math.pi,
-                ("-0x1.57020cc539bc9p+4", "0x1.570cc619ac207p-42"),
-                ("0x1.2874d35115ad8p+1", "0x1.52844173ba2f8p-43"),
+                ("-0x1.57020cc539bc9p+4", "0x1.570cc5fb51c60p-42"),
+                ("0x1.2874d35115ad8p+1", "0x1.52844137057a9p-43"),
             ),
             (
                 1e5,
@@ -626,7 +677,10 @@ class TestBreakdown:
         # reference correction: it moved by at most 2.7e-15 relative, its
         # estimate by at most 0.41 of itself (1.6e-6 at 1e-3).  eta_pl
         # re-pinned with the continuation of 2 u (g_plus - u): it moved by at
-        # most 3.3e-16 relative, its estimate by a factor of 0.46 to 1.
+        # most 3.3e-16 relative, its estimate by a factor of 0.46 to 1.  Both
+        # estimates re-pinned at 1e-3 and 2*pi with the branch sum in
+        # s = v**2/(1e-4 + v): every value kept its bits, the estimates rose by
+        # at most 0.11 of themselves.
         spec = QuadratureSpec(rel_tol=1e-13)
         plasmonic = _eta_plasmonic_detailed(omega_p, spec)
         evanescent = _eta_evanescent_detailed(omega_p, spec)
@@ -660,15 +714,15 @@ class TestBreakdown:
         assert 0 < len(calls) <= 2
 
     @pytest.mark.parametrize("omega_p", [1e-8, 2.0 * math.pi, 1e5])
-    def test_makes_two_quad_calls_and_two_branch_kernel_calls(
+    def test_makes_two_quad_calls_and_one_branch_kernel_call(
         self, omega_p, monkeypatch
     ) -> None:
         # The branch sum, with its proved tail bound and no envelope probe,
-        # calls the kernel on the core of its window and on its one growth
-        # step.  The continuation's integrand vanishes at both ends, so its
-        # window never grows: one call.  The reference correction is a closed
-        # form.  Every call goes through numerics.quad, which tracers wrap by
-        # name.
+        # calls the kernel once: its integrand in v vanishes like v**3 at the
+        # origin, so its window never grows.  The continuation's integrand
+        # vanishes at both ends, so its window never grows either: one call.
+        # The reference correction is a closed form.  Every call goes through
+        # numerics.quad, which tracers wrap by name.
         kernel, rules = [], []
         rule = numerics.quad
 
@@ -684,14 +738,14 @@ class TestBreakdown:
         monkeypatch.setattr(decomposition, "_branch_combination", counted_kernel)
         monkeypatch.setattr(numerics, "quad", counted_rule)
         compute_eta_breakdown(omega_p)
-        assert len(kernel) == 2
-        assert rules == [2, 1]
+        assert kernel == [97]
+        assert rules == [1, 1]
 
     @pytest.mark.parametrize("omega_p", [1e-8, 2.0 * math.pi, 1e5])
-    def test_makes_five_integrand_calls(self, omega_p, monkeypatch) -> None:
-        # The branch sum (shared by eta_pl and eta_ev): its core and its one
-        # growth step.  The continuation: its core.  eta_total: level 0, then
-        # levels 1 to 3 together.
+    def test_makes_four_integrand_calls(self, omega_p, monkeypatch) -> None:
+        # The branch sum (shared by eta_pl and eta_ev): its core.  The
+        # continuation: its core.  eta_total: level 0, then levels 1 to 3
+        # together.
         calls = []
 
         def counting(rule, name):
@@ -709,7 +763,7 @@ class TestBreakdown:
             lifshitz, "integrate_quadrant", counting(numerics.integrate_quadrant, "quadrant")
         )
         compute_eta_breakdown(omega_p)
-        assert calls == ["quad"] * 3 + ["quadrant"] * 2
+        assert calls == ["quad"] * 2 + ["quadrant"] * 2
 
     def test_record_validation(self) -> None:
         with pytest.raises(DomainError):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from casimir_plasmons.decomposition import short_distance_alpha
 from casimir_plasmons import lifshitz, numerics
-from casimir_plasmons.errors import DomainError
+from casimir_plasmons.errors import DomainError, NonFiniteIntegrand
 from casimir_plasmons.lifshitz import (
     REDUCED_PLANCK,
     SPEED_OF_LIGHT,
@@ -350,10 +350,29 @@ class TestModeSumIntegrand:
         damping = np.exp(-2.0 * kappa)
         for x in (kappa_t, reduced):
             assert (((kappa - x) / (kappa + x)) ** 2 * damping == 1.0).all()
-            logs = lifshitz._log_one_minus(kappa, x, damping)
+            # _log_one_minus takes the damping negated.
+            logs = lifshitz._log_one_minus(kappa, x, -damping)
             assert np.isfinite(logs).all() and logs.max() <= 0.0
         value = _mode_sum_integrand(K, Xi, omega_p, *lifshitz._NODE_RANGE)
         assert np.isfinite(value).all() and value.max() <= 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("node", [0, 4607, numerics._QUADRANT_BLOCK - 1])
+    def test_one_invalid_node_of_a_full_block_raises(self, bad, node, monkeypatch) -> None:
+        # The check is max-only: max propagates NaN, and +inf is its own max.
+        K = np.geomspace(1e-3, 40.0, numerics._QUADRANT_BLOCK)
+        Xi = K[::-1].copy()
+        log_one_minus = lifshitz._log_one_minus
+
+        def poisoned(*args):
+            logs = log_one_minus(*args)
+            logs[node] = bad
+            return logs
+
+        assert _mode_sum_integrand(K, Xi, 2.0 * math.pi, *lifshitz._NODE_RANGE).max() < 0.0
+        monkeypatch.setattr(lifshitz, "_log_one_minus", poisoned)
+        with pytest.raises(NonFiniteIntegrand):
+            _mode_sum_integrand(K, Xi, 2.0 * math.pi, *lifshitz._NODE_RANGE)
 
     def test_quadrant_nodes_lie_in_the_kernels_node_range(self) -> None:
         # The kernel takes its squares form on the bounds of _NODE_RANGE, so
